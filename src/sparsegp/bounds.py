@@ -190,9 +190,9 @@ def derivative_gap_bound(kernel: Kernel, data: Dataset, ind: InducingSet,
         hi, lo = x.copy(), x.copy()
         hi[j] += fd_step
         lo[j] -= fd_step
-        return (fn(hi) - fn(lo)) / (2.0 * fd_step)
+        return (fn(hi)[0] - fn(lo)[0]) / (2.0 * fd_step)
 
-    lhs = (partial(sparse_mean) - partial(exact.mean)) ** 2
+    lhs = (partial(sparse_mean) - partial(exact.mean_many)) ** 2
     y_sq = float(data.targets @ data.targets)
     dd = kernel.mixed_second_derivative(j, x)
     rhs = 2.0 * trace_gap(ind, data.inputs) * y_sq * dd / noise_var**2
@@ -225,7 +225,10 @@ def expected_kl_sandwich(kernel: Kernel, X, ind: InducingSet, noise_var: float,
                          n_samples: int = 2000, seed: int = 0):
     """Monte-Carlo estimate of E_y[KL] under y ~ N(0, k_XX + s2 I),
     returned with its 1.96-stderr halfwidth and the a-priori sandwich
-    [t/(2 s2), t/s2]."""
+    [t/(2 s2), t/s2].
+
+    A trace gap below -1e-10 * tr(k_XX) is not round-off: the band would be
+    inverted, so InternalInconsistency is raised instead."""
     if n_samples < 100:
         raise ValueError("n_samples must be at least 100")
     X = as_points(X, kernel.input_dim)
@@ -236,6 +239,10 @@ def expected_kl_sandwich(kernel: Kernel, X, ind: InducingSet, noise_var: float,
     Fq = factor_spd(Qxx + noise_var * np.eye(n), jitter_ladder=[0.0])
     logdet_term = -logdet(Fk) + logdet(Fq)
     t = float(np.trace(Kxx - Qxx))
+    if t < -1e-10 * float(np.sum(kernel.diag(X))):
+        raise InternalInconsistency(
+            f"negative trace gap t = {t!r} inverts the KL band; reduce m or "
+            "check the inducing set for near-duplicate points")
     rng = np.random.default_rng(seed)
     draws = Fk.lower @ rng.standard_normal((n, n_samples))
     # Per-draw KL from the explicit expansion; factors computed once.

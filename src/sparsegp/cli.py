@@ -76,7 +76,7 @@ def cmd_fit(args) -> int:
         ind = select_inducing(kernel, data, args.m, strategy=args.select,
                               seed=args.seed)
         mean, _ = optimal_posterior(kernel, data, ind, args.noise_var)
-        preds = np.array([mean(x) for x in data.inputs])
+        preds = mean(data.inputs)
     for x, p in zip(data.inputs, preds):
         print(",".join(f"{v:.17g}" for v in x) + f",{p:.17g}")
     return 0

@@ -64,6 +64,10 @@ class GaussianKernel:
             K = 0.5 * (K + K.T)
         return K
 
+    def diag(self, X) -> np.ndarray:
+        """k(x_i, x_i) for each row of X, without building the Gram matrix."""
+        return np.ones(as_points(X, self.input_dim).shape[0])
+
     def mixed_second_derivative(self, j: int, x) -> float:
         """d/dx_j d/dx'_j k(x, x') at x' = x; constant 2 / gamma^2."""
         as_points(x, self.input_dim)
@@ -101,6 +105,11 @@ class PolynomialKernel:
         if same:
             K = 0.5 * (K + K.T)
         return K
+
+    def diag(self, X) -> np.ndarray:
+        """k(x_i, x_i) for each row of X, without building the Gram matrix."""
+        X = as_points(X, self.input_dim)
+        return (np.sum(X * X, axis=1) + self.offset) ** self.degree
 
     def mixed_second_derivative(self, j: int, x) -> float:
         raise UnsupportedKernel("mixed second derivative implemented for the Gaussian family only")

@@ -129,7 +129,7 @@ def fit_nystrom_via_q(kernel: Kernel, data: Dataset, ind: InducingSet, ridge: fl
 def dtc_posterior(kernel: Kernel, data: Dataset, ind: InducingSet, noise_var: float):
     """Posterior mean/cov closures of a GP with prior kernel q.
 
-    mean(x) = k_Z(x)^T (s2 k_ZZ + k_ZX k_XZ)^{-1} k_ZX y
+    mean(X) = k_XZ (s2 k_ZZ + k_ZX k_XZ)^{-1} k_ZX y, one value per row of X
     cov(x, x') = k_Z(x)^T (k_ZZ + s2^{-1} k_ZX k_XZ)^{-1} k_Z(x')
     """
     if noise_var <= 0:
@@ -140,9 +140,8 @@ def dtc_posterior(kernel: Kernel, data: Dataset, ind: InducingSet, noise_var: fl
     mean_coef = solve(mean_factor, Kzx @ data.targets)
     cov_factor = factor_spd(Kzz + Kzx @ Kzx.T / noise_var)
 
-    def mean(x):
-        kx = kernel.gram(ind.points, as_points(x, kernel.input_dim))[:, 0]
-        return float(kx @ mean_coef)
+    def mean(X):
+        return kernel.gram(X, ind.points) @ mean_coef
 
     def cov(x, x2):
         kx = kernel.gram(ind.points, as_points(x, kernel.input_dim))[:, 0]
@@ -158,8 +157,7 @@ def trace_gap(ind: InducingSet, X) -> float:
     X = as_points(X, k.input_dim)
     Kxz = k.gram(X, ind.points)
     diag_q = np.sum(Kxz * solve(ind.kzz_factor, Kxz.T).T, axis=1)
-    diag_k = np.diag(k.gram(X))
-    return float(np.sum(diag_k - diag_q))
+    return float(np.sum(k.diag(X) - diag_q))
 
 
 def select_inducing(kernel: Kernel, data: Dataset, m: int, strategy: str = "greedy_trace",
@@ -169,7 +167,8 @@ def select_inducing(kernel: Kernel, data: Dataset, m: int, strategy: str = "gree
     "uniform": m distinct indices without replacement, seeded.
     "greedy_trace": pivoted-Cholesky greedy; at each step take the point
     with the largest residual diagonal k(x,x) - q_current(x,x), breaking
-    ties in favor of the lowest index.
+    ties in favor of the lowest index. Only the diagonal and the m pivot
+    columns of k_XX are evaluated: O(nm) memory and O(nm^2) time.
     """
     n = data.n
     if not 1 <= m <= n:
@@ -179,8 +178,7 @@ def select_inducing(kernel: Kernel, data: Dataset, m: int, strategy: str = "gree
         rng = np.random.default_rng(seed)
         idx = np.sort(rng.choice(n, size=m, replace=False))
     elif strategy == "greedy_trace":
-        K = kernel.gram(X)
-        resid = np.diag(K).copy()
+        resid = kernel.diag(X)
         L = np.zeros((n, m))
         idx = []
         for step in range(m):
@@ -193,7 +191,8 @@ def select_inducing(kernel: Kernel, data: Dataset, m: int, strategy: str = "gree
                 idx.extend(remaining[: m - step])
                 break
             idx.append(pivot)
-            col = (K[:, pivot] - L[:, :step] @ L[pivot, :step]) / np.sqrt(resid[pivot])
+            k_pivot = kernel.gram(X, X[pivot:pivot + 1])[:, 0]
+            col = (k_pivot - L[:, :step] @ L[pivot, :step]) / np.sqrt(resid[pivot])
             L[:, step] = col
             resid = resid - col**2
             resid[pivot] = -np.inf

@@ -99,7 +99,7 @@ def _elbo_pieces(state: SvgpState, data: Dataset, noise_var: float):
     # A = k_ZZ^{-1} k_ZX, column i is k_ZZ^{-1} k_Z(x_i)
     A = solve(ind.kzz_factor, Kxz.T)
     mean_at_X = Kxz @ solve(ind.kzz_factor, state.mu)
-    diag_k = np.diag(k.gram(X))
+    diag_k = k.diag(X)
     diag_q = np.sum(Kxz * A.T, axis=1)
     diag_qnu = np.sum(A * (state.sigma @ A), axis=0)
     kl = 0.5 * (
@@ -203,7 +203,7 @@ def optimal_parameters(kernel: Kernel, data: Dataset, ind: InducingSet,
 def optimal_posterior(kernel: Kernel, data: Dataset, ind: InducingSet, noise_var: float):
     """Mean/cov closures of the optimized variational GP.
 
-    m*(x) = k_Z(x)^T (s2 k_ZZ + k_ZX k_XZ)^{-1} k_ZX y
+    m*(X) = k_XZ (s2 k_ZZ + k_ZX k_XZ)^{-1} k_ZX y, one value per row of X
     k*(x,x') = k - q + k_Z(x)^T (k_ZZ + s2^{-1} k_ZX k_XZ)^{-1} k_Z(x')
     """
     if noise_var <= 0:
@@ -214,9 +214,8 @@ def optimal_posterior(kernel: Kernel, data: Dataset, ind: InducingSet, noise_var
     mean_coef = solve(factor_spd(noise_var * Kzz + B), Kzx @ data.targets)
     cov_factor = factor_spd(Kzz + B / noise_var)
 
-    def mean(x):
-        kx = kernel.gram(ind.points, as_points(x, kernel.input_dim))[:, 0]
-        return float(kx @ mean_coef)
+    def mean(X):
+        return kernel.gram(X, ind.points) @ mean_coef
 
     def cov(x, x2):
         xa = as_points(x, kernel.input_dim)
@@ -242,7 +241,7 @@ def optimal_elbo(kernel: Kernel, data: Dataset, ind: InducingSet, noise_var: flo
     Qxx = q_gram(ind, data.inputs)
     F = factor_spd(Qxx + noise_var * np.eye(n), jitter_ladder=[0.0])
     y = data.targets
-    diag_gap = np.diag(kernel.gram(data.inputs)) - np.diag(Qxx)
+    diag_gap = kernel.diag(data.inputs) - np.diag(Qxx)
     return float(
         -0.5 * logdet(F)
         - 0.5 * y @ solve(F, y)

@@ -9,7 +9,8 @@ from sparsegp.bounds import (BoundRecord, burt_upper_bound,
                              rkhs_distance_bound, rkhs_distance_sq,
                              worst_case_decomposition, worst_case_residual)
 from sparsegp.data import Dataset
-from sparsegp.errors import PointCollision, UnsupportedKernel
+from sparsegp import bounds
+from sparsegp.errors import InternalInconsistency, PointCollision, UnsupportedKernel
 from sparsegp.exact import fit_krr, log_marginal_likelihood
 from sparsegp.kernels import GaussianKernel, PolynomialKernel
 from sparsegp.nystrom import fit_nystrom, make_inducing, q_gram, select_inducing, trace_gap
@@ -197,6 +198,17 @@ def test_expected_kl_sandwich_brackets_monte_carlo(kernel):
     assert low <= mc + 3 * hw + 1e-12
     assert mc - 3 * hw <= high + 1e-12
     assert hw > 0
+
+
+def test_expected_kl_sandwich_rejects_negative_trace_gap(kernel, monkeypatch):
+    # q_XX above k_XX makes t < 0, which would invert the band [t/2s2, t/s2]
+    monkeypatch.setattr(bounds, "q_gram",
+                        lambda ind, X: kernel.gram(X) + 0.1 * np.eye(len(X)))
+    rng = np.random.default_rng(28)
+    X = rng.uniform(-3, 3, size=(20, 1))
+    ind = make_inducing(kernel, X[:3])
+    with pytest.raises(InternalInconsistency, match="trace gap t = .*reduce m"):
+        expected_kl_sandwich(kernel, X, ind, 0.3, n_samples=200)
 
 
 def test_expected_kl_sandwich_rejects_tiny_sample(kernel):

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from sparsegp import bounds
 from sparsegp.cli import main
 from sparsegp.harness import (CheckResult, ExperimentConfig, VerificationReport,
                               emit_report, run_verification)
@@ -83,6 +84,16 @@ def test_json_report_round_trips_config(report):
     assert parsed["config"]["n"] == SMALL["n"]
     assert parsed["config"]["m"] == SMALL["m"]
     assert parsed["schema_version"] == 1
+
+
+def test_expected_kl_check_fails_on_inverted_band(monkeypatch):
+    # a Monte-Carlo interval wide enough to straddle an inverted band
+    # [lo, hi] with lo > hi must not count as a pass
+    monkeypatch.setattr(bounds, "expected_kl_sandwich",
+                        lambda *args, **kwargs: (-0.75, 1.96, -0.5, -1.0))
+    report = run_verification(small_config())
+    check = next(c for c in report.checks if c.name == "expected_kl_sandwich")
+    assert check.status == "fail"
 
 
 def test_empty_report_fails():

@@ -13,6 +13,15 @@ def test_gaussian_diagonal_is_one():
     assert k(3.7, 3.7) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("k", [
+    GaussianKernel(lengthscale=0.7, input_dim=3),
+    PolynomialKernel(degree=3, offset=1.5, input_dim=3),
+])
+def test_diag_matches_gram_diagonal(k):
+    X = np.random.default_rng(4).uniform(-3, 3, size=(40, 3))
+    np.testing.assert_allclose(k.diag(X), np.diag(k.gram(X)), rtol=1e-12, atol=1e-12)
+
+
 def test_gaussian_analytic_value():
     k = GaussianKernel(lengthscale=1.0)
     assert k(0.0, 1.0) == pytest.approx(np.exp(-1.0))

@@ -4,7 +4,7 @@ import pytest
 from sparsegp.data import Dataset
 from sparsegp.errors import InvalidCount
 from sparsegp.exact import fit_gpr, fit_krr
-from sparsegp.kernels import GaussianKernel
+from sparsegp.kernels import GaussianKernel, PolynomialKernel
 from sparsegp.nystrom import (approx_kernel_q, dtc_posterior, fit_nystrom,
                               fit_nystrom_via_q, make_inducing, project_onto_M,
                               q_gram, select_inducing, trace_gap)
@@ -110,8 +110,9 @@ def test_dtc_matches_exact_when_inducing_covers_data(kernel):
     s2 = 0.3
     mean, cov = dtc_posterior(kernel, data, ind, s2)
     exact = fit_gpr(kernel, data, s2)
-    for x in np.linspace(-3, 3, 7):
-        assert mean(x) == pytest.approx(exact.mean(x), abs=1e-8)
+    xs = np.linspace(-3, 3, 7)
+    for x, mx in zip(xs, mean(xs)):
+        assert mx == pytest.approx(exact.mean(x), abs=1e-8)
         gap = kernel(x, x) - approx_kernel_q(ind, x, x)
         assert gap + cov(x, x) == pytest.approx(exact.cov(x, x), abs=1e-8)
     # at the inducing points themselves the residual vanishes
@@ -126,8 +127,9 @@ def test_dtc_mean_matches_nystrom_regression(kernel):
     s2 = 0.4
     mean, _ = dtc_posterior(kernel, data, ind, s2)
     model = fit_nystrom(kernel, data, ind, s2 / data.n)
-    for x in np.linspace(-3, 3, 11):
-        assert mean(x) == pytest.approx(model.predict(x), abs=1e-8)
+    xs = np.linspace(-3, 3, 11)
+    for x, mx in zip(xs, mean(xs)):
+        assert mx == pytest.approx(model.predict(x), abs=1e-8)
 
 
 def test_trace_gap_zero_when_inducing_covers_data(kernel):
@@ -160,6 +162,51 @@ def test_select_inducing_greedy_avoids_cluster(kernel):
     picked = sorted(ind.points.ravel().tolist())
     assert picked[0] == 0.0
     assert picked[1] in (10.0, 10.001)
+
+
+def full_gram_greedy(kernel, X, m):
+    """Reference greedy selection over the full n x n Gram matrix.
+
+    Returns the chosen indices and whether the rank-exhausted padding
+    branch ran.
+    """
+    n = X.shape[0]
+    K = kernel.gram(X)
+    resid = np.diag(K).copy()
+    L = np.zeros((n, m))
+    idx = []
+    for step in range(m):
+        pivot = int(np.argmax(resid))
+        if resid[pivot] <= 0:
+            remaining = [i for i in range(n) if i not in idx]
+            idx.extend(remaining[: m - step])
+            return np.array(idx[:m]), True
+        idx.append(pivot)
+        col = (K[:, pivot] - L[:, :step] @ L[pivot, :step]) / np.sqrt(resid[pivot])
+        L[:, step] = col
+        resid = resid - col**2
+        resid[pivot] = -np.inf
+    return np.array(idx), False
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_select_inducing_greedy_matches_full_gram_reference(kernel, seed):
+    data = random_dataset(80, 30 + seed)
+    ref, padded = full_gram_greedy(kernel, data.inputs, 12)
+    assert not padded
+    ind = select_inducing(kernel, data, 12, strategy="greedy_trace")
+    assert np.array_equal(ind.points, data.inputs[ref])
+
+
+def test_select_inducing_greedy_pads_past_rank_like_reference():
+    # (x x' + 1)^2 in d=1 has rank 3, so asking for 5 points exhausts the
+    # residual and pads with the lowest unchosen indices
+    kernel = PolynomialKernel(degree=2, offset=1.0)
+    data = random_dataset(10, 1)
+    ref, padded = full_gram_greedy(kernel, data.inputs, 5)
+    assert padded
+    ind = select_inducing(kernel, data, 5, strategy="greedy_trace")
+    assert np.array_equal(ind.points, data.inputs[ref])
 
 
 def test_select_inducing_uniform_is_seeded_subset(kernel):
