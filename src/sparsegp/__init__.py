@@ -17,16 +17,15 @@ from .bounds import (BoundRecord, GapDiagnostics, burt_upper_bound,
 from .data import (Dataset, load_csv, synth_fixed_function_dataset,
                    synth_prior_dataset, write_csv)
 from .exact import (GpPosterior, KrrModel, fit_gpr, fit_krr,
-                    log_marginal_likelihood, posterior_cov, predict_krr,
-                    regularized_risk)
+                    log_marginal_likelihood, regularized_risk)
 from .harness import (ExperimentConfig, VerificationReport, emit_report,
                       run_verification)
 from .kernels import GaussianKernel, Kernel, PolynomialKernel, make_kernel
 from .linalg import SpdFactor, factor_spd, logdet, operator_norm, solve
-from .nystrom import (InducingSet, NystromModel, approx_kernel_q,
-                      dtc_posterior, fit_nystrom, fit_nystrom_via_q,
-                      make_inducing, project_onto_M, q_gram, select_inducing,
-                      trace_gap)
+from .nystrom import (InducingSet, NystromFactor, NystromModel,
+                      approx_kernel_q, dtc_posterior, fit_nystrom,
+                      fit_nystrom_via_q, make_inducing, nystrom_factor,
+                      project_onto_M, q_gram, select_inducing, trace_gap)
 from .svgp import (ElboBreakdown, SvgpState, elbo, elbo_breakdown,
                    feature_map_phi, fixed_point_solver, make_state,
                    optimal_elbo, optimal_parameters, optimal_posterior,

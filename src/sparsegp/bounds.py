@@ -46,18 +46,42 @@ class BoundRecord:
         return self.slack >= -HOLDS_RTOL * max(1.0, abs(self.rhs))
 
 
-def gap_diagnostics(kernel: Kernel, data: Dataset, ind: InducingSet,
-                    noise_var: float) -> GapDiagnostics:
-    X = data.inputs
-    n = data.n
+def _exact_and_q(kernel: Kernel, X, ind: InducingSet, noise_var: float):
+    """k_XX, q_XX and the Cholesky factors of k_XX + s2 I and q_XX + s2 I:
+    the explicit n x n side that the O(n m^2) closed forms are checked
+    against."""
+    X = as_points(X, kernel.input_dim)
     Kxx = kernel.gram(X)
     Qxx = q_gram(ind, X)
+    shift = noise_var * np.eye(X.shape[0])
+    return (Kxx, Qxx, factor_spd(Kxx + shift, jitter_ladder=[0.0]),
+            factor_spd(Qxx + shift, jitter_ladder=[0.0]))
+
+
+def _quadratic_form_gap(Fk, Fq, y) -> float:
+    """y^T (q+s2 I)^{-1} y - y^T (k+s2 I)^{-1} y."""
+    return float(y @ solve(Fq, y) - y @ solve(Fk, y))
+
+
+def _mc_quadratic_forms(Fk, Fq, n_samples: int, seed: int):
+    """y^T (k+s2 I)^{-1} y and y^T (q+s2 I)^{-1} y for n_samples seeded draws
+    y ~ N(0, k_XX + s2 I), with the factors computed once."""
+    rng = np.random.default_rng(seed)
+    draws = Fk.lower @ rng.standard_normal((Fk.matrix_dim, n_samples))
+    quad_k = np.sum(draws * solve(Fk, draws), axis=0)
+    quad_q = np.sum(draws * solve(Fq, draws), axis=0)
+    return quad_k, quad_q
+
+
+def gap_diagnostics(kernel: Kernel, data: Dataset, ind: InducingSet,
+                    noise_var: float) -> GapDiagnostics:
+    Kxx, Qxx, Fk, Fq = _exact_and_q(kernel, data.inputs, ind, noise_var)
     gap = Kxx - Qxx
     return GapDiagnostics(
         trace_gap=float(np.trace(gap)),
         opnorm_gap=operator_norm(gap),
-        logdet_k=logdet(factor_spd(Kxx + noise_var * np.eye(n), jitter_ladder=[0.0])),
-        logdet_q=logdet(factor_spd(Qxx + noise_var * np.eye(n), jitter_ladder=[0.0])),
+        logdet_k=logdet(Fk),
+        logdet_q=logdet(Fq),
     )
 
 
@@ -72,15 +96,10 @@ def kl_to_exact_posterior(kernel: Kernel, data: Dataset, ind: InducingSet,
     evidence = log_marginal_likelihood(kernel, data, noise_var)
     kl = evidence - optimal_elbo(kernel, data, ind, noise_var)
 
-    n = data.n
-    y = data.targets
-    Kxx = kernel.gram(data.inputs)
-    Qxx = q_gram(ind, data.inputs)
-    Fk = factor_spd(Kxx + noise_var * np.eye(n), jitter_ladder=[0.0])
-    Fq = factor_spd(Qxx + noise_var * np.eye(n), jitter_ladder=[0.0])
+    Kxx, Qxx, Fk, Fq = _exact_and_q(kernel, data.inputs, ind, noise_var)
     explicit = 0.5 * (
         -logdet(Fk) + logdet(Fq)
-        - y @ solve(Fk, y) + y @ solve(Fq, y)
+        + _quadratic_form_gap(Fk, Fq, data.targets)
         + np.trace(Kxx - Qxx) / noise_var
     )
     if abs(kl - explicit) > 1e-8 * max(1.0, abs(kl)):
@@ -108,13 +127,9 @@ def burt_upper_bound(kernel: Kernel, data: Dataset, ind: InducingSet,
 def quadratic_form_gap_bound(kernel: Kernel, data: Dataset, ind: InducingSet,
                              noise_var: float) -> BoundRecord:
     """y^T (q+s2 I)^{-1} y - y^T (k+s2 I)^{-1} y vs the opnorm-gap bound."""
-    n = data.n
     y = data.targets
-    Kxx = kernel.gram(data.inputs)
-    Qxx = q_gram(ind, data.inputs)
-    Fk = factor_spd(Kxx + noise_var * np.eye(n), jitter_ladder=[0.0])
-    Fq = factor_spd(Qxx + noise_var * np.eye(n), jitter_ladder=[0.0])
-    lhs = float(y @ solve(Fq, y) - y @ solve(Fk, y))
+    Kxx, Qxx, Fk, Fq = _exact_and_q(kernel, data.inputs, ind, noise_var)
+    lhs = _quadratic_form_gap(Fk, Fq, y)
     op = operator_norm(Kxx - Qxx)
     y_sq = float(y @ y)
     rhs = y_sq * op / (noise_var * (op + noise_var))
@@ -125,7 +140,6 @@ def excess_risk(kernel: Kernel, data: Dataset, ind: InducingSet, ridge: float) -
     """R_n(nystrom; y) - R_n(exact KRR; y), from model coefficients."""
     exact = fit_krr(kernel, data, ridge)
     sparse = fit_nystrom(kernel, data, ind, ridge)
-    n = data.n
     y = data.targets
     r_exact = float(np.mean((y - exact.predict_many(data.inputs)) ** 2)
                     + ridge * exact.rkhs_norm_sq())
@@ -231,24 +245,15 @@ def expected_kl_sandwich(kernel: Kernel, X, ind: InducingSet, noise_var: float,
     inverted, so InternalInconsistency is raised instead."""
     if n_samples < 100:
         raise ValueError("n_samples must be at least 100")
-    X = as_points(X, kernel.input_dim)
-    n = X.shape[0]
-    Kxx = kernel.gram(X)
-    Qxx = q_gram(ind, X)
-    Fk = factor_spd(Kxx + noise_var * np.eye(n), jitter_ladder=[0.0])
-    Fq = factor_spd(Qxx + noise_var * np.eye(n), jitter_ladder=[0.0])
-    logdet_term = -logdet(Fk) + logdet(Fq)
+    Kxx, Qxx, Fk, Fq = _exact_and_q(kernel, X, ind, noise_var)
     t = float(np.trace(Kxx - Qxx))
-    if t < -1e-10 * float(np.sum(kernel.diag(X))):
+    if t < -1e-10 * float(np.sum(np.diag(Kxx))):
         raise InternalInconsistency(
             f"negative trace gap t = {t!r} inverts the KL band; reduce m or "
             "check the inducing set for near-duplicate points")
-    rng = np.random.default_rng(seed)
-    draws = Fk.lower @ rng.standard_normal((n, n_samples))
-    # Per-draw KL from the explicit expansion; factors computed once.
-    quad_k = np.sum(draws * solve(Fk, draws), axis=0)
-    quad_q = np.sum(draws * solve(Fq, draws), axis=0)
-    kls = 0.5 * (logdet_term - quad_k + quad_q + t / noise_var)
+    # Per-draw KL from the explicit expansion.
+    quad_k, quad_q = _mc_quadratic_forms(Fk, Fq, n_samples, seed)
+    kls = 0.5 * (logdet(Fq) - logdet(Fk) - quad_k + quad_q + t / noise_var)
     mc = float(np.mean(kls))
     stderr = float(np.std(kls, ddof=1) / np.sqrt(n_samples))
     return mc, 1.96 * stderr, t / (2.0 * noise_var), t / noise_var
@@ -262,19 +267,11 @@ def expected_excess_risk_lower_bound(kernel: Kernel, X, ind: InducingSet, ridge:
     slack on top of the record's rhs."""
     if n_samples < 100:
         raise ValueError("n_samples must be at least 100")
-    X = as_points(X, kernel.input_dim)
-    n = X.shape[0]
-    noise_var = n * ridge
-    Kxx = kernel.gram(X)
-    Qxx = q_gram(ind, X)
-    Fk = factor_spd(Kxx + noise_var * np.eye(n), jitter_ladder=[0.0])
-    Fq = factor_spd(Qxx + noise_var * np.eye(n), jitter_ladder=[0.0])
+    n = as_points(X, kernel.input_dim).shape[0]
+    _, _, Fk, Fq = _exact_and_q(kernel, X, ind, n * ridge)
     lhs = (logdet(Fk) - logdet(Fq)) / n
-    rng = np.random.default_rng(seed)
-    draws = Fk.lower @ rng.standard_normal((n, n_samples))
     # n * excess risk = y^T (q+s2 I)^{-1} y - y^T (k+s2 I)^{-1} y
-    quad_k = np.sum(draws * solve(Fk, draws), axis=0)
-    quad_q = np.sum(draws * solve(Fq, draws), axis=0)
+    quad_k, quad_q = _mc_quadratic_forms(Fk, Fq, n_samples, seed)
     excess = (quad_q - quad_k) / n
     mc = float(np.mean(excess))
     rec = BoundRecord("expected_excess_risk_lower", float(lhs), mc)

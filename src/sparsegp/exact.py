@@ -81,10 +81,6 @@ def fit_krr(kernel: Kernel, data: Dataset, ridge: float) -> KrrModel:
                     coefficients=alpha, ridge=ridge)
 
 
-def predict_krr(model: KrrModel, x) -> float:
-    return model.predict(x)
-
-
 def fit_gpr(kernel: Kernel, data: Dataset, noise_var: float) -> GpPosterior:
     """Exact GP posterior with zero prior mean."""
     if noise_var <= 0:
@@ -94,10 +90,6 @@ def fit_gpr(kernel: Kernel, data: Dataset, noise_var: float) -> GpPosterior:
     alpha = solve(F, data.targets)
     return GpPosterior(kernel=kernel, train_inputs=data.inputs,
                        noise_var=noise_var, alpha=alpha, factor=F)
-
-
-def posterior_cov(post: GpPosterior, x, x2) -> float:
-    return post.cov(x, x2)
 
 
 def log_marginal_likelihood(kernel: Kernel, data: Dataset, noise_var: float) -> float:

@@ -85,6 +85,16 @@ def solve(F: SpdFactor, B: np.ndarray) -> np.ndarray:
     return scipy.linalg.cho_solve((F.lower, True), B)
 
 
+def lower_solve(F: SpdFactor, B: np.ndarray) -> np.ndarray:
+    """Return L^{-1} B, L = F.lower: B in the coordinates whitened by F."""
+    return scipy.linalg.solve_triangular(F.lower, B, lower=True)
+
+
+def upper_solve(F: SpdFactor, B: np.ndarray) -> np.ndarray:
+    """Return L^{-T} B, L = F.lower; solve(F, B) is upper_solve(F, lower_solve(F, B))."""
+    return scipy.linalg.solve_triangular(F.lower, B, lower=True, trans="T")
+
+
 def logdet(F: SpdFactor) -> float:
     """log det of the factored matrix (A + jitter*I)."""
     return 2.0 * float(np.sum(np.log(np.diag(F.lower))))

@@ -5,6 +5,10 @@ orthogonal projection onto it, the degenerate kernel
 q(x, x') = k_Z(x)^T k_ZZ^{-1} k_Z(x'), ridge regression restricted to M
 (two equivalent routes), the posterior of a GP with prior kernel q, and
 two inducing-point selection strategies.
+
+q(x, x') = v(x)^T v(x') with the feature map v(x) = L_Z^{-1} k_Z(x),
+L_Z = chol(k_ZZ); the sparse posteriors share its whitened factorization
+NystromFactor. `fit_nystrom` stays in raw beta coordinates as a reference.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import numpy as np
 from .data import Dataset
 from .errors import InvalidCount
 from .kernels import Kernel, as_points
-from .linalg import SpdFactor, factor_spd, solve
+from .linalg import SpdFactor, factor_spd, lower_solve, solve, upper_solve
 
 
 @dataclass(frozen=True)
@@ -72,25 +76,79 @@ def project_onto_M(ind: InducingSet, f_at_Z: np.ndarray) -> np.ndarray:
     return solve(ind.kzz_factor, f_at_Z)
 
 
+def _features(ind: InducingSet, X) -> np.ndarray:
+    """Nystrom features v(x) = L_Z^{-1} k_Z(x), one column per row of X."""
+    return lower_solve(ind.kzz_factor, ind.kernel.gram(X, ind.points).T)
+
+
 def approx_kernel_q(ind: InducingSet, x, x2) -> float:
-    """q(x, x') = k_Z(x)^T k_ZZ^{-1} k_Z(x')."""
-    k = ind.kernel
-    x = as_points(x, k.input_dim)
-    x2 = as_points(x2, k.input_dim)
-    kx = k.gram(ind.points, x)[:, 0]
-    kx2 = k.gram(ind.points, x2)[:, 0]
-    return float(kx @ solve(ind.kzz_factor, kx2))
+    """q(x, x') = k_Z(x)^T k_ZZ^{-1} k_Z(x') = v(x)^T v(x')."""
+    return float(_features(ind, x)[:, 0] @ _features(ind, x2)[:, 0])
 
 
 def q_gram(ind: InducingSet, A, B=None) -> np.ndarray:
-    """Gram matrix of q: k_AZ k_ZZ^{-1} k_ZB."""
-    k = ind.kernel
-    Kaz = k.gram(A, ind.points)
-    Kzb = Kaz.T if B is None else k.gram(ind.points, B)
-    Q = Kaz @ solve(ind.kzz_factor, Kzb)
+    """Gram matrix of q: k_AZ k_ZZ^{-1} k_ZB = V_A^T V_B."""
+    Va = _features(ind, A)
     if B is None:
-        Q = 0.5 * (Q + Q.T)
-    return Q
+        return Va.T @ Va
+    return Va.T @ _features(ind, B)
+
+
+@dataclass(frozen=True)
+class NystromFactor:
+    """Whitened factorization of one (kernel, data, Z, s2) problem.
+
+    With V = L_Z^{-1} k_ZX (q_XX = V^T V), A = V / s, L_B = chol(I + A A^T)
+    and c = L_B^{-1} A y / s: k_ZZ + s2^{-1} k_ZX k_XZ = L_Z L_B L_B^T L_Z^T.
+    I + A A^T has eigenvalues in [1, 1 + ||A||^2], so this stays accurate
+    where the raw system is nearly singular. V and A are not kept.
+    """
+
+    inducing: InducingSet
+    b_factor: SpdFactor
+    c: np.ndarray
+    mean_coef: np.ndarray  # k_ZZ^{-1} mu* = L_Z^{-T} L_B^{-T} c
+    trace_gap: float  # tr(k_XX - q_XX)
+    fit_quad: float  # y^T (q_XX + s2 I)^{-1} y
+
+    def mean(self, X) -> np.ndarray:
+        """m*(X) = k_XZ L_Z^{-T} L_B^{-T} c, one value per row of X."""
+        return self.inducing.kernel.gram(X, self.inducing.points) @ self.mean_coef
+
+    def pair_features(self, x, x2):
+        """v and w = L_B^{-1} v at x and x2, one column each: q = v^T v' and
+        k_Z(x)^T (k_ZZ + s2^{-1} k_ZX k_XZ)^{-1} k_Z(x') = w^T w'."""
+        d = self.inducing.kernel.input_dim
+        V = _features(self.inducing, np.vstack([as_points(x, d), as_points(x2, d)]))
+        return V, lower_solve(self.b_factor, V)
+
+    def dtc_cov(self, x, x2) -> float:
+        """DTC posterior covariance k_Z(x)^T (k_ZZ + s2^{-1} k_ZX k_XZ)^{-1} k_Z(x')."""
+        _, W = self.pair_features(x, x2)
+        return float(W[:, 0] @ W[:, 1])
+
+
+def _trace_gap(diag_k: np.ndarray, V: np.ndarray) -> float:
+    return float(np.sum(diag_k - np.einsum("ij,ij->j", V, V)))
+
+
+def nystrom_factor(kernel: Kernel, data: Dataset, ind: InducingSet,
+                   noise_var: float) -> NystromFactor:
+    """Build the whitened factorization in O(n m^2)."""
+    if noise_var <= 0:
+        raise ValueError("noise_var must be positive")
+    y = data.targets
+    V = lower_solve(ind.kzz_factor, kernel.gram(data.inputs, ind.points).T)
+    b_factor = factor_spd(np.eye(ind.m) + V @ V.T / noise_var)
+    c = lower_solve(b_factor, V @ y) / noise_var
+    e = upper_solve(b_factor, c)
+    # (q_XX + s2 I)^{-1} y = r / s2 for the residual r = y - V^T e, so the
+    # quadratic form is ||r||^2 / s2 + ||e||^2, not ||y||^2 / s2 - ||c||^2.
+    r = y - V.T @ e
+    return NystromFactor(inducing=ind, b_factor=b_factor, c=c,
+                         mean_coef=upper_solve(ind.kzz_factor, e),
+                         trace_gap=_trace_gap(kernel.diag(data.inputs), V),
+                         fit_quad=float(r @ r / noise_var + e @ e))
 
 
 def fit_nystrom(kernel: Kernel, data: Dataset, ind: InducingSet, ridge: float) -> NystromModel:
@@ -131,33 +189,15 @@ def dtc_posterior(kernel: Kernel, data: Dataset, ind: InducingSet, noise_var: fl
 
     mean(X) = k_XZ (s2 k_ZZ + k_ZX k_XZ)^{-1} k_ZX y, one value per row of X
     cov(x, x') = k_Z(x)^T (k_ZZ + s2^{-1} k_ZX k_XZ)^{-1} k_Z(x')
+    Both are read from the whitened :class:`NystromFactor`.
     """
-    if noise_var <= 0:
-        raise ValueError("noise_var must be positive")
-    Kzx = kernel.gram(ind.points, data.inputs)
-    Kzz = kernel.gram(ind.points)
-    mean_factor = factor_spd(noise_var * Kzz + Kzx @ Kzx.T)
-    mean_coef = solve(mean_factor, Kzx @ data.targets)
-    cov_factor = factor_spd(Kzz + Kzx @ Kzx.T / noise_var)
-
-    def mean(X):
-        return kernel.gram(X, ind.points) @ mean_coef
-
-    def cov(x, x2):
-        kx = kernel.gram(ind.points, as_points(x, kernel.input_dim))[:, 0]
-        kx2 = kernel.gram(ind.points, as_points(x2, kernel.input_dim))[:, 0]
-        return float(kx @ solve(cov_factor, kx2))
-
-    return mean, cov
+    fac = nystrom_factor(kernel, data, ind, noise_var)
+    return fac.mean, fac.dtc_cov
 
 
 def trace_gap(ind: InducingSet, X) -> float:
     """tr(k_XX - q_XX), the central low-rank deficiency diagnostic."""
-    k = ind.kernel
-    X = as_points(X, k.input_dim)
-    Kxz = k.gram(X, ind.points)
-    diag_q = np.sum(Kxz * solve(ind.kzz_factor, Kxz.T).T, axis=1)
-    return float(np.sum(k.diag(X) - diag_q))
+    return _trace_gap(ind.kernel.diag(X), _features(ind, X))
 
 
 def select_inducing(kernel: Kernel, data: Dataset, m: int, strategy: str = "greedy_trace",

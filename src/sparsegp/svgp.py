@@ -5,6 +5,14 @@ The ELBO is computed fully in closed form (Gaussian likelihood), and the
 four-term expansion of -2*sigma^2*ELBO is exposed with the Gaussian
 normalization constant n*sigma^2*log(2*pi*sigma^2) carried explicitly so
 the identity holds exactly.
+
+The optimum comes from the whitened factorization NystromFactor: with
+v(x) = L_Z^{-1} k_Z(x), A = L_Z^{-1} k_ZX / s, L_B = chol(I + A A^T) and
+c = L_B^{-1} A y / s, mu* = L_Z L_B^{-T} c, Sigma* = W^T W for
+W = L_B^{-1} L_Z^T, k*(x, x') = k - v^T v' + (L_B^{-1} v)^T (L_B^{-1} v'),
+and the optimal ELBO follows from the determinant lemma in O(n m^2).
+`fixed_point_solver` and `mu_stationarity_residual` stay in raw
+k_ZX k_XZ coordinates as independent references.
 """
 
 from __future__ import annotations
@@ -14,10 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import NoConvergence
 from .kernels import Kernel, as_points
-from .linalg import SpdFactor, factor_spd, logdet, solve
-from .nystrom import InducingSet, q_gram
+from .linalg import SpdFactor, factor_spd, logdet, lower_solve, solve, upper_solve
+from .nystrom import InducingSet, nystrom_factor
 
 
 @dataclass(frozen=True)
@@ -186,18 +193,13 @@ def optimal_parameters(kernel: Kernel, data: Dataset, ind: InducingSet,
                        noise_var: float) -> SvgpState:
     """Closed-form ELBO maximizer:
 
-    mu*    = k_ZZ (s2 k_ZZ + k_ZX k_XZ)^{-1} k_ZX y
-    Sigma* = k_ZZ (k_ZZ + s2^{-1} k_ZX k_XZ)^{-1} k_ZZ
+    mu*    = k_ZZ (s2 k_ZZ + k_ZX k_XZ)^{-1} k_ZX y    = L_Z L_B^{-T} c
+    Sigma* = k_ZZ (k_ZZ + s2^{-1} k_ZX k_XZ)^{-1} k_ZZ = W^T W, W = L_B^{-1} L_Z^T
     """
-    if noise_var <= 0:
-        raise ValueError("noise_var must be positive")
-    Kzx = kernel.gram(ind.points, data.inputs)
-    Kzz = kernel.gram(ind.points)
-    B = Kzx @ Kzx.T
-    mu = Kzz @ solve(factor_spd(noise_var * Kzz + B), Kzx @ data.targets)
-    sigma = Kzz @ solve(factor_spd(Kzz + B / noise_var), Kzz)
-    sigma = 0.5 * (sigma + sigma.T)
-    return make_state(ind, mu, sigma)
+    fac = nystrom_factor(kernel, data, ind, noise_var)
+    Lz = ind.kzz_factor.lower
+    W = lower_solve(fac.b_factor, Lz.T)
+    return make_state(ind, Lz @ upper_solve(fac.b_factor, fac.c), W.T @ W)
 
 
 def optimal_posterior(kernel: Kernel, data: Dataset, ind: InducingSet, noise_var: float):
@@ -206,27 +208,13 @@ def optimal_posterior(kernel: Kernel, data: Dataset, ind: InducingSet, noise_var
     m*(X) = k_XZ (s2 k_ZZ + k_ZX k_XZ)^{-1} k_ZX y, one value per row of X
     k*(x,x') = k - q + k_Z(x)^T (k_ZZ + s2^{-1} k_ZX k_XZ)^{-1} k_Z(x')
     """
-    if noise_var <= 0:
-        raise ValueError("noise_var must be positive")
-    Kzx = kernel.gram(ind.points, data.inputs)
-    Kzz = kernel.gram(ind.points)
-    B = Kzx @ Kzx.T
-    mean_coef = solve(factor_spd(noise_var * Kzz + B), Kzx @ data.targets)
-    cov_factor = factor_spd(Kzz + B / noise_var)
-
-    def mean(X):
-        return kernel.gram(X, ind.points) @ mean_coef
+    fac = nystrom_factor(kernel, data, ind, noise_var)
 
     def cov(x, x2):
-        xa = as_points(x, kernel.input_dim)
-        xb = as_points(x2, kernel.input_dim)
-        kx = kernel.gram(ind.points, xa)[:, 0]
-        kx2 = kernel.gram(ind.points, xb)[:, 0]
-        prior = kernel.gram(xa, xb)[0, 0]
-        q_val = kx @ solve(ind.kzz_factor, kx2)
-        return float(prior - q_val + kx @ solve(cov_factor, kx2))
+        V, W = fac.pair_features(x, x2)
+        return float(kernel(x, x2) - V[:, 0] @ V[:, 1] + W[:, 0] @ W[:, 1])
 
-    return mean, cov
+    return fac.mean, cov
 
 
 def optimal_elbo(kernel: Kernel, data: Dataset, ind: InducingSet, noise_var: float) -> float:
@@ -234,60 +222,35 @@ def optimal_elbo(kernel: Kernel, data: Dataset, ind: InducingSet, noise_var: flo
 
     -1/2 logdet(q_XX + s2 I) - 1/2 y^T (q_XX + s2 I)^{-1} y
     - n/2 log 2pi - tr(k_XX - q_XX) / (2 s2)
+
+    By the determinant lemma logdet(q_XX + s2 I) = n log s2 + logdet(L_B L_B^T);
+    no n x n matrix is formed: O(n m^2).
     """
-    if noise_var <= 0:
-        raise ValueError("noise_var must be positive")
-    n = data.n
-    Qxx = q_gram(ind, data.inputs)
-    F = factor_spd(Qxx + noise_var * np.eye(n), jitter_ladder=[0.0])
-    y = data.targets
-    diag_gap = kernel.diag(data.inputs) - np.diag(Qxx)
+    fac = nystrom_factor(kernel, data, ind, noise_var)
     return float(
-        -0.5 * logdet(F)
-        - 0.5 * y @ solve(F, y)
-        - 0.5 * n * np.log(2.0 * np.pi)
-        - np.sum(diag_gap) / (2.0 * noise_var)
+        -0.5 * data.n * np.log(2.0 * np.pi * noise_var)
+        - 0.5 * logdet(fac.b_factor)
+        - 0.5 * fac.fit_quad
+        - fac.trace_gap / (2.0 * noise_var)
     )
 
 
-def fixed_point_solver(kernel: Kernel, data: Dataset, ind: InducingSet, noise_var: float,
-                       max_iters: int = 50, tol: float = 1e-10) -> SvgpState:
-    """Alternating exact coordinate updates on the ELBO stationarity system.
+def fixed_point_solver(kernel: Kernel, data: Dataset, ind: InducingSet,
+                       noise_var: float) -> SvgpState:
+    """Raw-coordinate reference for `optimal_parameters`: the ELBO
+    stationarity conditions solved with one factor of M = s2 k_ZZ + k_ZX k_XZ.
 
-    The Sigma update inverts the Hessian of the expected negative joint,
-    Sigma <- (s2^{-1} k_ZZ^{-1} k_ZX k_XZ k_ZZ^{-1} + k_ZZ^{-1})^{-1};
-    the mu update solves the linear stationarity condition
-    (s2^{-1} k_ZX k_XZ k_ZZ^{-1} + I) mu = s2^{-1} k_ZX y.
-    Both coordinate problems are solved exactly, so convergence is
-    declared once successive (mu, Sigma) stop moving (max-abs < tol).
+    Sigma^{-1} = k_ZZ^{-1} M k_ZZ^{-1} / s2 gives Sigma = s2 k_ZZ M^{-1} k_ZZ;
+    (s2^{-1} k_ZX k_XZ k_ZZ^{-1} + I) mu = s2^{-1} k_ZX y gives
+    mu = k_ZZ M^{-1} k_ZX y. Neither condition involves the other parameter.
     """
     if noise_var <= 0:
         raise ValueError("noise_var must be positive")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     Kzx = kernel.gram(ind.points, data.inputs)
     Kzz = kernel.gram(ind.points)
-    B = Kzx @ Kzx.T
-    m = ind.m
-    mu = np.zeros(m)
-    sigma = Kzz.copy()
-    for _ in range(max_iters):
-        # Sigma <- (s2^{-1} Kzz^{-1} B Kzz^{-1} + Kzz^{-1})^{-1}
-        #        = Kzz (Kzz + s2^{-1} B)^{-1} Kzz
-        sigma_new = Kzz @ solve(factor_spd(Kzz + B / noise_var), Kzz)
-        sigma_new = 0.5 * (sigma_new + sigma_new.T)
-        # (s2^{-1} B Kzz^{-1} + I) mu = s2^{-1} Kzx y, via nu = Kzz^{-1} mu:
-        # (B + s2 Kzz) nu = Kzx y
-        nu = solve(factor_spd(noise_var * Kzz + B), Kzx @ data.targets)
-        mu_new = Kzz @ nu
-        delta = max(
-            float(np.max(np.abs(mu_new - mu))),
-            float(np.max(np.abs(sigma_new - sigma))),
-        )
-        mu, sigma = mu_new, sigma_new
-        if delta < tol:
-            return make_state(ind, mu, sigma)
-    raise NoConvergence(f"fixed-point iteration did not settle in {max_iters} iterations")
+    F = factor_spd(noise_var * Kzz + Kzx @ Kzx.T)
+    sigma = noise_var * Kzz @ solve(F, Kzz)
+    return make_state(ind, Kzz @ solve(F, Kzx @ data.targets), 0.5 * (sigma + sigma.T))
 
 
 def mu_stationarity_residual(kernel: Kernel, data: Dataset, state: SvgpState,

@@ -4,7 +4,7 @@ import scipy.stats
 
 from sparsegp.data import Dataset
 from sparsegp.exact import (fit_gpr, fit_krr, log_marginal_likelihood,
-                            posterior_cov, predict_krr, regularized_risk)
+                            regularized_risk)
 from sparsegp.kernels import GaussianKernel
 
 
@@ -29,7 +29,7 @@ def test_krr_scalar_case(kernel):
     data = Dataset(np.array([[0.0]]), np.array([2.0]))
     model = fit_krr(kernel, data, ridge=1.0)
     assert model.coefficients == pytest.approx([1.0])
-    assert predict_krr(model, 0.0) == pytest.approx(1.0)
+    assert model.predict(0.0) == pytest.approx(1.0)
 
 
 def test_krr_zero_targets(kernel):
@@ -107,10 +107,9 @@ def test_gpr_mean_equals_krr(kernel):
 def test_posterior_cov_far_and_symmetry(kernel):
     data = random_dataset(6, 7)
     post = fit_gpr(kernel, data, 0.2)
-    assert posterior_cov(post, 60.0, 60.0) == pytest.approx(1.0, abs=1e-6)
+    assert post.cov(60.0, 60.0) == pytest.approx(1.0, abs=1e-6)
     a, b = 0.3, -1.1
-    assert posterior_cov(post, a, b) == pytest.approx(posterior_cov(post, b, a),
-                                                      rel=1e-12)
+    assert post.cov(a, b) == pytest.approx(post.cov(b, a), rel=1e-12)
 
 
 def test_posterior_cov_psd(kernel):

@@ -1,6 +1,8 @@
-"""The user-facing fit path stays O(nm) in memory: greedy selection and
-`sparsegp fit svgp` never build an n x n Gram matrix, and the batched
-posterior means agree with the Nystrom ridge fit."""
+"""The user-facing fit path stays O(nm) in memory: greedy selection,
+`sparsegp fit svgp` and the closed-form optimum never build an n x n Gram
+matrix, and the batched posterior means agree with the Nystrom ridge fit."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from sparsegp import cli
 from sparsegp.data import load_csv, synth_prior_dataset, write_csv
 from sparsegp.kernels import GaussianKernel
 from sparsegp.nystrom import dtc_posterior, fit_nystrom, select_inducing
-from sparsegp.svgp import optimal_posterior
+from sparsegp.svgp import optimal_elbo, optimal_posterior
 
 N = 500
 
@@ -57,3 +59,29 @@ def test_batched_means_match_nystrom(csv_path):
         preds = mean(data.inputs)
         assert preds.shape == (N,)
         np.testing.assert_allclose(preds, reference, rtol=0, atol=1e-8)
+
+
+def test_closed_forms_build_no_n_by_n_matrix(csv_path, gram_shapes):
+    data = load_csv(csv_path)
+    kernel = GaussianKernel(lengthscale=1.0, input_dim=2)
+    ind = select_inducing(kernel, data, 16)
+    gram_shapes.clear()
+
+    def posterior_at_data(posterior):
+        mean, cov = posterior(kernel, data, ind, 0.1)
+        mean(data.inputs)
+        cov(data.inputs[0], data.inputs[1])
+
+    for run in (lambda: optimal_elbo(kernel, data, ind, 0.1),
+                lambda: posterior_at_data(optimal_posterior),
+                lambda: posterior_at_data(dtc_posterior)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One n x n float64 array alone would take N * N * 8 bytes.
+        assert peak < N * N * 8
+    assert gram_shapes
+    assert (N, N) not in gram_shapes
