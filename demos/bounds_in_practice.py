@@ -8,9 +8,10 @@ python3 demos/bounds_in_practice.py
 
 import numpy as np
 
-from sparsegp import (Dataset, GaussianKernel, burt_upper_bound, excess_risk,
-                      excess_risk_upper_bound, kl_to_exact_posterior,
-                      select_inducing, synth_prior_dataset)
+from sparsegp import (Dataset, GaussianKernel, SparseProblem, burt_upper_bound,
+                      excess_risk, excess_risk_upper_bound,
+                      kl_to_exact_posterior, select_inducing,
+                      synth_prior_dataset)
 
 
 def main():
@@ -21,16 +22,17 @@ def main():
     data = synth_prior_dataset(kernel, X, noise_var=s2, seed=8)
     y = data.targets * min(1.0, 10.0 / np.linalg.norm(data.targets))
     data = Dataset(X, y)
-    ridge = s2 / data.n
 
     print(f"{'m':>4} {'KL':>11} {'2KL tight':>11} {'2KL loose':>11} "
           f"{'excess':>11} {'excess bnd':>11}")
     for m in (2, 4, 8, 12, 16, 24):
         ind = select_inducing(kernel, data, m, strategy="greedy_trace")
-        kl = kl_to_exact_posterior(kernel, data, ind, s2)
-        loose, tight = burt_upper_bound(kernel, data, ind, s2)
-        ex = excess_risk(kernel, data, ind, ridge)
-        rec_trace, _ = excess_risk_upper_bound(kernel, data, ind, ridge)
+        # one problem per inducing set; the ridge side reads ridge = s2 / n
+        prob = SparseProblem(kernel, data, ind, s2)
+        kl = kl_to_exact_posterior(prob)
+        loose, tight = burt_upper_bound(prob)
+        ex = excess_risk(prob)
+        rec_trace, _ = excess_risk_upper_bound(prob)
         print(f"{m:>4} {kl:>11.3e} {tight.rhs:>11.3e} {loose.rhs:>11.3e} "
               f"{ex:>11.3e} {rec_trace.rhs:>11.3e}")
 

@@ -7,9 +7,9 @@ Run with: python3 demos/exact_vs_sparse.py
 
 import numpy as np
 
-from sparsegp import (Dataset, GaussianKernel, fit_krr, fit_nystrom,
-                      rkhs_distance_sq, select_inducing, synth_prior_dataset,
-                      trace_gap)
+from sparsegp import (Dataset, GaussianKernel, SparseProblem, fit_krr,
+                      fit_nystrom, rkhs_distance_sq, select_inducing,
+                      synth_prior_dataset, trace_gap)
 
 
 def main():
@@ -30,7 +30,7 @@ def main():
         ind = select_inducing(kernel, data, m, strategy="greedy_trace")
         sparse = fit_nystrom(kernel, data, ind, ridge)
         sup = max(abs(exact.predict(x) - sparse.predict(x)) for x in grid)
-        dist = rkhs_distance_sq(kernel, data, ind, ridge)
+        dist = rkhs_distance_sq(SparseProblem(kernel, data, ind, data.n * ridge))
         t = trace_gap(ind, data.inputs)
         print(f"{m:>4} {t:>12.4e} {dist:>12.4e} {sup:>12.4e}")
 

@@ -7,7 +7,7 @@ and the diagnostics (KL identities, trace-gap bounds, excess risk,
 RKHS-distance and derivative bounds) that tie the two sides together.
 """
 
-from .bounds import (BoundRecord, GapDiagnostics, burt_upper_bound,
+from .bounds import (BoundRecord, GapDiagnostics, SparseProblem, burt_upper_bound,
                      derivative_gap_bound, excess_risk,
                      excess_risk_upper_bound, expected_excess_risk_lower_bound,
                      expected_kl_sandwich, gap_diagnostics,

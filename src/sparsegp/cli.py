@@ -96,25 +96,26 @@ def cmd_bounds(args) -> int:
     data = synth_prior_dataset(kernel, X, config.noise_var, seed=config.seed + 1)
     ind = select_inducing(kernel, data, config.m, strategy=config.select,
                           seed=config.seed)
-    s2, ridge = config.noise_var, config.ridge_value()
+    prob = bnd.SparseProblem(kernel, data, ind, config.noise_var)
+    ridge_prob = prob.at_ridge(config.ridge_value())
     if args.name == "burt":
-        recs = bnd.burt_upper_bound(kernel, data, ind, s2)
+        recs = bnd.burt_upper_bound(prob)
     elif args.name == "excess_risk":
-        recs = bnd.excess_risk_upper_bound(kernel, data, ind, ridge)
+        recs = bnd.excess_risk_upper_bound(ridge_prob)
     elif args.name == "rkhs_distance":
-        recs = (bnd.rkhs_distance_bound(kernel, data, ind, ridge),)
+        recs = (bnd.rkhs_distance_bound(ridge_prob),)
     elif args.name == "derivative":
         x = rng.uniform(-3.0, 3.0, size=config.d)
-        recs = (bnd.derivative_gap_bound(kernel, data, ind, s2, x, 0),)
+        recs = (bnd.derivative_gap_bound(prob, x, 0),)
     elif args.name == "expected_kl":
         mc, half, lo, hi = bnd.expected_kl_sandwich(
-            kernel, X, ind, s2, n_samples=config.mc_samples, seed=config.seed)
+            prob, n_samples=config.mc_samples, seed=config.seed)
         print(f"mc_estimate={mc:.10g} ci_halfwidth={half:.10g} "
               f"lower={lo:.10g} upper={hi:.10g}")
         return 0
     else:  # expected_excess_risk
         rec, stderr = bnd.expected_excess_risk_lower_bound(
-            kernel, X, ind, ridge, n_samples=config.mc_samples, seed=config.seed)
+            ridge_prob, n_samples=config.mc_samples, seed=config.seed)
         recs = (rec,)
         print(f"stderr={stderr:.10g}")
     ok = True

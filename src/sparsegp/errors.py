@@ -21,8 +21,9 @@ class UnsupportedKernel(SparseGpError):
     """The requested operation is not implemented for this kernel family."""
 
 
-class InvalidCount(SparseGpError):
-    """An inducing-point count is out of range or points are duplicated."""
+class InvalidCount(SparseGpError, ValueError):
+    """A count is out of range (inducing points, Monte-Carlo samples) or
+    inducing points are duplicated."""
 
 
 class ParseError(SparseGpError):

@@ -68,6 +68,12 @@ class GpPosterior:
     def variance(self, x) -> float:
         return self.cov(x, x)
 
+    def log_evidence(self, y) -> float:
+        """log N(y; 0, k_XX + s2 I) for the targets y the posterior was fit to."""
+        n = self.train_inputs.shape[0]
+        return float(-0.5 * logdet(self.factor) - 0.5 * (y @ self.alpha)
+                     - 0.5 * n * np.log(2.0 * np.pi))
+
 
 def fit_krr(kernel: Kernel, data: Dataset, ridge: float) -> KrrModel:
     """Solve the regularized least-squares problem over the full RKHS."""
@@ -94,14 +100,7 @@ def fit_gpr(kernel: Kernel, data: Dataset, noise_var: float) -> GpPosterior:
 
 def log_marginal_likelihood(kernel: Kernel, data: Dataset, noise_var: float) -> float:
     """log N(y; 0, k_XX + noise_var * I)."""
-    if noise_var <= 0:
-        raise ValueError("noise_var must be positive")
-    n = data.n
-    K = kernel.gram(data.inputs)
-    F = factor_spd(K + noise_var * np.eye(n), jitter_ladder=[0.0])
-    y = data.targets
-    quad = float(y @ solve(F, y))
-    return -0.5 * logdet(F) - 0.5 * quad - 0.5 * n * np.log(2.0 * np.pi)
+    return fit_gpr(kernel, data, noise_var).log_evidence(data.targets)
 
 
 def regularized_risk(f_values_at_X: np.ndarray, rkhs_norm_sq: float,

@@ -20,7 +20,7 @@ from .errors import SparseGpError
 from .kernels import Kernel, make_kernel
 from .nystrom import fit_nystrom, fit_nystrom_via_q, select_inducing
 from .svgp import (elbo, elbo_breakdown, fixed_point_solver, make_state,
-                   optimal_parameters, optimal_posterior, psi_forward)
+                   optimal_parameters, psi_forward)
 
 SCHEMA_VERSION = 1
 
@@ -134,10 +134,16 @@ def _record(report: VerificationReport, name: str, fn) -> None:
 
 
 def run_verification(config: ExperimentConfig) -> VerificationReport:
-    """Run the full identity-and-bound suite on one synthetic instance."""
+    """Run the full identity-and-bound suite on one synthetic instance.
+
+    The checks share one SparseProblem, so its matrices are built once per
+    run; a second problem is built only when the ridge is not linked to the
+    noise. A build that fails is reported as an error by each check that
+    needs it."""
     report = VerificationReport(config=config.to_dict())
     tol = config.tolerance
     try:
+        bnd.require_mc_samples(config.mc_samples)
         kernel = config.kernel()
         rng = np.random.default_rng(config.seed)
         X = rng.uniform(-3.0, 3.0, size=(config.n, config.d))
@@ -148,6 +154,8 @@ def run_verification(config: ExperimentConfig) -> VerificationReport:
                            provenance=data.provenance)
         ind = select_inducing(kernel, data, config.m, strategy=config.select,
                               seed=config.seed)
+        prob = bnd.SparseProblem(kernel, data, ind, config.noise_var)
+        ridge_prob = prob.at_ridge(config.ridge_value())
     except (SparseGpError, ValueError) as exc:
         report.checks.append(CheckResult(
             name="setup", status="error", detail=f"{type(exc).__name__}: {exc}"))
@@ -159,8 +167,7 @@ def run_verification(config: ExperimentConfig) -> VerificationReport:
 
     def check_equivalence():
         sparse = fit_nystrom(kernel, data, ind, s2 / data.n)
-        mean, _ = optimal_posterior(kernel, data, ind, s2)
-        gap = float(np.max(np.abs(mean(grid) - sparse.predict_many(grid))))
+        gap = float(np.max(np.abs(prob.nystrom.mean(grid) - sparse.predict_many(grid))))
         return gap <= tol, f"max |m*(x) - nystrom(x)| = {gap:.3g}"
 
     def check_nystrom_routes():
@@ -196,7 +203,7 @@ def run_verification(config: ExperimentConfig) -> VerificationReport:
         return worst_gain <= tol, f"best probe gain = {worst_gain:.3g}"
 
     def check_kl_two_path():
-        kl = bnd.kl_to_exact_posterior(kernel, data, ind, s2)
+        kl = bnd.kl_to_exact_posterior(prob)
         return kl >= -1e-10, f"KL = {kl:.6g}"
 
     def check_fixed_point():
@@ -207,11 +214,9 @@ def run_verification(config: ExperimentConfig) -> VerificationReport:
         return gap <= 1e-6, f"max-abs gap to closed form = {gap:.3g}"
 
     def check_excess_risk_identity():
-        ex = bnd.excess_risk(kernel, data, ind, ridge)
-        s2_ridge = data.n * ridge
-        _, _, Fk, Fq = bnd._exact_and_q(kernel, data.inputs, ind, s2_ridge)
+        ex = bnd.excess_risk(ridge_prob)
         # n * excess = s2 * (quad_q - quad_k) with s2 = n * ridge
-        direct = s2_ridge * bnd._quadratic_form_gap(Fk, Fq, data.targets)
+        direct = ridge_prob.noise_var * bnd._quadratic_form_gap(ridge_prob)
         resid = abs(data.n * ex - direct)
         return resid <= tol * max(1.0, abs(direct)), f"identity residual = {resid:.3g}"
 
@@ -221,15 +226,14 @@ def run_verification(config: ExperimentConfig) -> VerificationReport:
         for _ in range(100):
             x = probe_rng.uniform(-3.5, 3.5, size=config.d)
             try:
-                worst = max(worst, bnd.worst_case_residual(kernel, data, ind, s2, x))
+                worst = max(worst, bnd.worst_case_residual(prob, x))
             except SparseGpError:
                 continue
         return worst <= tol, f"max decomposition residual = {worst:.3g}"
 
     def check_expected_kl():
         mc, half, lo, hi = bnd.expected_kl_sandwich(
-            kernel, data.inputs, ind, s2, n_samples=config.mc_samples,
-            seed=config.seed + 4)
+            prob, n_samples=config.mc_samples, seed=config.seed + 4)
         stderr3 = 3.0 * half / 1.96
         ok = (lo <= hi and mc + stderr3 >= lo - 1e-10
               and mc - stderr3 <= hi + 1e-10)
@@ -237,8 +241,7 @@ def run_verification(config: ExperimentConfig) -> VerificationReport:
 
     def check_expected_excess():
         rec, stderr = bnd.expected_excess_risk_lower_bound(
-            kernel, data.inputs, ind, ridge, n_samples=config.mc_samples,
-            seed=config.seed + 5)
+            ridge_prob, n_samples=config.mc_samples, seed=config.seed + 5)
         ok = rec.lhs <= rec.rhs + 3.0 * stderr + 1e-10
         return ok, f"lhs={rec.lhs:.6g} mc={rec.rhs:.6g} 3se={3 * stderr:.3g}"
 
@@ -249,7 +252,7 @@ def run_verification(config: ExperimentConfig) -> VerificationReport:
         for _ in range(20):
             x = probe_rng.uniform(-3.0, 3.0, size=config.d)
             j = int(probe_rng.integers(config.d))
-            rec = bnd.derivative_gap_bound(kernel, data, ind, s2, x, j)
+            rec = bnd.derivative_gap_bound(prob, x, j)
             excess = rec.lhs - rec.rhs
             if excess > worst_excess:
                 worst_excess = excess
@@ -264,16 +267,13 @@ def run_verification(config: ExperimentConfig) -> VerificationReport:
     _record(report, "elbo_optimality_probes", check_optimality)
     _record(report, "kl_two_path", check_kl_two_path)
     _record(report, "fixed_point_solver", check_fixed_point)
-    _record(report, "burt_bound", lambda: bnd.burt_upper_bound(kernel, data, ind, s2)[0])
-    _record(report, "burt_bound_intermediate",
-            lambda: bnd.burt_upper_bound(kernel, data, ind, s2)[1])
-    _record(report, "quadratic_form_gap",
-            lambda: bnd.quadratic_form_gap_bound(kernel, data, ind, s2))
+    _record(report, "burt_bound", lambda: bnd.burt_upper_bound(prob)[0])
+    _record(report, "burt_bound_intermediate", lambda: bnd.burt_upper_bound(prob)[1])
+    _record(report, "quadratic_form_gap", lambda: bnd.quadratic_form_gap_bound(prob))
     _record(report, "excess_risk_identity", check_excess_risk_identity)
     _record(report, "excess_risk_bound",
-            lambda: bnd.excess_risk_upper_bound(kernel, data, ind, ridge)[0])
-    _record(report, "rkhs_distance_bound",
-            lambda: bnd.rkhs_distance_bound(kernel, data, ind, ridge))
+            lambda: bnd.excess_risk_upper_bound(ridge_prob)[0])
+    _record(report, "rkhs_distance_bound", lambda: bnd.rkhs_distance_bound(ridge_prob))
     if config.kernel_family == "gaussian":
         _record(report, "derivative_bound", run_derivative)
     else:

@@ -105,6 +105,8 @@ class NystromFactor:
     """
 
     inducing: InducingSet
+    inputs: np.ndarray  # the training inputs X
+    noise_var: float
     b_factor: SpdFactor
     c: np.ndarray
     mean_coef: np.ndarray  # k_ZZ^{-1} mu* = L_Z^{-T} L_B^{-T} c
@@ -127,9 +129,35 @@ class NystromFactor:
         _, W = self.pair_features(x, x2)
         return float(W[:, 0] @ W[:, 1])
 
+    def optimal_cov(self, x, x2) -> float:
+        """Covariance k*(x, x') = k - q + w^T w' of the optimal variational
+        posterior, evaluated without going through `dtc_cov`."""
+        V, W = self.pair_features(x, x2)
+        return float(self.inducing.kernel(x, x2) - V[:, 0] @ V[:, 1] + W[:, 0] @ W[:, 1])
+
+    def quad_forms(self, Y) -> np.ndarray:
+        """y^T (q_XX + s2 I)^{-1} y for each column y of Y, by Woodbury in
+        O(n m S) for S columns."""
+        V = _features(self.inducing, self.inputs)
+        _, e, r = _woodbury(self.b_factor, V, Y, self.noise_var)
+        return np.einsum("ij,ij->j", r, r) / self.noise_var + np.einsum("ij,ij->j", e, e)
+
 
 def _trace_gap(diag_k: np.ndarray, V: np.ndarray) -> float:
     return float(np.sum(diag_k - np.einsum("ij,ij->j", V, V)))
+
+
+def _woodbury(b_factor: SpdFactor, V: np.ndarray, Y: np.ndarray, noise_var: float):
+    """c = L_B^{-1} V Y / s2, e = L_B^{-T} c and the residual r = Y - V^T e.
+
+    (q_XX + s2 I)^{-1} Y = r / s2, so y^T (q_XX + s2 I)^{-1} y is
+    ||r||^2 / s2 + ||e||^2, not ||y||^2 / s2 - ||c||^2 (which cancels).
+    """
+    c = lower_solve(b_factor, V @ Y) / noise_var
+    e = upper_solve(b_factor, c)
+    r = V.T @ e
+    np.subtract(Y, r, out=r)  # no second n x S temporary for many columns
+    return c, e, r
 
 
 def nystrom_factor(kernel: Kernel, data: Dataset, ind: InducingSet,
@@ -137,15 +165,11 @@ def nystrom_factor(kernel: Kernel, data: Dataset, ind: InducingSet,
     """Build the whitened factorization in O(n m^2)."""
     if noise_var <= 0:
         raise ValueError("noise_var must be positive")
-    y = data.targets
     V = lower_solve(ind.kzz_factor, kernel.gram(data.inputs, ind.points).T)
     b_factor = factor_spd(np.eye(ind.m) + V @ V.T / noise_var)
-    c = lower_solve(b_factor, V @ y) / noise_var
-    e = upper_solve(b_factor, c)
-    # (q_XX + s2 I)^{-1} y = r / s2 for the residual r = y - V^T e, so the
-    # quadratic form is ||r||^2 / s2 + ||e||^2, not ||y||^2 / s2 - ||c||^2.
-    r = y - V.T @ e
-    return NystromFactor(inducing=ind, b_factor=b_factor, c=c,
+    c, e, r = _woodbury(b_factor, V, data.targets, noise_var)
+    return NystromFactor(inducing=ind, inputs=data.inputs, noise_var=noise_var,
+                         b_factor=b_factor, c=c,
                          mean_coef=upper_solve(ind.kzz_factor, e),
                          trace_gap=_trace_gap(kernel.diag(data.inputs), V),
                          fit_quad=float(r @ r / noise_var + e @ e))

@@ -209,12 +209,7 @@ def optimal_posterior(kernel: Kernel, data: Dataset, ind: InducingSet, noise_var
     k*(x,x') = k - q + k_Z(x)^T (k_ZZ + s2^{-1} k_ZX k_XZ)^{-1} k_Z(x')
     """
     fac = nystrom_factor(kernel, data, ind, noise_var)
-
-    def cov(x, x2):
-        V, W = fac.pair_features(x, x2)
-        return float(kernel(x, x2) - V[:, 0] @ V[:, 1] + W[:, 0] @ W[:, 1])
-
-    return fac.mean, cov
+    return fac.mean, fac.optimal_cov
 
 
 def optimal_elbo(kernel: Kernel, data: Dataset, ind: InducingSet, noise_var: float) -> float:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sparsegp.bounds import (burt_upper_bound, derivative_gap_bound,
+from sparsegp.bounds import (SparseProblem, burt_upper_bound, derivative_gap_bound,
                              excess_risk, excess_risk_upper_bound,
                              expected_excess_risk_lower_bound,
                              expected_kl_sandwich, kl_to_exact_posterior,
@@ -39,6 +39,10 @@ class Instance:
     @property
     def ridge(self):
         return self.noise_var / self.data.n
+
+    def problem(self):
+        # ridge-side bounds read ridge = noise_var / n from the same problem
+        return SparseProblem(self.kernel, self.data, self.ind, self.noise_var)
 
 
 def make_instance(seed):
@@ -147,12 +151,12 @@ def test_kl_two_evaluation_paths_agree():
     ok = True
     for seed in range(20):
         inst = make_instance(seed)
-        kl = kl_to_exact_posterior(inst.kernel, inst.data, inst.ind,
-                                   inst.noise_var)
+        kl = kl_to_exact_posterior(inst.problem())
         ok = ok and kl >= -1e-10
     inst = make_instance(0)
     full = make_inducing(inst.kernel, inst.data.inputs)
-    kl0 = kl_to_exact_posterior(inst.kernel, inst.data, full, inst.noise_var)
+    kl0 = kl_to_exact_posterior(SparseProblem(inst.kernel, inst.data, full,
+                                              inst.noise_var))
     ok = ok and abs(kl0) <= 1e-8
     emit("kl_two_path", ok)
 
@@ -162,8 +166,7 @@ def test_kl_upper_bounds_hold():
     violations = 0
     for seed in range(50):
         inst = make_instance(seed)
-        loose, tight = burt_upper_bound(inst.kernel, inst.data, inst.ind,
-                                        inst.noise_var)
+        loose, tight = burt_upper_bound(inst.problem())
         if not (loose.holds and tight.holds and tight.rhs <= loose.rhs + 1e-12):
             violations += 1
     emit("kl_upper_bounds", violations == 0)
@@ -179,11 +182,10 @@ def test_excess_risk_identity_and_bound():
         Ck = inst.kernel.gram(inst.data.inputs) + inst.noise_var * np.eye(n)
         Cq = q_gram(inst.ind, inst.data.inputs) + inst.noise_var * np.eye(n)
         quad = y @ np.linalg.solve(Cq, y) - y @ np.linalg.solve(Ck, y)
-        lhs = n * excess_risk(inst.kernel, inst.data, inst.ind, inst.ridge)
+        lhs = n * excess_risk(inst.problem())
         rhs = inst.noise_var * quad
         ok = ok and abs(lhs - rhs) <= 1e-8 * max(1.0, abs(rhs))
-        rec_trace, _ = excess_risk_upper_bound(inst.kernel, inst.data,
-                                               inst.ind, inst.ridge)
+        rec_trace, _ = excess_risk_upper_bound(inst.problem())
         ok = ok and rec_trace.holds
     emit("excess_risk", ok)
 
@@ -194,11 +196,10 @@ def test_rkhs_distance_bound_and_pointwise_consequence():
     ok = True
     for seed in range(50):
         inst = make_instance(seed)
-        rec = rkhs_distance_bound(inst.kernel, inst.data, inst.ind, inst.ridge)
+        rec = rkhs_distance_bound(inst.problem())
         ok = ok and rec.holds
         if seed < 10:
-            dist_sq = rkhs_distance_sq(inst.kernel, inst.data, inst.ind,
-                                       inst.ridge)
+            dist_sq = rkhs_distance_sq(inst.problem())
             exact = fit_krr(inst.kernel, inst.data, inst.ridge)
             sparse = fit_nystrom(inst.kernel, inst.data, inst.ind, inst.ridge)
             for x in grid(inst, 100, 4000 + seed):
@@ -217,8 +218,7 @@ def test_posterior_mean_derivative_gap_bound():
         inst = make_instance(trial % 10)
         x = rng.uniform(-3, 3, size=inst.data.d)
         j = int(rng.integers(inst.data.d))
-        rec = derivative_gap_bound(inst.kernel, inst.data, inst.ind,
-                                   inst.noise_var, x, j)
+        rec = derivative_gap_bound(inst.problem(), x, j)
         ok = ok and rec.lhs <= rec.rhs + 1e-4 * max(1.0, abs(rec.rhs))
     emit("derivative_gap", ok)
 
@@ -229,9 +229,9 @@ def test_worst_case_variance_decomposition():
     worst = 0.0
     for seed in range(10):
         inst = make_instance(seed)
+        prob = inst.problem()
         for x in grid(inst, 100, 6000 + seed):
-            worst = max(worst, worst_case_residual(
-                inst.kernel, inst.data, inst.ind, inst.noise_var, x))
+            worst = max(worst, worst_case_residual(prob, x))
     emit("worst_case_decomposition", worst <= 1e-8)
 
 
@@ -242,8 +242,7 @@ def test_expected_kl_sandwich():
     for seed in range(10):
         inst = make_instance(seed)
         mc, hw, low, high = expected_kl_sandwich(
-            inst.kernel, inst.data.inputs, inst.ind, inst.noise_var,
-            n_samples=2000, seed=seed)
+            inst.problem(), n_samples=2000, seed=seed)
         stderr3 = 3 * hw / 1.96
         ok = ok and (low <= mc + stderr3) and (mc - stderr3 <= high)
     emit("expected_kl_sandwich", ok)
@@ -256,8 +255,7 @@ def test_expected_excess_risk_lower_bound():
     for seed in range(10):
         inst = make_instance(seed)
         rec, stderr = expected_excess_risk_lower_bound(
-            inst.kernel, inst.data.inputs, inst.ind, inst.ridge,
-            n_samples=2000, seed=seed)
+            inst.problem(), n_samples=2000, seed=seed)
         ok = ok and rec.lhs <= rec.rhs + 3 * stderr
     emit("expected_excess_risk", ok)
 

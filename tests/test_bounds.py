@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sparsegp.bounds import (BoundRecord, burt_upper_bound,
+from sparsegp.bounds import (BoundRecord, SparseProblem, burt_upper_bound,
                              derivative_gap_bound, excess_risk,
                              excess_risk_upper_bound, expected_excess_risk_lower_bound,
                              expected_kl_sandwich, gap_diagnostics,
@@ -46,7 +46,7 @@ def test_bound_record_slack_and_holds():
 def test_gap_diagnostics_orderings(kernel):
     data = random_dataset(25, 0)
     ind = random_inducing(kernel, 4, 1)
-    diag = gap_diagnostics(kernel, data, ind, noise_var=0.3)
+    diag = gap_diagnostics(SparseProblem(kernel, data, ind, 0.3))
     assert diag.trace_gap >= diag.opnorm_gap >= 0
     assert diag.logdet_k >= diag.logdet_q
     assert diag.trace_gap == pytest.approx(trace_gap(ind, data.inputs), rel=1e-10)
@@ -55,14 +55,14 @@ def test_gap_diagnostics_orderings(kernel):
 def test_kl_zero_when_inducing_covers_data(kernel):
     data = random_dataset(12, 2)
     ind = make_inducing(kernel, data.inputs)
-    assert kl_to_exact_posterior(kernel, data, ind, 0.3) == pytest.approx(0.0, abs=1e-8)
+    assert kl_to_exact_posterior(SparseProblem(kernel, data, ind, 0.3)) == pytest.approx(0.0, abs=1e-8)
 
 
 def test_kl_nonnegative_and_matches_explicit_formula(kernel):
     data = random_dataset(20, 3)
     ind = random_inducing(kernel, 4, 4)
     s2 = 0.3
-    kl = kl_to_exact_posterior(kernel, data, ind, s2)
+    kl = kl_to_exact_posterior(SparseProblem(kernel, data, ind, s2))
     assert kl >= -1e-10
     n, y = data.n, data.targets
     Ck = kernel.gram(data.inputs) + s2 * np.eye(n)
@@ -76,19 +76,19 @@ def test_kl_nonnegative_and_matches_explicit_formula(kernel):
 def test_burt_bound_holds_and_intermediate_is_tighter(kernel):
     data = random_dataset(30, 5)
     ind = random_inducing(kernel, 5, 6)
-    loose, tight = burt_upper_bound(kernel, data, ind, 0.3)
+    loose, tight = burt_upper_bound(SparseProblem(kernel, data, ind, 0.3))
     assert loose.holds and tight.holds
     assert loose.lhs == tight.lhs
     assert tight.rhs <= loose.rhs + 1e-12
     assert loose.lhs == pytest.approx(
-        2 * kl_to_exact_posterior(kernel, data, ind, 0.3), rel=1e-10)
+        2 * kl_to_exact_posterior(SparseProblem(kernel, data, ind, 0.3)), rel=1e-10)
 
 
 def test_quadratic_form_gap_bound(kernel):
     data = random_dataset(25, 7)
     ind = random_inducing(kernel, 4, 8)
     s2 = 0.4
-    rec = quadratic_form_gap_bound(kernel, data, ind, s2)
+    rec = quadratic_form_gap_bound(SparseProblem(kernel, data, ind, s2))
     assert rec.holds
     assert rec.lhs >= -1e-10
     n, y = data.n, data.targets
@@ -101,10 +101,10 @@ def test_quadratic_form_gap_bound(kernel):
 def test_excess_risk_nonnegative_and_zero_at_full_cover(kernel):
     data = random_dataset(15, 9)
     lam = 0.02
-    assert excess_risk(kernel, data, make_inducing(kernel, data.inputs),
-                       lam) == pytest.approx(0.0, abs=1e-10)
+    assert excess_risk(SparseProblem(kernel, data, make_inducing(kernel, data.inputs),
+                                     data.n * lam)) == pytest.approx(0.0, abs=1e-10)
     ind = random_inducing(kernel, 3, 10)
-    assert excess_risk(kernel, data, ind, lam) >= -1e-10
+    assert excess_risk(SparseProblem(kernel, data, ind, data.n * lam)) >= -1e-10
 
 
 def test_excess_risk_quadratic_form_identity(kernel):
@@ -117,14 +117,14 @@ def test_excess_risk_quadratic_form_identity(kernel):
     Ck = kernel.gram(data.inputs) + s2 * np.eye(n)
     Cq = q_gram(ind, data.inputs) + s2 * np.eye(n)
     quad_diff = y @ np.linalg.solve(Cq, y) - y @ np.linalg.solve(Ck, y)
-    assert n * excess_risk(kernel, data, ind, lam) == pytest.approx(
+    assert n * excess_risk(SparseProblem(kernel, data, ind, s2)) == pytest.approx(
         s2 * quad_diff, rel=1e-8, abs=1e-12)
 
 
 def test_excess_risk_upper_bounds_hold(kernel):
     data = random_dataset(30, 13)
     ind = random_inducing(kernel, 5, 14)
-    rec_trace, rec_op = excess_risk_upper_bound(kernel, data, ind, 0.01)
+    rec_trace, rec_op = excess_risk_upper_bound(SparseProblem(kernel, data, ind, data.n * 0.01))
     assert rec_trace.holds and rec_op.holds
     assert rec_op.rhs <= rec_trace.rhs + 1e-12
 
@@ -132,7 +132,7 @@ def test_excess_risk_upper_bounds_hold(kernel):
 def test_rkhs_distance_sq_zero_at_full_cover(kernel):
     data = random_dataset(12, 15)
     ind = make_inducing(kernel, data.inputs)
-    assert rkhs_distance_sq(kernel, data, ind, 0.05) == pytest.approx(0.0, abs=1e-8)
+    assert rkhs_distance_sq(SparseProblem(kernel, data, ind, data.n * 0.05)) == pytest.approx(0.0, abs=1e-8)
 
 
 def test_rkhs_distance_controls_pointwise_gap(kernel):
@@ -140,7 +140,7 @@ def test_rkhs_distance_controls_pointwise_gap(kernel):
     data = random_dataset(20, 16)
     lam = 0.05
     ind = random_inducing(kernel, 4, 17)
-    dist_sq = rkhs_distance_sq(kernel, data, ind, lam)
+    dist_sq = rkhs_distance_sq(SparseProblem(kernel, data, ind, data.n * lam))
     assert dist_sq >= -1e-12
     exact = fit_krr(kernel, data, lam)
     sparse = fit_nystrom(kernel, data, ind, lam)
@@ -152,13 +152,13 @@ def test_rkhs_distance_controls_pointwise_gap(kernel):
 def test_rkhs_distance_bound_holds(kernel):
     data = random_dataset(30, 18)
     ind = random_inducing(kernel, 5, 19)
-    assert rkhs_distance_bound(kernel, data, ind, 0.02).holds
+    assert rkhs_distance_bound(SparseProblem(kernel, data, ind, data.n * 0.02)).holds
 
 
 def test_derivative_gap_bound_holds(kernel):
     data = random_dataset(25, 20)
     ind = random_inducing(kernel, 5, 21)
-    rec = derivative_gap_bound(kernel, data, ind, 0.3, x=0.7, j=0)
+    rec = derivative_gap_bound(SparseProblem(kernel, data, ind, 0.3), x=0.7, j=0)
     assert rec.lhs <= rec.rhs + 1e-4 * max(1.0, abs(rec.rhs))
 
 
@@ -167,15 +167,16 @@ def test_derivative_gap_bound_rejects_polynomial():
     poly = PolynomialKernel(degree=2, offset=1.0)
     ind = make_inducing(poly, data.inputs[:3])
     with pytest.raises(UnsupportedKernel):
-        derivative_gap_bound(poly, data, ind, 0.3, x=0.0, j=0)
+        derivative_gap_bound(SparseProblem(poly, data, ind, 0.3), x=0.0, j=0)
 
 
 def test_worst_case_decomposition_residual(kernel):
     data = random_dataset(20, 23)
     ind = random_inducing(kernel, 4, 24)
+    prob = SparseProblem(kernel, data, ind, 0.3)
     for x in np.linspace(-2.9, 2.9, 11):
-        assert worst_case_residual(kernel, data, ind, 0.3, x) <= 1e-8
-    rec = worst_case_decomposition(kernel, data, ind, 0.3, 1.23)
+        assert worst_case_residual(prob, x) <= 1e-8
+    rec = worst_case_decomposition(prob, 1.23)
     assert rec.lhs == pytest.approx(rec.rhs, rel=1e-10)
 
 
@@ -183,7 +184,7 @@ def test_worst_case_decomposition_rejects_training_point(kernel):
     data = random_dataset(10, 25)
     ind = random_inducing(kernel, 3, 26)
     with pytest.raises(PointCollision):
-        worst_case_decomposition(kernel, data, ind, 0.3, data.inputs[0])
+        worst_case_decomposition(SparseProblem(kernel, data, ind, 0.3), data.inputs[0])
 
 
 def test_expected_kl_sandwich_brackets_monte_carlo(kernel):
@@ -191,7 +192,7 @@ def test_expected_kl_sandwich_brackets_monte_carlo(kernel):
     X = rng.uniform(-3, 3, size=(30, 1))
     data = Dataset(X, np.zeros(30))
     ind = select_inducing(kernel, data, 5)
-    mc, hw, low, high = expected_kl_sandwich(kernel, X, ind, 0.3,
+    mc, hw, low, high = expected_kl_sandwich(SparseProblem(kernel, data, ind, 0.3),
                                              n_samples=2000, seed=1)
     assert 0 <= low <= high
     # the analytic sandwich must intersect the Monte-Carlo interval
@@ -208,7 +209,8 @@ def test_expected_kl_sandwich_rejects_negative_trace_gap(kernel, monkeypatch):
     X = rng.uniform(-3, 3, size=(20, 1))
     ind = make_inducing(kernel, X[:3])
     with pytest.raises(InternalInconsistency, match="trace gap t = .*reduce m"):
-        expected_kl_sandwich(kernel, X, ind, 0.3, n_samples=200)
+        expected_kl_sandwich(SparseProblem(kernel, Dataset(X, np.zeros(20)), ind, 0.3),
+                             n_samples=200)
 
 
 def test_expected_kl_sandwich_rejects_tiny_sample(kernel):
@@ -216,7 +218,8 @@ def test_expected_kl_sandwich_rejects_tiny_sample(kernel):
     X = rng.uniform(-3, 3, size=(10, 1))
     ind = make_inducing(kernel, X[:3])
     with pytest.raises(ValueError):
-        expected_kl_sandwich(kernel, X, ind, 0.3, n_samples=10)
+        expected_kl_sandwich(SparseProblem(kernel, Dataset(X, np.zeros(10)), ind, 0.3),
+                             n_samples=10)
 
 
 def test_expected_excess_risk_lower_bound_holds(kernel):
@@ -224,7 +227,7 @@ def test_expected_excess_risk_lower_bound_holds(kernel):
     X = rng.uniform(-3, 3, size=(30, 1))
     data = Dataset(X, np.zeros(30))
     ind = select_inducing(kernel, data, 5)
-    rec, stderr = expected_excess_risk_lower_bound(kernel, X, ind, 0.01,
+    rec, stderr = expected_excess_risk_lower_bound(SparseProblem(kernel, data, ind, data.n * 0.01),
                                                    n_samples=2000, seed=2)
     assert rec.lhs <= rec.rhs + 3 * stderr
 
@@ -233,6 +236,7 @@ def test_expected_kl_mc_is_seeded(kernel):
     rng = np.random.default_rng(30)
     X = rng.uniform(-3, 3, size=(15, 1))
     ind = make_inducing(kernel, X[:4])
-    a = expected_kl_sandwich(kernel, X, ind, 0.3, n_samples=500, seed=9)
-    b = expected_kl_sandwich(kernel, X, ind, 0.3, n_samples=500, seed=9)
+    prob = SparseProblem(kernel, Dataset(X, np.zeros(15)), ind, 0.3)
+    a = expected_kl_sandwich(prob, n_samples=500, seed=9)
+    b = expected_kl_sandwich(prob, n_samples=500, seed=9)
     assert a == b

@@ -120,6 +120,25 @@ def test_cli_verify_fails_cleanly_on_bad_count(capsys):
     assert "FAIL" in out or "ERROR" in out
 
 
+def test_cli_verify_rejects_too_few_mc_samples(capsys):
+    code = run_cli("verify", "--n", "30", "--m", "5", "--mc-samples", "50",
+                   "--format", "json")
+    assert code == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["name"] for c in checks] == ["setup"]
+    assert checks[0]["status"] == "error"
+    assert checks[0]["detail"].startswith("InvalidCount")
+    assert "--mc-samples >= 100" in checks[0]["detail"]
+
+
+@pytest.mark.parametrize("name", ["expected_kl", "expected_excess_risk"])
+def test_cli_bounds_rejects_too_few_mc_samples(name, capsys):
+    code = run_cli("bounds", name, "--n", "30", "--m", "5", "--mc-samples", "50")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "InvalidCount" in err and "--mc-samples >= 100" in err
+
+
 def test_cli_synth_then_fit(tmp_path, capsys):
     csv_path = tmp_path / "train.csv"
     assert run_cli("synth", "--out", str(csv_path), "--n", "25") == 0

@@ -1,0 +1,122 @@
+"""One SparseProblem per verify run: the n x n matrices are built once, the
+independent cross-checks still catch a broken side, and a failed build is
+reported by every check that needs it without escaping the run."""
+
+import sys
+
+import numpy as np
+import pytest
+
+from sparsegp import bounds
+from sparsegp.data import Dataset
+from sparsegp.errors import FactorizationFailed
+from sparsegp.harness import ExperimentConfig, run_verification
+from sparsegp.kernels import GaussianKernel
+from sparsegp.nystrom import NystromFactor, select_inducing
+
+CHECK_NAMES = [
+    "svgp_nystrom_equivalence", "nystrom_two_routes", "elbo_decomposition",
+    "psi_maps_mu_star_to_beta", "elbo_optimality_probes", "kl_two_path",
+    "fixed_point_solver", "burt_bound", "burt_bound_intermediate",
+    "quadratic_form_gap", "excess_risk_identity", "excess_risk_bound",
+    "rkhs_distance_bound", "derivative_bound", "worst_case_decomposition",
+    "expected_kl_sandwich", "expected_excess_risk_lower_bound",
+]
+
+# Checks that read k_XX + s2 I or q_XX + s2 I (fit_nystrom_via_q factors
+# its own q_XX + n ridge I).
+NN_CHECKS = {
+    "nystrom_two_routes", "kl_two_path", "burt_bound", "burt_bound_intermediate",
+    "quadratic_form_gap", "excess_risk_identity", "excess_risk_bound",
+    "rkhs_distance_bound", "derivative_bound", "expected_kl_sandwich",
+    "expected_excess_risk_lower_bound",
+}
+
+
+def patch_factor_spd(monkeypatch, wrap, skip=()):
+    """Replace factor_spd in every sparsegp module that imported it."""
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("sparsegp.") and name not in skip and hasattr(mod, "factor_spd"):
+            monkeypatch.setattr(mod, "factor_spd", wrap(mod.factor_spd))
+
+
+def statuses(report):
+    return {c.name: c.status for c in report.checks}
+
+
+def test_verify_run_builds_each_n_by_n_matrix_once(monkeypatch):
+    n = 400
+    factor_dims, gram_shapes = [], []
+
+    def recording(factor_spd):
+        def factor(A, *args, **kwargs):
+            factor_dims.append(np.shape(A)[0])
+            return factor_spd(A, *args, **kwargs)
+        return factor
+
+    patch_factor_spd(monkeypatch, recording)
+    gram = GaussianKernel.gram
+
+    def recording_gram(self, A, B=None):
+        K = gram(self, A, B)
+        gram_shapes.append(K.shape)
+        return K
+
+    monkeypatch.setattr(GaussianKernel, "gram", recording_gram)
+    report = run_verification(ExperimentConfig(n=n, m=24))
+    assert [c.name for c in report.checks] == CHECK_NAMES
+    # The synthetic draw, k_XX + s2 I, q_XX + s2 I and fit_nystrom_via_q's
+    # own q_XX + n ridge I; the synthetic draw's Gram and k_XX.
+    assert factor_dims.count(n) <= 4
+    assert gram_shapes.count((n, n)) <= 2
+
+
+def test_kl_two_path_catches_a_wrong_q_gram(monkeypatch):
+    q_gram = bounds.q_gram
+    monkeypatch.setattr(bounds, "q_gram",
+                        lambda ind, X: q_gram(ind, X) + 1e-3 * np.eye(len(X)))
+    report = run_verification(ExperimentConfig(n=30, m=5, mc_samples=500))
+    check = next(c for c in report.checks if c.name == "kl_two_path")
+    assert check.status == "error"
+    assert check.detail.startswith("InternalInconsistency")
+
+
+def test_worst_case_decomposition_catches_a_wrong_dtc_cov(monkeypatch):
+    dtc_cov = NystromFactor.dtc_cov
+    monkeypatch.setattr(NystromFactor, "dtc_cov",
+                        lambda self, x, x2: dtc_cov(self, x, x2) + 1e-6)
+    report = run_verification(ExperimentConfig(n=30, m=5, mc_samples=500))
+    assert statuses(report)["worst_case_decomposition"] == "fail"
+
+
+def test_failed_n_by_n_factor_is_an_error_in_each_check_that_needs_it(monkeypatch):
+    n = 30
+
+    def failing(factor_spd):
+        def factor(A, *args, **kwargs):
+            if np.shape(A)[0] == n:
+                raise FactorizationFailed("refused n x n factor")
+            return factor_spd(A, *args, **kwargs)
+        return factor
+
+    # The synthetic draw is set-up, not a check: leave its factor alone.
+    patch_factor_spd(monkeypatch, failing, skip=("sparsegp.data",))
+    report = run_verification(ExperimentConfig(n=n, m=5, mc_samples=500))
+    assert [c.name for c in report.checks] == CHECK_NAMES
+    for check in report.checks:
+        expected = "error" if check.name in NN_CHECKS else "pass"
+        assert check.status == expected, (check.name, check.detail)
+        if expected == "error":
+            assert check.detail.startswith("FactorizationFailed")
+
+
+@pytest.mark.parametrize("link", [True, False])
+def test_ridge_side_shares_the_problem_only_when_linked(link):
+    rng = np.random.default_rng(3)
+    kernel = GaussianKernel(lengthscale=1.0)
+    data = Dataset(rng.uniform(-3, 3, size=(20, 1)), rng.standard_normal(20))
+    prob = bounds.SparseProblem(kernel, data, select_inducing(kernel, data, 4), 0.2)
+    ridge = prob.ridge if link else 0.003
+    ridge_prob = prob.at_ridge(ridge)
+    assert (ridge_prob is prob) == link
+    assert ridge_prob.ridge == pytest.approx(ridge, rel=1e-15)
