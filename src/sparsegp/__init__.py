@@ -8,12 +8,12 @@ RKHS-distance and derivative bounds) that tie the two sides together.
 """
 
 from .bounds import (BoundRecord, GapDiagnostics, SparseProblem, burt_upper_bound,
-                     derivative_gap_bound, excess_risk,
+                     derivative_gap_bound, derivative_gap_bounds, excess_risk,
                      excess_risk_upper_bound, expected_excess_risk_lower_bound,
                      expected_kl_sandwich, gap_diagnostics,
                      kl_to_exact_posterior, quadratic_form_gap_bound,
                      rkhs_distance_bound, rkhs_distance_sq,
-                     worst_case_decomposition)
+                     worst_case_decomposition, worst_case_decompositions)
 from .data import (Dataset, load_csv, synth_fixed_function_dataset,
                    synth_prior_dataset, write_csv)
 from .exact import (GpPosterior, KrrModel, fit_gpr, fit_krr,
@@ -25,9 +25,11 @@ from .linalg import SpdFactor, factor_spd, logdet, operator_norm, solve
 from .nystrom import (InducingSet, NystromFactor, NystromModel,
                       approx_kernel_q, dtc_posterior, fit_nystrom,
                       fit_nystrom_via_q, make_inducing, nystrom_factor,
-                      project_onto_M, q_gram, select_inducing, trace_gap)
+                      project_onto_M, q_diag, q_gram, select_inducing,
+                      trace_gap)
 from .svgp import (ElboBreakdown, SvgpState, elbo, elbo_breakdown,
-                   feature_map_phi, fixed_point_solver, make_state,
+                   elbo_from_factor, elbos, feature_map_phi,
+                   fixed_point_solver, make_state, state_from_factor,
                    optimal_elbo, optimal_parameters, optimal_posterior,
                    psi_forward, psi_inverse, variational_cov,
                    variational_mean)

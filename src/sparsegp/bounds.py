@@ -15,14 +15,14 @@ from functools import cached_property
 import numpy as np
 
 from .data import Dataset
-from .errors import (InternalInconsistency, InvalidCount, PointCollision,
-                     UnsupportedKernel)
+from .errors import (DimensionMismatch, InternalInconsistency, InvalidCount,
+                     PointCollision, UnsupportedKernel)
 from .exact import GpPosterior
 from .kernels import GaussianKernel, Kernel, as_points
 from .linalg import factor_spd, logdet, operator_norm, solve
-from .nystrom import (InducingSet, NystromFactor, approx_kernel_q, fit_nystrom,
-                      nystrom_factor, q_gram)
-from .svgp import optimal_elbo
+from .nystrom import (InducingSet, NystromFactor, fit_nystrom, nystrom_factor,
+                      q_diag, q_gram)
+from .svgp import SvgpState, elbo_from_factor, state_from_factor
 
 HOLDS_RTOL = 1e-8
 MIN_MC_SAMPLES = 100
@@ -109,6 +109,21 @@ class SparseProblem:
         return nystrom_factor(self.kernel, self.data, self.ind, self.noise_var)
 
     @cached_property
+    def optimal_state(self) -> SvgpState:
+        """(mu*, Sigma*), read from the whitened factor."""
+        return state_from_factor(self.nystrom)
+
+    @cached_property
+    def optimal_elbo(self) -> float:
+        return elbo_from_factor(self.nystrom)
+
+    @cached_property
+    def kl(self) -> float:
+        """KL(optimized variational GP || exact posterior), evaluated once
+        by `kl_to_exact_posterior` for every bound that reads it."""
+        return kl_to_exact_posterior(self)
+
+    @cached_property
     def exact(self) -> GpPosterior:
         """Exact GP posterior; its alpha is also the KRR coefficient vector
         at ridge s2 / n."""
@@ -174,7 +189,7 @@ def kl_to_exact_posterior(prob: SparseProblem) -> float:
     the explicit log-det / quadratic-form / trace expansion on the n x n
     factors; the two paths must agree to 1e-8 relative.
     """
-    kl = prob.evidence - optimal_elbo(prob.kernel, prob.data, prob.ind, prob.noise_var)
+    kl = prob.evidence - prob.optimal_elbo
     explicit = 0.5 * (
         -logdet(prob.k_factor) + logdet(prob.q_factor)
         + _quadratic_form_gap(prob)
@@ -190,7 +205,7 @@ def kl_to_exact_posterior(prob: SparseProblem) -> float:
 def burt_upper_bound(prob: SparseProblem) -> tuple[BoundRecord, BoundRecord]:
     """Bounds on 2*KL: the loose (t/s2)(||y||^2/s2 + 1) and the tighter
     intermediate with ||y||^2/(t + s2)."""
-    kl2 = 2.0 * kl_to_exact_posterior(prob)
+    kl2 = 2.0 * prob.kl
     s2 = prob.noise_var
     t = prob.nystrom.trace_gap
     y_sq = float(prob.data.targets @ prob.data.targets)
@@ -258,6 +273,39 @@ def rkhs_distance_bound(prob: SparseProblem) -> BoundRecord:
     return BoundRecord("rkhs_distance", lhs, rhs)
 
 
+def derivative_gap_bounds(prob: SparseProblem, X, js,
+                          fd_step: float = 1e-5) -> tuple[np.ndarray, np.ndarray]:
+    """Batched `derivative_gap_bound`: (lhs, rhs) for the partial derivative
+    js[i] at each row X[i]. The sparse mean k_XZ k_ZZ^{-1} mu* and the exact
+    mean k_XX' alpha are evaluated on all 2 P shifted points at once."""
+    kernel = prob.kernel
+    if not isinstance(kernel, GaussianKernel):
+        raise UnsupportedKernel("derivative bound requires the Gaussian kernel")
+    X = as_points(X, kernel.input_dim)
+    js = np.asarray(js, dtype=int).reshape(-1)
+    if js.shape[0] != X.shape[0]:
+        raise DimensionMismatch(f"{js.shape[0]} coordinates for {X.shape[0]} points")
+    dd = np.array([kernel.mixed_second_derivative(int(j), x) for x, j in zip(X, js)])
+    shift = np.zeros_like(X)
+    shift[np.arange(X.shape[0]), js] = fd_step
+    shifted = np.vstack([X + shift, X - shift])
+    p = X.shape[0]
+
+    def partial(gram, coef):
+        # One Gram build for all 2 P points, then one dot product per row:
+        # each mean is then bit-identical to a one-point evaluation, which a
+        # matrix-vector product is not (it sums in another order, and the
+        # difference quotient divides that round-off by fd_step).
+        values = np.array([row @ coef for row in gram])
+        return (values[:p] - values[p:]) / (2.0 * fd_step)
+
+    lhs = (partial(kernel.gram(shifted, prob.ind.points), prob.nystrom.mean_coef)
+           - partial(kernel.gram(shifted, prob.data.inputs), prob.exact.alpha)) ** 2
+    y_sq = float(prob.data.targets @ prob.data.targets)
+    rhs = 2.0 * prob.nystrom.trace_gap * y_sq * dd / prob.noise_var**2
+    return lhs, rhs
+
+
 def derivative_gap_bound(prob: SparseProblem, x, j: int,
                          fd_step: float = 1e-5) -> BoundRecord:
     """Squared gap of the j-th partial derivatives of the sparse and exact
@@ -266,36 +314,52 @@ def derivative_gap_bound(prob: SparseProblem, x, j: int,
     The derivatives are central finite differences with step `fd_step`, so
     the record is compared at a looser 1e-4 tolerance by callers.
     """
-    kernel = prob.kernel
-    if not isinstance(kernel, GaussianKernel):
-        raise UnsupportedKernel("derivative bound requires the Gaussian kernel")
-    x = as_points(x, kernel.input_dim)[0]
+    x = as_points(x, prob.kernel.input_dim)[:1]
+    lhs, rhs = derivative_gap_bounds(prob, x, [j], fd_step)
+    return BoundRecord("derivative_gap", float(lhs[0]), float(rhs[0]))
 
-    def partial(fn):
-        hi, lo = x.copy(), x.copy()
-        hi[j] += fd_step
-        lo[j] -= fd_step
-        return (fn(hi)[0] - fn(lo)[0]) / (2.0 * fd_step)
 
-    lhs = (partial(prob.nystrom.mean) - partial(prob.exact.mean_many)) ** 2
-    y_sq = float(prob.data.targets @ prob.data.targets)
-    dd = kernel.mixed_second_derivative(j, x)
-    rhs = 2.0 * prob.nystrom.trace_gap * y_sq * dd / prob.noise_var**2
-    return BoundRecord("derivative_gap", float(lhs), float(rhs))
+def training_collisions(prob: SparseProblem, X) -> np.ndarray:
+    """Mask of the rows of X that coincide (np.isclose, atol 1e-12) with a
+    training input in every coordinate."""
+    X = as_points(X, prob.kernel.input_dim)
+    close = np.isclose(prob.data.inputs[None, :, :], X[:, None, :], atol=1e-12)
+    return np.any(np.all(close, axis=2), axis=1)
+
+
+def worst_case_decompositions(prob: SparseProblem, X) -> tuple[np.ndarray, np.ndarray]:
+    """Batched `worst_case_decomposition`: (k*(x,x) + s2, the split) at each
+    row of X, NaN on both sides where the row collides with a training input.
+
+    The left side is `optimal_var`; the right side is (k - q)(x,x) from
+    kernel.diag and q_diag plus `dtc_var` + s2, a separate evaluation."""
+    X = as_points(X, prob.kernel.input_dim)
+    fac, s2 = prob.nystrom, prob.noise_var
+    total = fac.optimal_var(X) + s2
+    interp = prob.kernel.diag(X) - q_diag(prob.ind, X)
+    split = interp + (fac.dtc_var(X) + s2)
+    collides = training_collisions(prob, X)
+    total[collides] = np.nan
+    split[collides] = np.nan
+    return total, split
+
+
+def worst_case_residuals(prob: SparseProblem, X) -> np.ndarray:
+    """|lhs - rhs| of the decomposition at each row of X; NaN where the row
+    collides with a training input."""
+    total, split = worst_case_decompositions(prob, X)
+    return np.abs(total - split)
 
 
 def worst_case_decomposition(prob: SparseProblem, x) -> BoundRecord:
     """Split k*(x,x) + s2 into the squared worst-case interpolation error
     k(x,x) - q(x,x) and the squared worst-case sparse-ridge error
-    dtc_cov(x,x) + s2; the record compares the two evaluation paths."""
-    x = as_points(x, prob.kernel.input_dim)
-    if np.any(np.all(np.isclose(prob.data.inputs, x[0], atol=1e-12), axis=1)):
+    dtc_var(x) + s2; the record compares the two evaluation paths."""
+    x = as_points(x, prob.kernel.input_dim)[:1]
+    if training_collisions(prob, x)[0]:
         raise PointCollision("test point collides with a training input")
-    fac, s2 = prob.nystrom, prob.noise_var
-    total = fac.optimal_cov(x, x) + s2
-    interp = prob.kernel.gram(x, x)[0, 0] - approx_kernel_q(prob.ind, x, x)
-    ridge_part = fac.dtc_cov(x, x) + s2
-    return BoundRecord("worst_case_decomposition", total, interp + ridge_part)
+    total, split = worst_case_decompositions(prob, x)
+    return BoundRecord("worst_case_decomposition", float(total[0]), float(split[0]))
 
 
 def worst_case_residual(prob: SparseProblem, x) -> float:

@@ -55,7 +55,7 @@ def factor_spd(A: np.ndarray, jitter_ladder=None) -> SpdFactor:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatch(f"expected square matrix, got shape {A.shape}")
-    A = 0.5 * (A + A.T)
+    A = 0.5 * (A + A.T)  # exactly symmetric, so A.T is the same matrix
     if jitter_ladder is None:
         jitter_ladder = DEFAULT_JITTER_LADDER
     scale = float(np.mean(np.diag(A))) if A.shape[0] else 1.0
@@ -64,8 +64,12 @@ def factor_spd(A: np.ndarray, jitter_ladder=None) -> SpdFactor:
     n = A.shape[0]
     for rung in jitter_ladder:
         jitter = float(rung) * scale
+        # One private copy per rung, shifted in place and factored in place;
+        # its transpose is Fortran-ordered, so LAPACK needs no copy of its own.
+        work = A.copy()
+        work.flat[::n + 1] += jitter
         try:
-            lower = scipy.linalg.cholesky(A + jitter * np.eye(n), lower=True)
+            lower = scipy.linalg.cholesky(work.T, lower=True, overwrite_a=True)
         except scipy.linalg.LinAlgError:
             continue
         return SpdFactor(lower=lower, jitter_used=jitter)

@@ -86,6 +86,12 @@ def approx_kernel_q(ind: InducingSet, x, x2) -> float:
     return float(_features(ind, x)[:, 0] @ _features(ind, x2)[:, 0])
 
 
+def q_diag(ind: InducingSet, X) -> np.ndarray:
+    """q(x, x) = ||v(x)||^2 at each row of X."""
+    V = _features(ind, X)
+    return np.einsum("ij,ij->j", V, V)
+
+
 def q_gram(ind: InducingSet, A, B=None) -> np.ndarray:
     """Gram matrix of q: k_AZ k_ZZ^{-1} k_ZB = V_A^T V_B."""
     Va = _features(ind, A)
@@ -134,6 +140,20 @@ class NystromFactor:
         posterior, evaluated without going through `dtc_cov`."""
         V, W = self.pair_features(x, x2)
         return float(self.inducing.kernel(x, x2) - V[:, 0] @ V[:, 1] + W[:, 0] @ W[:, 1])
+
+    def dtc_var(self, X) -> np.ndarray:
+        """DTC posterior variance ||w(x)||^2 at each row of X, in O(P m^2)."""
+        W = lower_solve(self.b_factor, _features(self.inducing, X))
+        return np.einsum("ij,ij->j", W, W)
+
+    def optimal_var(self, X) -> np.ndarray:
+        """Variance k*(x, x) = k(x, x) - ||v||^2 + ||w||^2 of the optimal
+        variational posterior at each row of X, in O(P m^2), evaluated
+        without going through `dtc_var`."""
+        V = _features(self.inducing, X)
+        W = lower_solve(self.b_factor, V)
+        return (self.inducing.kernel.diag(X) - np.einsum("ij,ij->j", V, V)
+                + np.einsum("ij,ij->j", W, W))
 
     def quad_forms(self, Y) -> np.ndarray:
         """y^T (q_XX + s2 I)^{-1} y for each column y of Y, by Woodbury in

@@ -24,7 +24,7 @@ import numpy as np
 from .data import Dataset
 from .kernels import Kernel, as_points
 from .linalg import SpdFactor, factor_spd, logdet, lower_solve, solve, upper_solve
-from .nystrom import InducingSet, nystrom_factor
+from .nystrom import InducingSet, NystromFactor, nystrom_factor
 
 
 @dataclass(frozen=True)
@@ -97,17 +97,19 @@ def feature_map_phi(state: SvgpState, x) -> np.ndarray:
     return state.sigma_factor.lower.T @ solve(ind.kzz_factor, kx)
 
 
-def _elbo_pieces(state: SvgpState, data: Dataset, noise_var: float):
-    """Shared quantities for elbo / elbo_breakdown."""
-    ind = state.inducing
-    k = ind.kernel
-    X = data.inputs
-    Kxz = k.gram(X, ind.points)
-    # A = k_ZZ^{-1} k_ZX, column i is k_ZZ^{-1} k_Z(x_i)
+def _data_pieces(ind: InducingSet, data: Dataset):
+    """The state-free ELBO pieces: k_XZ, A = k_ZZ^{-1} k_ZX (column i is
+    k_ZZ^{-1} k_Z(x_i)), diag k_XX and diag q_XX."""
+    Kxz = ind.kernel.gram(data.inputs, ind.points)
     A = solve(ind.kzz_factor, Kxz.T)
+    return Kxz, A, ind.kernel.diag(data.inputs), np.sum(Kxz * A.T, axis=1)
+
+
+def _state_pieces(state: SvgpState, Kxz: np.ndarray, A: np.ndarray):
+    """The pieces that depend on (mu, Sigma): m^nu at X, diag of
+    k_XZ k_ZZ^{-1} Sigma k_ZZ^{-1} k_ZX and KL(N(mu, Sigma) || N(0, k_ZZ))."""
+    ind = state.inducing
     mean_at_X = Kxz @ solve(ind.kzz_factor, state.mu)
-    diag_k = k.diag(X)
-    diag_q = np.sum(Kxz * A.T, axis=1)
     diag_qnu = np.sum(A * (state.sigma @ A), axis=0)
     kl = 0.5 * (
         np.trace(solve(ind.kzz_factor, state.sigma))
@@ -116,19 +118,37 @@ def _elbo_pieces(state: SvgpState, data: Dataset, noise_var: float):
         + logdet(ind.kzz_factor)
         - logdet(state.sigma_factor)
     )
-    return mean_at_X, diag_k, diag_q, diag_qnu, float(kl)
+    return mean_at_X, diag_qnu, float(kl)
 
 
-def elbo(state: SvgpState, data: Dataset, noise_var: float) -> float:
-    """Closed-form ELBO: -KL(N(mu,Sigma) || N(0,k_ZZ)) + expected log-lik."""
-    if noise_var <= 0:
-        raise ValueError("noise_var must be positive")
-    mean_at_X, diag_k, diag_q, diag_qnu, kl = _elbo_pieces(state, data, noise_var)
+def _elbo_value(data: Dataset, noise_var: float, diag_k, diag_q,
+                mean_at_X, diag_qnu, kl: float) -> float:
     n = data.n
     resid_sq = float(np.sum((data.targets - mean_at_X) ** 2))
     var_sum = float(np.sum(diag_k - diag_q + diag_qnu))
     fit = -0.5 * n * np.log(2.0 * np.pi * noise_var) - (resid_sq + var_sum) / (2.0 * noise_var)
     return fit - kl
+
+
+def elbos(states: list[SvgpState], data: Dataset, noise_var: float) -> np.ndarray:
+    """Closed-form ELBO of each state; all states share one inducing set.
+
+    k_XZ, k_ZZ^{-1} k_ZX, diag k and diag q are built once; each state keeps
+    its own KL, fit and variance terms, so elbos(states)[i] is exactly
+    elbo(states[i])."""
+    if noise_var <= 0:
+        raise ValueError("noise_var must be positive")
+    ind = states[0].inducing
+    if any(s.inducing is not ind for s in states):
+        raise ValueError("elbos takes states on one inducing set")
+    Kxz, A, diag_k, diag_q = _data_pieces(ind, data)
+    return np.array([_elbo_value(data, noise_var, diag_k, diag_q,
+                                 *_state_pieces(s, Kxz, A)) for s in states])
+
+
+def elbo(state: SvgpState, data: Dataset, noise_var: float) -> float:
+    """Closed-form ELBO: -KL(N(mu,Sigma) || N(0,k_ZZ)) + expected log-lik."""
+    return float(elbos([state], data, noise_var)[0])
 
 
 @dataclass(frozen=True)
@@ -164,7 +184,8 @@ def elbo_breakdown(state: SvgpState, data: Dataset, noise_var: float) -> ElboBre
     if noise_var <= 0:
         raise ValueError("noise_var must be positive")
     ind = state.inducing
-    mean_at_X, diag_k, diag_q, diag_qnu, _ = _elbo_pieces(state, data, noise_var)
+    Kxz, A, diag_k, diag_q = _data_pieces(ind, data)
+    mean_at_X, diag_qnu, kl = _state_pieces(state, Kxz, A)
     n = data.n
     fit_plus_norm = float(
         np.sum((data.targets - mean_at_X) ** 2)
@@ -178,7 +199,8 @@ def elbo_breakdown(state: SvgpState, data: Dataset, noise_var: float) -> ElboBre
     ))
     residual_trace = float(np.sum(diag_k - diag_q))
     normalization = float(n * noise_var * np.log(2.0 * np.pi * noise_var))
-    total = -2.0 * noise_var * elbo(state, data, noise_var)
+    total = -2.0 * noise_var * _elbo_value(data, noise_var, diag_k, diag_q,
+                                           mean_at_X, diag_qnu, kl)
     return ElboBreakdown(
         fit_plus_norm=fit_plus_norm,
         sigma_quadratic=sigma_quadratic,
@@ -196,7 +218,12 @@ def optimal_parameters(kernel: Kernel, data: Dataset, ind: InducingSet,
     mu*    = k_ZZ (s2 k_ZZ + k_ZX k_XZ)^{-1} k_ZX y    = L_Z L_B^{-T} c
     Sigma* = k_ZZ (k_ZZ + s2^{-1} k_ZX k_XZ)^{-1} k_ZZ = W^T W, W = L_B^{-1} L_Z^T
     """
-    fac = nystrom_factor(kernel, data, ind, noise_var)
+    return state_from_factor(nystrom_factor(kernel, data, ind, noise_var))
+
+
+def state_from_factor(fac: NystromFactor) -> SvgpState:
+    """(mu*, Sigma*) read from an already built whitened factor."""
+    ind = fac.inducing
     Lz = ind.kzz_factor.lower
     W = lower_solve(fac.b_factor, Lz.T)
     return make_state(ind, Lz @ upper_solve(fac.b_factor, fac.c), W.T @ W)
@@ -221,12 +248,17 @@ def optimal_elbo(kernel: Kernel, data: Dataset, ind: InducingSet, noise_var: flo
     By the determinant lemma logdet(q_XX + s2 I) = n log s2 + logdet(L_B L_B^T);
     no n x n matrix is formed: O(n m^2).
     """
-    fac = nystrom_factor(kernel, data, ind, noise_var)
+    return elbo_from_factor(nystrom_factor(kernel, data, ind, noise_var))
+
+
+def elbo_from_factor(fac: NystromFactor) -> float:
+    """The optimal ELBO read from an already built whitened factor."""
+    n, s2 = fac.inputs.shape[0], fac.noise_var
     return float(
-        -0.5 * data.n * np.log(2.0 * np.pi * noise_var)
+        -0.5 * n * np.log(2.0 * np.pi * s2)
         - 0.5 * logdet(fac.b_factor)
         - 0.5 * fac.fit_quad
-        - fac.trace_gap / (2.0 * noise_var)
+        - fac.trace_gap / (2.0 * s2)
     )
 
 

@@ -76,17 +76,69 @@ def test_kl_two_path_catches_a_wrong_q_gram(monkeypatch):
     monkeypatch.setattr(bounds, "q_gram",
                         lambda ind, X: q_gram(ind, X) + 1e-3 * np.eye(len(X)))
     report = run_verification(ExperimentConfig(n=30, m=5, mc_samples=500))
-    check = next(c for c in report.checks if c.name == "kl_two_path")
-    assert check.status == "error"
-    assert check.detail.startswith("InternalInconsistency")
+    # The KL is evaluated once per problem, but a failed evaluation is not
+    # kept: each check that reads it reports the error.
+    for name in ("kl_two_path", "burt_bound", "burt_bound_intermediate"):
+        check = next(c for c in report.checks if c.name == name)
+        assert check.status == "error", name
+        assert check.detail.startswith("InternalInconsistency"), name
 
 
-def test_worst_case_decomposition_catches_a_wrong_dtc_cov(monkeypatch):
-    dtc_cov = NystromFactor.dtc_cov
-    monkeypatch.setattr(NystromFactor, "dtc_cov",
-                        lambda self, x, x2: dtc_cov(self, x, x2) + 1e-6)
+@pytest.mark.parametrize("method", ["dtc_var", "optimal_var"])
+def test_worst_case_decomposition_catches_a_wrong_variance(monkeypatch, method):
+    var = getattr(NystromFactor, method)
+    monkeypatch.setattr(NystromFactor, method, lambda self, X: var(self, X) + 1e-6)
     report = run_verification(ExperimentConfig(n=30, m=5, mc_samples=500))
     assert statuses(report)["worst_case_decomposition"] == "fail"
+
+
+def test_worst_case_decomposition_fails_when_every_probe_collides(monkeypatch):
+    monkeypatch.setattr(bounds, "training_collisions",
+                        lambda prob, X: np.ones(len(X), dtype=bool))
+    report = run_verification(ExperimentConfig(n=30, m=5, mc_samples=500))
+    check = next(c for c in report.checks if c.name == "worst_case_decomposition")
+    assert check.status == "fail"
+    assert check.detail.endswith("over 0 probes, 100 skipped")
+
+
+def test_probe_checks_state_their_probe_counts():
+    report = run_verification(ExperimentConfig(n=30, m=5, mc_samples=500))
+    detail = {c.name: c.detail for c in report.checks}
+    assert detail["worst_case_decomposition"].endswith("over 100 probes, 0 skipped")
+    assert detail["derivative_bound"].endswith("over 20 probes, 0 skipped")
+
+
+def test_verify_run_shares_one_nystrom_factor_and_batches_its_probes(monkeypatch):
+    problems, factors, grams, kls = [], [], [], []
+    post_init = bounds.SparseProblem.__post_init__
+
+    def recording_post_init(self):
+        post_init(self)
+        problems.append(self)
+
+    monkeypatch.setattr(bounds.SparseProblem, "__post_init__", recording_post_init)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("sparsegp") and hasattr(mod, "nystrom_factor"):
+            fn = mod.nystrom_factor
+            monkeypatch.setattr(
+                mod, "nystrom_factor",
+                lambda *args, fn=fn: factors.append(args) or fn(*args))
+    kl = bounds.kl_to_exact_posterior
+    monkeypatch.setattr(bounds, "kl_to_exact_posterior",
+                        lambda prob: kls.append(prob) or kl(prob))
+    gram = GaussianKernel.gram
+
+    def recording_gram(self, A, B=None):
+        grams.append(None)
+        return gram(self, A, B)
+
+    monkeypatch.setattr(GaussianKernel, "gram", recording_gram)
+    report = run_verification(ExperimentConfig(n=400, m=24))
+    assert [c.name for c in report.checks] == CHECK_NAMES
+    assert len(problems) == 1
+    assert len(factors) <= len(problems)
+    assert len(kls) == 1
+    assert len(grams) <= 100
 
 
 def test_failed_n_by_n_factor_is_an_error_in_each_check_that_needs_it(monkeypatch):
