@@ -20,8 +20,8 @@ from .errors import (DimensionMismatch, InternalInconsistency, InvalidCount,
 from .exact import GpPosterior
 from .kernels import GaussianKernel, Kernel, as_points
 from .linalg import factor_spd, logdet, operator_norm, solve
-from .nystrom import (InducingSet, NystromFactor, fit_nystrom, nystrom_factor,
-                      q_diag, q_gram)
+from .nystrom import (InducingSet, NystromFactor, NystromModel, fit_nystrom,
+                      nystrom_factor, q_diag, q_gram)
 from .svgp import SvgpState, elbo_from_factor, state_from_factor
 
 HOLDS_RTOL = 1e-8
@@ -124,6 +124,22 @@ class SparseProblem:
         return kl_to_exact_posterior(self)
 
     @cached_property
+    def ridge_fit(self) -> NystromModel:
+        """The Nystrom ridge fit (`fit_nystrom`) at this problem's ridge."""
+        return fit_nystrom(self.kernel, self.data, self.ind, self.ridge)
+
+    @cached_property
+    def excess_risk(self) -> float:
+        """The excess risk of `ridge_fit`, evaluated once by `excess_risk`."""
+        return excess_risk(self)
+
+    @cached_property
+    def quadratic_form_gap(self) -> float:
+        """y^T (q+s2 I)^{-1} y - y^T (k+s2 I)^{-1} y."""
+        y = self.data.targets
+        return float(y @ solve(self.q_factor, y) - y @ self.exact.alpha)
+
+    @cached_property
     def exact(self) -> GpPosterior:
         """Exact GP posterior; its alpha is also the KRR coefficient vector
         at ridge s2 / n."""
@@ -153,12 +169,6 @@ def require_mc_samples(n_samples: int) -> None:
 def _explicit_trace_gap(prob: SparseProblem) -> float:
     """tr(k_XX - q_XX) from the two n x n Grams."""
     return float(np.trace(prob.kxx - prob.qxx))
-
-
-def _quadratic_form_gap(prob: SparseProblem) -> float:
-    """y^T (q+s2 I)^{-1} y - y^T (k+s2 I)^{-1} y."""
-    y = prob.data.targets
-    return float(y @ solve(prob.q_factor, y) - y @ solve(prob.k_factor, y))
 
 
 def _mc_quadratic_forms(prob: SparseProblem, n_samples: int, seed: int):
@@ -192,7 +202,7 @@ def kl_to_exact_posterior(prob: SparseProblem) -> float:
     kl = prob.evidence - prob.optimal_elbo
     explicit = 0.5 * (
         -logdet(prob.k_factor) + logdet(prob.q_factor)
-        + _quadratic_form_gap(prob)
+        + prob.quadratic_form_gap
         + _explicit_trace_gap(prob) / prob.noise_var
     )
     if abs(kl - explicit) > 1e-8 * max(1.0, abs(kl)):
@@ -223,17 +233,17 @@ def quadratic_form_gap_bound(prob: SparseProblem) -> BoundRecord:
     op = prob.opnorm_gap
     y_sq = float(prob.data.targets @ prob.data.targets)
     rhs = y_sq * op / (s2 * (op + s2))
-    return BoundRecord("quadratic_form_gap", _quadratic_form_gap(prob), rhs)
+    return BoundRecord("quadratic_form_gap", prob.quadratic_form_gap, rhs)
 
 
 def excess_risk(prob: SparseProblem) -> float:
     """R_n(nystrom; y) - R_n(exact KRR; y) at ridge s2 / n, from model
-    coefficients."""
+    coefficients; `SparseProblem.excess_risk` keeps the value."""
     ridge = prob.ridge
     y = prob.data.targets
     alpha = prob.exact.alpha
     exact_at_X = prob.kxx @ alpha
-    sparse = fit_nystrom(prob.kernel, prob.data, prob.ind, ridge)
+    sparse = prob.ridge_fit
     r_exact = float(np.mean((y - exact_at_X) ** 2) + ridge * (alpha @ exact_at_X))
     r_sparse = float(np.mean((y - sparse.predict_many(prob.data.inputs)) ** 2)
                      + ridge * sparse.rkhs_norm_sq())
@@ -242,7 +252,7 @@ def excess_risk(prob: SparseProblem) -> float:
 
 def excess_risk_upper_bound(prob: SparseProblem) -> tuple[BoundRecord, BoundRecord]:
     """Trace and opnorm variants of the excess-risk upper bound."""
-    lhs = excess_risk(prob)
+    lhs = prob.excess_risk
     n, ridge = prob.n, prob.ridge
     y_sq = float(prob.data.targets @ prob.data.targets)
     t = prob.nystrom.trace_gap
@@ -259,7 +269,7 @@ def rkhs_distance_sq(prob: SparseProblem) -> float:
     """||f_exact - f_nystrom||^2 in the RKHS at ridge s2 / n, by Gram
     quadratic forms."""
     alpha = prob.exact.alpha
-    beta = fit_nystrom(prob.kernel, prob.data, prob.ind, prob.ridge).beta
+    beta = prob.ridge_fit.beta
     Kxz = prob.kernel.gram(prob.data.inputs, prob.ind.points)
     Kzz = prob.kernel.gram(prob.ind.points)
     return float(alpha @ prob.kxx @ alpha - 2.0 * alpha @ Kxz @ beta + beta @ Kzz @ beta)

@@ -51,7 +51,8 @@ def synth_prior_dataset(kernel: Kernel, X, noise_var: float, seed: int) -> Datas
         raise ValueError("noise_var must be positive")
     X = as_points(X, kernel.input_dim)
     n = X.shape[0]
-    K = kernel.gram(X) + noise_var * np.eye(n)
+    K = kernel.gram(X)
+    K.flat[::n + 1] += noise_var  # k_XX + noise_var * I, without an n x n identity
     F = factor_spd(K, jitter_ladder=[0.0])
     rng = np.random.default_rng(seed)
     y = F.lower @ rng.standard_normal(n)

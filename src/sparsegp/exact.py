@@ -60,10 +60,10 @@ class GpPosterior:
         """Posterior covariance k(x,x') - k_X(x)^T (k_XX + s2 I)^{-1} k_X(x')."""
         x = as_points(x, self.kernel.input_dim)
         x2 = as_points(x2, self.kernel.input_dim)
-        kx = self.kernel.gram(self.train_inputs, x)
-        kx2 = self.kernel.gram(self.train_inputs, x2)
+        kx = self.kernel.gram(self.train_inputs, x)[:, 0]
+        kx2 = self.kernel.gram(self.train_inputs, x2)[:, 0]
         prior = self.kernel.gram(x, x2)[0, 0]
-        return float(prior - kx[:, 0] @ solve(self.factor, kx2)[:, 0])
+        return float(prior - kx @ solve(self.factor, kx2))
 
     def variance(self, x) -> float:
         return self.cov(x, x)

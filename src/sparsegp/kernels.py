@@ -54,14 +54,21 @@ class GaussianKernel:
         A = as_points(A, self.input_dim)
         same = B is None
         B = A if same else as_points(B, self.input_dim)
-        sq = (
-            np.sum(A * A, axis=1)[:, None]
-            + np.sum(B * B, axis=1)[None, :]
-            - 2.0 * (A @ B.T)
-        )
-        K = np.exp(-np.maximum(sq, 0.0) / self.lengthscale**2)
+        # The same operations, in the same order, as
+        # exp(-max(|a|^2 + |b|^2 - 2 a.b, 0) / ls^2), but in place: an
+        # n x n temporary costs more in fresh pages than in arithmetic.
+        K = np.sum(A * A, axis=1)[:, None] + np.sum(B * B, axis=1)[None, :]
+        AB = A @ B.T
+        AB *= 2.0
+        K -= AB
+        del AB
+        np.maximum(K, 0.0, out=K)
+        np.negative(K, out=K)
+        K /= self.lengthscale**2
+        np.exp(K, out=K)
         if same:
-            K = 0.5 * (K + K.T)
+            K = K + K.T
+            K *= 0.5
         return K
 
     def diag(self, X) -> np.ndarray:

@@ -172,3 +172,20 @@ def test_cli_entry_point_subprocess(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["overall_pass"] is True
+
+
+def test_derivative_check_fails_on_a_negative_certified_bound(monkeypatch):
+    bounds_fn = bounds.derivative_gap_bounds
+
+    def one_negative_rhs(prob, X, js):
+        lhs, rhs = bounds_fn(prob, X, js)
+        rhs[3] = -1e-8
+        return 0.0 * lhs, rhs
+
+    monkeypatch.setattr(bounds, "derivative_gap_bounds", one_negative_rhs)
+    check = next(c for c in run_verification(small_config()).checks
+                 if c.name == "derivative_bound")
+    # lhs = 0 is within the 1e-4 allowance of rhs = -1e-8, yet the check fails.
+    assert check.status == "fail"
+    assert "rhs=-1e-08" in check.detail
+    assert check.detail.endswith("rhs < 0 at 1 probes")

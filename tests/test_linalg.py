@@ -1,8 +1,14 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+import scipy.linalg
 
+from sparsegp.data import Dataset
 from sparsegp.errors import DimensionMismatch, FactorizationFailed
-from sparsegp.linalg import factor_spd, logdet, operator_norm, solve
+from sparsegp.kernels import GaussianKernel
+from sparsegp.linalg import factor_spd, logdet, lower_solve, operator_norm, solve, upper_solve
+from sparsegp.nystrom import select_inducing
 
 
 def random_spd(n, seed):
@@ -109,3 +115,78 @@ def test_operator_norm_eigensolver_oracle():
 def test_operator_norm_below_trace_for_spd(seed):
     A = random_spd(7, seed)
     assert operator_norm(A) <= np.trace(A) + 1e-10
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_raises_value_error(bad):
+    A = random_spd(4, 6)
+    A[1, 2] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        factor_spd(A)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        operator_norm(A)
+
+
+def greedy_kzz_factor(m, n=400):
+    """The factor of a greedy Gaussian k_ZZ on n uniform points in [-3, 3],
+    as in a mid-size verify run (cond(L) 1e5 to 1e8), and k_ZX."""
+    kernel = GaussianKernel(lengthscale=1.0)
+    X = np.random.default_rng(m).uniform(-3.0, 3.0, size=(n, 1))
+    ind = select_inducing(kernel, Dataset(X, np.zeros(n)), m)
+    return ind.kzz_factor, kernel.gram(ind.points, X)
+
+
+def exact_substitution(T, B, lower):
+    """T^{-1} B in exact rational arithmetic, for triangular T."""
+    k = T.shape[0]
+    rows = range(k) if lower else range(k - 1, -1, -1)
+    X = [[Fraction(0)] * B.shape[1] for _ in range(k)]
+    for i in rows:
+        done = range(i) if lower else range(i + 1, k)
+        for c in range(B.shape[1]):
+            acc = Fraction(float(B[i, c])) - sum(Fraction(float(T[i, j])) * X[j][c]
+                                                 for j in done)
+            X[i][c] = acc / Fraction(float(T[i, i]))
+    return np.array([[float(v) for v in row] for row in X])
+
+
+@pytest.mark.parametrize("m", [24, 40, 64])
+@pytest.mark.parametrize("side", ["lower", "upper"])
+@pytest.mark.parametrize("width", ["narrow", "wide"])
+def test_triangular_solves_match_scipy_on_ill_conditioned_kzz(m, side, width):
+    # m columns take the LU route, all 400 the blocked substitution.
+    F, B = greedy_kzz_factor(m)
+    if width == "narrow":
+        B = B[:, :m]
+    T = F.lower if side == "lower" else F.lower.T
+    ours = (lower_solve if side == "lower" else upper_solve)(F, B)
+    theirs = scipy.linalg.solve_triangular(T, B, lower=side == "lower")
+    cond = np.linalg.cond(F.lower)
+    assert cond > 1e5
+    rel = np.linalg.norm(ours - theirs) / np.linalg.norm(theirs)
+    # Two backward-stable substitutions agree to 1e-10 at cond(L) = 1e5;
+    # each one's forward error grows with cond(L).
+    assert rel <= 1e-10 * cond / 1e5
+    # Backward error at working precision.
+    assert (np.linalg.norm(T @ ours - B)
+            <= 1e-14 * np.linalg.norm(T) * np.linalg.norm(ours))
+    # On three columns, no further from the exact solution than scipy.
+    cols = [0, B.shape[1] // 2, B.shape[1] - 1]
+    exact = exact_substitution(T, B[:, cols], lower=side == "lower")
+    err = np.linalg.norm(ours[:, cols] - exact)
+    assert err <= 2.0 * np.linalg.norm(theirs[:, cols] - exact) + 1e-15 * np.linalg.norm(exact)
+
+
+@pytest.mark.parametrize("k", [5, 200])
+def test_matrix_and_vector_solves_agree(k):
+    A = random_spd(20, 7)
+    F = factor_spd(A, jitter_ladder=[0.0])
+    B = np.random.default_rng(8).standard_normal((20, k))
+    for fn in (lower_solve, upper_solve, solve):
+        X = fn(F, B)
+        assert X.shape == (20, k)
+        for j in range(0, k, 7):
+            col = fn(F, B[:, j])
+            assert col.shape == (20,)
+            np.testing.assert_allclose(X[:, j], col, rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(A @ solve(F, B), B, atol=1e-10)

@@ -172,3 +172,18 @@ def test_ridge_side_shares_the_problem_only_when_linked(link):
     ridge_prob = prob.at_ridge(ridge)
     assert (ridge_prob is prob) == link
     assert ridge_prob.ridge == pytest.approx(ridge, rel=1e-15)
+
+
+@pytest.mark.parametrize("link", [True, False])
+def test_verify_run_fits_the_sparse_ridge_once_per_problem(monkeypatch, link):
+    fits, risks = [], []
+    fit, risk = bounds.fit_nystrom, bounds.excess_risk
+    monkeypatch.setattr(bounds, "fit_nystrom", lambda *args: fits.append(args) or fit(*args))
+    monkeypatch.setattr(bounds, "excess_risk", lambda prob: risks.append(prob) or risk(prob))
+    config = ExperimentConfig(n=40, m=6, mc_samples=500, link_noise_ridge=link, ridge=0.003)
+    report = run_verification(config)
+    assert [c.name for c in report.checks] == CHECK_NAMES
+    # The equivalence and psi checks read the noise-linked problem's fit;
+    # the ridge-side checks read the ridge problem's, the same one when linked.
+    assert len(fits) == (1 if link else 2)
+    assert len(risks) == 1
