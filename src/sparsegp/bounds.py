@@ -15,8 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .data import Dataset
-from .errors import (DimensionMismatch, InternalInconsistency, InvalidCount,
-                     PointCollision, UnsupportedKernel)
+from .errors import DimensionMismatch, InternalInconsistency, InvalidCount, UnsupportedKernel
 from .exact import GpPosterior
 from .kernels import GaussianKernel, Kernel, as_points
 from .linalg import factor_spd, logdet, operator_norm, solve
@@ -26,14 +25,6 @@ from .svgp import SvgpState, elbo_from_factor, state_from_factor
 
 HOLDS_RTOL = 1e-8
 MIN_MC_SAMPLES = 100
-
-
-@dataclass(frozen=True)
-class GapDiagnostics:
-    trace_gap: float
-    opnorm_gap: float
-    logdet_k: float
-    logdet_q: float
 
 
 @dataclass(frozen=True)
@@ -183,15 +174,6 @@ def _mc_quadratic_forms(prob: SparseProblem, n_samples: int, seed: int):
     return quad_k, prob.nystrom.quad_forms(draws)
 
 
-def gap_diagnostics(prob: SparseProblem) -> GapDiagnostics:
-    return GapDiagnostics(
-        trace_gap=_explicit_trace_gap(prob),
-        opnorm_gap=prob.opnorm_gap,
-        logdet_k=logdet(prob.k_factor),
-        logdet_q=logdet(prob.q_factor),
-    )
-
-
 def kl_to_exact_posterior(prob: SparseProblem) -> float:
     """KL(optimized variational GP || exact posterior).
 
@@ -338,11 +320,13 @@ def training_collisions(prob: SparseProblem, X) -> np.ndarray:
 
 
 def worst_case_decompositions(prob: SparseProblem, X) -> tuple[np.ndarray, np.ndarray]:
-    """Batched `worst_case_decomposition`: (k*(x,x) + s2, the split) at each
-    row of X, NaN on both sides where the row collides with a training input.
+    """Split k*(x,x) + s2 into the squared worst-case interpolation error
+    k(x,x) - q(x,x) and the squared worst-case sparse-ridge error
+    dtc_var(x) + s2: (total, split) at each row of X, NaN on both sides
+    where the row collides with a training input.
 
-    The left side is `optimal_var`; the right side is (k - q)(x,x) from
-    kernel.diag and q_diag plus `dtc_var` + s2, a separate evaluation."""
+    The total is `optimal_var`; the split reads kernel.diag, q_diag and
+    `dtc_var`, a separate evaluation."""
     X = as_points(X, prob.kernel.input_dim)
     fac, s2 = prob.nystrom, prob.noise_var
     total = fac.optimal_var(X) + s2
@@ -355,26 +339,10 @@ def worst_case_decompositions(prob: SparseProblem, X) -> tuple[np.ndarray, np.nd
 
 
 def worst_case_residuals(prob: SparseProblem, X) -> np.ndarray:
-    """|lhs - rhs| of the decomposition at each row of X; NaN where the row
-    collides with a training input."""
+    """|total - split| of the decomposition at each row of X; NaN where the
+    row collides with a training input."""
     total, split = worst_case_decompositions(prob, X)
     return np.abs(total - split)
-
-
-def worst_case_decomposition(prob: SparseProblem, x) -> BoundRecord:
-    """Split k*(x,x) + s2 into the squared worst-case interpolation error
-    k(x,x) - q(x,x) and the squared worst-case sparse-ridge error
-    dtc_var(x) + s2; the record compares the two evaluation paths."""
-    x = as_points(x, prob.kernel.input_dim)[:1]
-    if training_collisions(prob, x)[0]:
-        raise PointCollision("test point collides with a training input")
-    total, split = worst_case_decompositions(prob, x)
-    return BoundRecord("worst_case_decomposition", float(total[0]), float(split[0]))
-
-
-def worst_case_residual(prob: SparseProblem, x) -> float:
-    rec = worst_case_decomposition(prob, x)
-    return abs(rec.lhs - rec.rhs)
 
 
 def expected_kl_sandwich(prob: SparseProblem, n_samples: int = 2000, seed: int = 0):

@@ -20,11 +20,10 @@ import numpy as np
 from . import bounds as bnd
 from .data import load_csv, synth_prior_dataset, write_csv
 from .errors import SparseGpError
-from .exact import fit_gpr, fit_krr
-from .harness import ExperimentConfig, emit_report, run_verification
+from .exact import fit_krr
+from .harness import ExperimentConfig, emit_report, make_problem, run_verification
 from .kernels import make_kernel
-from .nystrom import fit_nystrom, select_inducing
-from .svgp import optimal_posterior
+from .nystrom import fit_nystrom, nystrom_factor, select_inducing
 
 BOUND_NAMES = ("burt", "excess_risk", "rkhs_distance", "derivative",
                "expected_kl", "expected_excess_risk")
@@ -75,8 +74,7 @@ def cmd_fit(args) -> int:
     else:  # svgp
         ind = select_inducing(kernel, data, args.m, strategy=args.select,
                               seed=args.seed)
-        mean, _ = optimal_posterior(kernel, data, ind, args.noise_var)
-        preds = mean(data.inputs)
+        preds = nystrom_factor(kernel, data, ind, args.noise_var).mean(data.inputs)
     for x, p in zip(data.inputs, preds):
         print(",".join(f"{v:.17g}" for v in x) + f",{p:.17g}")
     return 0
@@ -90,14 +88,7 @@ def cmd_verify(args) -> int:
 
 def cmd_bounds(args) -> int:
     config = _config(args)
-    kernel = config.kernel()
-    rng = np.random.default_rng(config.seed)
-    X = rng.uniform(-3.0, 3.0, size=(config.n, config.d))
-    data = synth_prior_dataset(kernel, X, config.noise_var, seed=config.seed + 1)
-    ind = select_inducing(kernel, data, config.m, strategy=config.select,
-                          seed=config.seed)
-    prob = bnd.SparseProblem(kernel, data, ind, config.noise_var)
-    ridge_prob = prob.at_ridge(config.ridge_value())
+    prob, ridge_prob, rng = make_problem(config)
     if args.name == "burt":
         recs = bnd.burt_upper_bound(prob)
     elif args.name == "excess_risk":

@@ -14,7 +14,8 @@ class FactorizationFailed(SparseGpError):
 
 
 class NoConvergence(SparseGpError):
-    """An iterative routine exhausted its iteration budget."""
+    """A numerical routine did not converge: the symmetric eigensolve
+    behind `operator_norm` raised LinAlgError."""
 
 
 class UnsupportedKernel(SparseGpError):
@@ -41,7 +42,3 @@ class EmptyFile(SparseGpError):
 
 class InternalInconsistency(SparseGpError):
     """Two mathematically equivalent computation paths disagreed."""
-
-
-class PointCollision(SparseGpError):
-    """A test point coincides with a training input where it must not."""

@@ -52,10 +52,6 @@ class GpPosterior:
         kx = self.kernel.gram(self.train_inputs, x)[:, 0]
         return float(kx @ self.alpha)
 
-    def mean_many(self, X) -> np.ndarray:
-        X = as_points(X, self.kernel.input_dim)
-        return self.kernel.gram(X, self.train_inputs) @ self.alpha
-
     def cov(self, x, x2) -> float:
         """Posterior covariance k(x,x') - k_X(x)^T (k_XX + s2 I)^{-1} k_X(x')."""
         x = as_points(x, self.kernel.input_dim)

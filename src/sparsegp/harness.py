@@ -1,7 +1,8 @@
 """Experiment configuration and the end-to-end verification suite.
 
-`run_verification` exercises every identity and bound in the library on a
-seeded synthetic instance and assembles a VerificationReport. Wall-clock
+`make_problem` builds the seeded synthetic instance of a configuration;
+`run_verification` exercises every identity and bound in the library on it
+and assembles a VerificationReport. Wall-clock
 times are recorded per check but kept out of the JSON serialization so
 identical configs produce byte-identical reports.
 """
@@ -136,6 +137,30 @@ def _probe_count(evaluated: int, total: int) -> str:
     return f"over {evaluated} probes, {total - evaluated} skipped"
 
 
+def make_problem(config: ExperimentConfig) -> tuple[bnd.SparseProblem, bnd.SparseProblem,
+                                                    np.random.Generator]:
+    """The seeded instance of `config` that `run_verification` and
+    `sparsegp bounds` evaluate: (problem at noise_var, problem at the
+    config's ridge, generator).
+
+    X ~ U[-3, 3]^(n x d) is drawn from the generator seeded with
+    config.seed, the targets are a prior draw rescaled to norm at most 10,
+    and the inducing set is selected from X. Probe points are drawn from the
+    returned generator afterwards."""
+    kernel = config.kernel()
+    rng = np.random.default_rng(config.seed)
+    X = rng.uniform(-3.0, 3.0, size=(config.n, config.d))
+    data = synth_prior_dataset(kernel, X, config.noise_var, seed=config.seed + 1)
+    scale = float(np.linalg.norm(data.targets))
+    if scale > 10.0:
+        data = Dataset(data.inputs, data.targets * (10.0 / scale),
+                       provenance=data.provenance)
+    ind = select_inducing(kernel, data, config.m, strategy=config.select,
+                          seed=config.seed)
+    prob = bnd.SparseProblem(kernel, data, ind, config.noise_var)
+    return prob, prob.at_ridge(config.ridge_value()), rng
+
+
 def run_verification(config: ExperimentConfig) -> VerificationReport:
     """Run the full identity-and-bound suite on one synthetic instance.
 
@@ -147,24 +172,13 @@ def run_verification(config: ExperimentConfig) -> VerificationReport:
     tol = config.tolerance
     try:
         bnd.require_mc_samples(config.mc_samples)
-        kernel = config.kernel()
-        rng = np.random.default_rng(config.seed)
-        X = rng.uniform(-3.0, 3.0, size=(config.n, config.d))
-        data = synth_prior_dataset(kernel, X, config.noise_var, seed=config.seed + 1)
-        scale = float(np.linalg.norm(data.targets))
-        if scale > 10.0:
-            data = Dataset(data.inputs, data.targets * (10.0 / scale),
-                           provenance=data.provenance)
-        ind = select_inducing(kernel, data, config.m, strategy=config.select,
-                              seed=config.seed)
-        prob = bnd.SparseProblem(kernel, data, ind, config.noise_var)
-        ridge_prob = prob.at_ridge(config.ridge_value())
+        prob, ridge_prob, rng = make_problem(config)
     except (SparseGpError, ValueError) as exc:
         report.checks.append(CheckResult(
             name="setup", status="error", detail=f"{type(exc).__name__}: {exc}"))
         return report
 
-    s2 = config.noise_var
+    kernel, data, ind, s2 = prob.kernel, prob.data, prob.ind, prob.noise_var
     grid = rng.uniform(-3.0, 3.0, size=(50, config.d))
 
     def check_equivalence():

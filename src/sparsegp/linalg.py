@@ -170,29 +170,11 @@ def logdet(F: SpdFactor) -> float:
     return 2.0 * float(np.sum(np.log(np.diag(F.lower))))
 
 
-def operator_norm(A: np.ndarray, rel_tol: float = 1e-10, max_iters: int = 10_000) -> float:
-    """Largest absolute eigenvalue of a symmetric matrix.
-
-    Uses a dense symmetric eigensolve; the power-iteration fallback only
-    kicks in if the eigensolve itself fails, and raises NoConvergence when
-    it cannot reach `rel_tol` within `max_iters`.
-    """
+def operator_norm(A: np.ndarray) -> float:
+    """Largest absolute eigenvalue of a symmetric matrix, by a dense
+    symmetric eigensolve; NoConvergence if the eigensolve fails."""
     A = _symmetric_copy(A)
     try:
         return float(np.max(np.abs(np.linalg.eigvalsh(A))))
-    except np.linalg.LinAlgError:
-        pass
-    # Power iteration on A with a deterministic start.
-    n = A.shape[0]
-    v = np.ones(n) / np.sqrt(n)
-    prev = 0.0
-    for _ in range(max_iters):
-        w = A @ v
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        if abs(norm - prev) <= rel_tol * max(1.0, abs(norm)):
-            return norm
-        prev = norm
-    raise NoConvergence(f"power iteration did not converge in {max_iters} iterations")
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"symmetric eigensolve failed: {exc}") from exc

@@ -1,14 +1,15 @@
 """Low-rank machinery built on a set of inducing points Z.
 
 Holds the span subspace M = span(k(., z_1), ..., k(., z_m)), the
-orthogonal projection onto it, the degenerate kernel
-q(x, x') = k_Z(x)^T k_ZZ^{-1} k_Z(x'), ridge regression restricted to M
-(two equivalent routes), the posterior of a GP with prior kernel q, and
-two inducing-point selection strategies.
+degenerate kernel q(x, x') = k_Z(x)^T k_ZZ^{-1} k_Z(x'), ridge regression
+restricted to M (two equivalent routes), the whitened factorization
+NystromFactor behind the posterior of a GP with prior kernel q and the
+optimal variational posterior, and two inducing-point selection
+strategies.
 
 q(x, x') = v(x)^T v(x') with the feature map v(x) = L_Z^{-1} k_Z(x),
-L_Z = chol(k_ZZ); the sparse posteriors share its whitened factorization
-NystromFactor. `fit_nystrom` stays in raw beta coordinates as a reference.
+L_Z = chol(k_ZZ). `fit_nystrom` stays in raw beta coordinates as a
+reference.
 """
 
 from __future__ import annotations
@@ -70,20 +71,9 @@ class NystromModel:
         return float(self.beta @ Kzz @ self.beta)
 
 
-def project_onto_M(ind: InducingSet, f_at_Z: np.ndarray) -> np.ndarray:
-    """Coefficients k_ZZ^{-1} f_Z of the orthogonal projection onto M."""
-    f_at_Z = np.asarray(f_at_Z, dtype=float).ravel()
-    return solve(ind.kzz_factor, f_at_Z)
-
-
 def _features(ind: InducingSet, X) -> np.ndarray:
     """Nystrom features v(x) = L_Z^{-1} k_Z(x), one column per row of X."""
     return lower_solve(ind.kzz_factor, ind.kernel.gram(X, ind.points).T)
-
-
-def approx_kernel_q(ind: InducingSet, x, x2) -> float:
-    """q(x, x') = k_Z(x)^T k_ZZ^{-1} k_Z(x') = v(x)^T v(x')."""
-    return float(_features(ind, x)[:, 0] @ _features(ind, x2)[:, 0])
 
 
 def q_diag(ind: InducingSet, X) -> np.ndarray:
@@ -120,29 +110,14 @@ class NystromFactor:
     fit_quad: float  # y^T (q_XX + s2 I)^{-1} y
 
     def mean(self, X) -> np.ndarray:
-        """m*(X) = k_XZ L_Z^{-T} L_B^{-T} c, one value per row of X."""
+        """m*(X) = k_XZ L_Z^{-T} L_B^{-T} c, one value per row of X: the mean
+        of both the DTC and the optimal variational posterior."""
         return self.inducing.kernel.gram(X, self.inducing.points) @ self.mean_coef
 
-    def pair_features(self, x, x2):
-        """v and w = L_B^{-1} v at x and x2, one column each: q = v^T v' and
-        k_Z(x)^T (k_ZZ + s2^{-1} k_ZX k_XZ)^{-1} k_Z(x') = w^T w'."""
-        d = self.inducing.kernel.input_dim
-        V = _features(self.inducing, np.vstack([as_points(x, d), as_points(x2, d)]))
-        return V, lower_solve(self.b_factor, V)
-
-    def dtc_cov(self, x, x2) -> float:
-        """DTC posterior covariance k_Z(x)^T (k_ZZ + s2^{-1} k_ZX k_XZ)^{-1} k_Z(x')."""
-        _, W = self.pair_features(x, x2)
-        return float(W[:, 0] @ W[:, 1])
-
-    def optimal_cov(self, x, x2) -> float:
-        """Covariance k*(x, x') = k - q + w^T w' of the optimal variational
-        posterior, evaluated without going through `dtc_cov`."""
-        V, W = self.pair_features(x, x2)
-        return float(self.inducing.kernel(x, x2) - V[:, 0] @ V[:, 1] + W[:, 0] @ W[:, 1])
-
     def dtc_var(self, X) -> np.ndarray:
-        """DTC posterior variance ||w(x)||^2 at each row of X, in O(P m^2)."""
+        """DTC posterior variance
+        k_Z(x)^T (k_ZZ + s2^{-1} k_ZX k_XZ)^{-1} k_Z(x) = ||w(x)||^2,
+        w = L_B^{-1} v, at each row of X, in O(P m^2)."""
         W = lower_solve(self.b_factor, _features(self.inducing, X))
         return np.einsum("ij,ij->j", W, W)
 
@@ -226,17 +201,6 @@ def fit_nystrom_via_q(kernel: Kernel, data: Dataset, ind: InducingSet, ridge: fl
     Kzx = kernel.gram(ind.points, data.inputs)
     beta = solve(ind.kzz_factor, Kzx @ gamma)
     return NystromModel(kernel=kernel, inducing=ind, beta=beta, ridge=ridge)
-
-
-def dtc_posterior(kernel: Kernel, data: Dataset, ind: InducingSet, noise_var: float):
-    """Posterior mean/cov closures of a GP with prior kernel q.
-
-    mean(X) = k_XZ (s2 k_ZZ + k_ZX k_XZ)^{-1} k_ZX y, one value per row of X
-    cov(x, x') = k_Z(x)^T (k_ZZ + s2^{-1} k_ZX k_XZ)^{-1} k_Z(x')
-    Both are read from the whitened :class:`NystromFactor`.
-    """
-    fac = nystrom_factor(kernel, data, ind, noise_var)
-    return fac.mean, fac.dtc_cov
 
 
 def trace_gap(ind: InducingSet, X) -> float:

@@ -9,8 +9,10 @@ the identity holds exactly.
 The optimum comes from the whitened factorization NystromFactor: with
 v(x) = L_Z^{-1} k_Z(x), A = L_Z^{-1} k_ZX / s, L_B = chol(I + A A^T) and
 c = L_B^{-1} A y / s, mu* = L_Z L_B^{-T} c, Sigma* = W^T W for
-W = L_B^{-1} L_Z^T, k*(x, x') = k - v^T v' + (L_B^{-1} v)^T (L_B^{-1} v'),
-and the optimal ELBO follows from the determinant lemma in O(n m^2).
+W = L_B^{-1} L_Z^T, and the optimal ELBO follows from the determinant
+lemma in O(n m^2). The optimal posterior's mean m* and variance
+k*(x, x) = k - ||v||^2 + ||L_B^{-1} v||^2 are `NystromFactor.mean` and
+`NystromFactor.optimal_var`.
 `fixed_point_solver` and `mu_stationarity_residual` stay in raw
 k_ZX k_XZ coordinates as independent references.
 """
@@ -56,28 +58,9 @@ def make_state(ind: InducingSet, mu, sigma) -> SvgpState:
     return SvgpState(inducing=ind, mu=mu, sigma_factor=factor_spd(sigma, jitter_ladder=[0.0]))
 
 
-def variational_mean(state: SvgpState, x) -> float:
-    """m^nu(x) = k_Z(x)^T k_ZZ^{-1} mu."""
-    ind = state.inducing
-    kx = ind.kernel.gram(ind.points, as_points(x, ind.kernel.input_dim))[:, 0]
-    return float(kx @ solve(ind.kzz_factor, state.mu))
-
-
-def variational_cov(state: SvgpState, x, x2) -> float:
-    """k^nu(x,x') = k - q + k_Z^T k_ZZ^{-1} Sigma k_ZZ^{-1} k_Z."""
-    ind = state.inducing
-    k = ind.kernel
-    xa = as_points(x, k.input_dim)
-    xb = as_points(x2, k.input_dim)
-    kx = k.gram(ind.points, xa)[:, 0]
-    kx2 = k.gram(ind.points, xb)[:, 0]
-    a = solve(ind.kzz_factor, kx)
-    b = solve(ind.kzz_factor, kx2)
-    return float(k.gram(xa, xb)[0, 0] - kx @ b + a @ state.sigma @ b)
-
-
 def psi_forward(ind: InducingSet, mu) -> np.ndarray:
-    """Span coefficients alpha = k_ZZ^{-1} mu of the interpolant of mu at Z."""
+    """Span coefficients alpha = k_ZZ^{-1} mu of the interpolant of mu at Z,
+    which is the orthogonal projection onto M of any f with f_Z = mu."""
     mu = np.asarray(mu, dtype=float).ravel()
     return solve(ind.kzz_factor, mu)
 
@@ -90,8 +73,9 @@ def psi_inverse(ind: InducingSet, alpha) -> np.ndarray:
 
 
 def feature_map_phi(state: SvgpState, x) -> np.ndarray:
-    """phi(x) = Sigma^{1/2} k_ZZ^{-1} k_Z(x); <phi(x), phi(x')> has Gram
-    value Sigma on Z."""
+    """phi(x) = Sigma^{1/2} k_ZZ^{-1} k_Z(x). The covariance of the state's
+    GP is k^nu(x, x') = k(x, x') - q(x, x') + phi(x)^T phi(x'), and the Gram
+    of phi on Z is Sigma."""
     ind = state.inducing
     kx = ind.kernel.gram(ind.points, as_points(x, ind.kernel.input_dim))[:, 0]
     return state.sigma_factor.lower.T @ solve(ind.kzz_factor, kx)
@@ -227,16 +211,6 @@ def state_from_factor(fac: NystromFactor) -> SvgpState:
     Lz = ind.kzz_factor.lower
     W = lower_solve(fac.b_factor, Lz.T)
     return make_state(ind, Lz @ upper_solve(fac.b_factor, fac.c), W.T @ W)
-
-
-def optimal_posterior(kernel: Kernel, data: Dataset, ind: InducingSet, noise_var: float):
-    """Mean/cov closures of the optimized variational GP.
-
-    m*(X) = k_XZ (s2 k_ZZ + k_ZX k_XZ)^{-1} k_ZX y, one value per row of X
-    k*(x,x') = k - q + k_Z(x)^T (k_ZZ + s2^{-1} k_ZX k_XZ)^{-1} k_Z(x')
-    """
-    fac = nystrom_factor(kernel, data, ind, noise_var)
-    return fac.mean, fac.optimal_cov
 
 
 def optimal_elbo(kernel: Kernel, data: Dataset, ind: InducingSet, noise_var: float) -> float:

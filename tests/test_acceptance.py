@@ -17,16 +17,15 @@ from sparsegp.bounds import (SparseProblem, burt_upper_bound, derivative_gap_bou
                              expected_excess_risk_lower_bound,
                              expected_kl_sandwich, kl_to_exact_posterior,
                              rkhs_distance_bound, rkhs_distance_sq,
-                             worst_case_residual)
+                             worst_case_residuals)
 from sparsegp.data import Dataset, synth_prior_dataset
-from sparsegp.exact import fit_gpr, fit_krr
+from sparsegp.exact import fit_krr
 from sparsegp.harness import ExperimentConfig, emit_report, run_verification
 from sparsegp.kernels import GaussianKernel
-from sparsegp.nystrom import (fit_nystrom, make_inducing, q_gram,
-                              select_inducing)
+from sparsegp.nystrom import (fit_nystrom, make_inducing, nystrom_factor,
+                              q_gram, select_inducing)
 from sparsegp.svgp import (elbo, elbo_breakdown, fixed_point_solver,
-                           make_state, optimal_parameters, optimal_posterior,
-                           psi_forward)
+                           make_state, optimal_parameters, psi_forward)
 
 
 @dataclass(frozen=True)
@@ -75,8 +74,8 @@ def test_sparse_posterior_mean_equals_sparse_ridge_fit():
     worst = 0.0
     for seed in range(20):
         inst = make_instance(seed)
-        mean, _ = optimal_posterior(inst.kernel, inst.data, inst.ind,
-                                    inst.noise_var)
+        mean = nystrom_factor(inst.kernel, inst.data, inst.ind,
+                              inst.noise_var).mean
         model = fit_nystrom(inst.kernel, inst.data, inst.ind, inst.ridge)
         points = grid(inst, 200, 1000 + seed)
         for x, mx in zip(points, mean(points)):
@@ -226,13 +225,12 @@ def test_posterior_mean_derivative_gap_bound():
 def test_worst_case_variance_decomposition():
     # k*(x,x) + s2 splits into the interpolation residual and the ridge
     # part, to 1e-8 at off-sample points
-    worst = 0.0
+    residuals = []
     for seed in range(10):
         inst = make_instance(seed)
-        prob = inst.problem()
-        for x in grid(inst, 100, 6000 + seed):
-            worst = max(worst, worst_case_residual(prob, x))
-    emit("worst_case_decomposition", worst <= 1e-8)
+        residuals.append(worst_case_residuals(inst.problem(), grid(inst, 100, 6000 + seed)))
+    # a probe on a training input has a NaN residual, which fails
+    emit("worst_case_decomposition", bool(np.max(np.concatenate(residuals)) <= 1e-8))
 
 
 def test_expected_kl_sandwich():

@@ -1,18 +1,18 @@
-"""The batched probe evaluations agree with their one-point forms: the
-posterior variances, the ELBO of many states, the derivative bound and the
-worst-case decomposition."""
+"""The batched probe evaluations agree with their one-point or dense
+references: the posterior variances, the ELBO of many states, the
+derivative bound and the worst-case decomposition."""
 
 import numpy as np
 import pytest
 
 from sparsegp.bounds import (SparseProblem, derivative_gap_bound, derivative_gap_bounds,
-                             training_collisions, worst_case_decomposition,
-                             worst_case_decompositions, worst_case_residuals)
+                             training_collisions, worst_case_decompositions,
+                             worst_case_residuals)
 from sparsegp.data import Dataset
 from sparsegp.errors import DimensionMismatch
 from sparsegp.kernels import GaussianKernel, PolynomialKernel
 from sparsegp.linalg import factor_spd
-from sparsegp.nystrom import make_inducing, nystrom_factor, select_inducing
+from sparsegp.nystrom import make_inducing, nystrom_factor, q_gram, select_inducing
 from sparsegp.svgp import elbo, elbos, make_state
 
 
@@ -20,6 +20,14 @@ def instance(kernel, n=40, m=6, seed=0, d=1):
     rng = np.random.default_rng(seed)
     data = Dataset(rng.uniform(-3, 3, size=(n, d)), rng.standard_normal(n))
     return data, select_inducing(kernel, data, m), rng
+
+
+def dense_q_posterior_var(ind, data, noise_var, x):
+    """q(x, x) - q_xX (q_XX + s2 I)^{-1} q_Xx, from the n x n q Gram."""
+    x = np.atleast_2d(x)
+    q_xX = q_gram(ind, x, data.inputs)[0]
+    C = q_gram(ind, data.inputs) + noise_var * np.eye(data.n)
+    return q_gram(ind, x)[0, 0] - q_xX @ np.linalg.solve(C, q_xX)
 
 
 @pytest.mark.parametrize("kernel", [GaussianKernel(lengthscale=1.0),
@@ -32,8 +40,11 @@ def test_batched_variances_match_pointwise_covariances(kernel):
     opt, dtc = fac.optimal_var(X), fac.dtc_var(X)
     assert opt.shape == dtc.shape == (50,)
     for i, x in enumerate(X):
-        assert opt[i] == pytest.approx(fac.optimal_cov(x, x), abs=1e-12, rel=1e-12)
-        assert dtc[i] == pytest.approx(fac.dtc_cov(x, x), abs=1e-12, rel=1e-12)
+        ref = dense_q_posterior_var(ind, data, 0.2, x)
+        assert dtc[i] == pytest.approx(ref, abs=1e-8)
+        # the optimal posterior adds back the k - q residual
+        gap = kernel(x, x) - q_gram(ind, x[None, :])[0, 0]
+        assert opt[i] == pytest.approx(gap + ref, abs=1e-8)
 
 
 def test_elbos_equal_one_state_elbos():
@@ -71,7 +82,7 @@ def test_derivative_gap_bounds_match_one_point_bound(d):
         derivative_gap_bounds(prob, X, js[:3])
 
 
-def test_worst_case_decompositions_match_one_point_records():
+def test_worst_case_decompositions_match_dense_q_posterior():
     kernel = GaussianKernel(lengthscale=1.0)
     data, ind, rng = instance(kernel)
     prob = SparseProblem(kernel, data, ind, 0.3)
@@ -80,9 +91,12 @@ def test_worst_case_decompositions_match_one_point_records():
     assert training_collisions(prob, X).tolist() == [False] * 9 + [True] * 2
     assert np.all(np.isnan(total[9:])) and np.all(np.isnan(split[9:]))
     for i in range(9):
-        rec = worst_case_decomposition(prob, X[i])
-        assert total[i] == pytest.approx(rec.lhs, rel=1e-12)
-        assert split[i] == pytest.approx(rec.rhs, rel=1e-12)
+        x = X[i]
+        # k*(x, x) + s2 = (k - q)(x, x) + DTC variance + s2
+        ref = (kernel(x, x) - q_gram(ind, x[None, :])[0, 0]
+               + dense_q_posterior_var(ind, data, 0.3, x) + 0.3)
+        assert total[i] == pytest.approx(ref, abs=1e-8)
+        assert split[i] == pytest.approx(ref, abs=1e-8)
     assert np.all(worst_case_residuals(prob, X[:9]) <= 1e-8)
 
 

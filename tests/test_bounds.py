@@ -4,15 +4,16 @@ import pytest
 from sparsegp.bounds import (BoundRecord, SparseProblem, burt_upper_bound,
                              derivative_gap_bound, excess_risk,
                              excess_risk_upper_bound, expected_excess_risk_lower_bound,
-                             expected_kl_sandwich, gap_diagnostics,
-                             kl_to_exact_posterior, quadratic_form_gap_bound,
-                             rkhs_distance_bound, rkhs_distance_sq,
-                             worst_case_decomposition, worst_case_residual)
+                             expected_kl_sandwich, kl_to_exact_posterior,
+                             quadratic_form_gap_bound, rkhs_distance_bound,
+                             rkhs_distance_sq, worst_case_decompositions,
+                             worst_case_residuals)
 from sparsegp.data import Dataset
 from sparsegp import bounds
-from sparsegp.errors import InternalInconsistency, PointCollision, UnsupportedKernel
-from sparsegp.exact import fit_krr, log_marginal_likelihood
+from sparsegp.errors import InternalInconsistency, UnsupportedKernel
+from sparsegp.exact import fit_krr
 from sparsegp.kernels import GaussianKernel, PolynomialKernel
+from sparsegp.linalg import logdet
 from sparsegp.nystrom import fit_nystrom, make_inducing, q_gram, select_inducing, trace_gap
 
 
@@ -46,10 +47,12 @@ def test_bound_record_slack_and_holds():
 def test_gap_diagnostics_orderings(kernel):
     data = random_dataset(25, 0)
     ind = random_inducing(kernel, 4, 1)
-    diag = gap_diagnostics(SparseProblem(kernel, data, ind, 0.3))
-    assert diag.trace_gap >= diag.opnorm_gap >= 0
-    assert diag.logdet_k >= diag.logdet_q
-    assert diag.trace_gap == pytest.approx(trace_gap(ind, data.inputs), rel=1e-10)
+    prob = SparseProblem(kernel, data, ind, 0.3)
+    t = float(np.trace(prob.kxx - prob.qxx))
+    assert t >= prob.opnorm_gap >= 0
+    assert logdet(prob.k_factor) >= logdet(prob.q_factor)
+    assert t == pytest.approx(trace_gap(ind, data.inputs), rel=1e-10)
+    assert prob.nystrom.trace_gap == pytest.approx(t, rel=1e-10)
 
 
 def test_kl_zero_when_inducing_covers_data(kernel):
@@ -174,17 +177,9 @@ def test_worst_case_decomposition_residual(kernel):
     data = random_dataset(20, 23)
     ind = random_inducing(kernel, 4, 24)
     prob = SparseProblem(kernel, data, ind, 0.3)
-    for x in np.linspace(-2.9, 2.9, 11):
-        assert worst_case_residual(prob, x) <= 1e-8
-    rec = worst_case_decomposition(prob, 1.23)
-    assert rec.lhs == pytest.approx(rec.rhs, rel=1e-10)
-
-
-def test_worst_case_decomposition_rejects_training_point(kernel):
-    data = random_dataset(10, 25)
-    ind = random_inducing(kernel, 3, 26)
-    with pytest.raises(PointCollision):
-        worst_case_decomposition(SparseProblem(kernel, data, ind, 0.3), data.inputs[0])
+    assert np.all(worst_case_residuals(prob, np.linspace(-2.9, 2.9, 11)) <= 1e-8)
+    total, split = worst_case_decompositions(prob, 1.23)
+    assert total[0] == pytest.approx(split[0], rel=1e-10)
 
 
 def test_expected_kl_sandwich_brackets_monte_carlo(kernel):

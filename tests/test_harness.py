@@ -7,7 +7,7 @@ import pytest
 from sparsegp import bounds
 from sparsegp.cli import main
 from sparsegp.harness import (CheckResult, ExperimentConfig, VerificationReport,
-                              emit_report, run_verification)
+                              emit_report, make_problem, run_verification)
 
 
 SMALL = dict(n=30, m=5, mc_samples=500)
@@ -163,6 +163,18 @@ def test_cli_bounds_commands(capsys):
     assert run_cli("bounds", "expected_kl", "--n", "30", "--m", "5",
                    "--mc-samples", "500") == 0
     assert "mc_estimate" in capsys.readouterr().out
+
+
+def test_cli_bounds_evaluates_the_verify_instance(capsys):
+    # `bounds` reads the instance `verify` checks, targets rescaled to norm
+    # 10 included: the prior draw's norm is above 10 at this config
+    config = ExperimentConfig(n=400, m=24)
+    prob, _, _ = make_problem(config)
+    assert float(prob.data.targets @ prob.data.targets) == pytest.approx(100.0)
+    check = next(c for c in run_verification(config).checks if c.name == "burt_bound")
+    assert run_cli("bounds", "burt", "--n", "400", "--m", "24") == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line.startswith(f"kl_upper_bound: lhs={check.lhs:.10g} rhs={check.rhs:.10g} ")
 
 
 def test_cli_entry_point_subprocess(tmp_path):

@@ -5,7 +5,8 @@ import pytest
 import scipy.linalg
 
 from sparsegp.data import Dataset
-from sparsegp.errors import DimensionMismatch, FactorizationFailed
+from sparsegp.errors import DimensionMismatch, FactorizationFailed, NoConvergence
+from sparsegp.harness import ExperimentConfig, run_verification
 from sparsegp.kernels import GaussianKernel
 from sparsegp.linalg import factor_spd, logdet, lower_solve, operator_norm, solve, upper_solve
 from sparsegp.nystrom import select_inducing
@@ -109,6 +110,21 @@ def test_operator_norm_eigensolver_oracle():
     A = 0.5 * (A + A.T)
     expected = float(np.max(np.abs(np.linalg.eigvalsh(A))))
     assert operator_norm(A) == pytest.approx(expected, abs=1e-8)
+
+
+def test_operator_norm_raises_no_convergence_when_the_eigensolve_fails(monkeypatch):
+    def failing(A):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    with pytest.raises(NoConvergence, match="did not converge"):
+        operator_norm(np.eye(3))
+    # the checks that read ||k - q||_2 report the typed error
+    report = run_verification(ExperimentConfig(n=30, m=5, mc_samples=500))
+    for name in ("quadratic_form_gap", "excess_risk_bound"):
+        check = next(c for c in report.checks if c.name == name)
+        assert check.status == "error", name
+        assert check.detail.startswith("NoConvergence"), name
 
 
 @pytest.mark.parametrize("seed", range(5))

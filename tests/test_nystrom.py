@@ -5,9 +5,10 @@ from sparsegp.data import Dataset
 from sparsegp.errors import InvalidCount
 from sparsegp.exact import fit_gpr, fit_krr
 from sparsegp.kernels import GaussianKernel, PolynomialKernel
-from sparsegp.nystrom import (approx_kernel_q, dtc_posterior, fit_nystrom,
-                              fit_nystrom_via_q, make_inducing, project_onto_M,
-                              q_gram, select_inducing, trace_gap)
+from sparsegp.nystrom import (fit_nystrom, fit_nystrom_via_q, make_inducing,
+                              nystrom_factor, q_diag, q_gram, select_inducing,
+                              trace_gap)
+from sparsegp.svgp import psi_forward
 
 
 @pytest.fixture
@@ -32,9 +33,9 @@ def test_q_interpolates_at_inducing_points(kernel):
     Z = np.array([[-1.0], [0.5], [2.0]])
     ind = make_inducing(kernel, Z)
     # q agrees with k whenever one argument is an inducing point
-    for z in Z:
-        for x in np.linspace(-3, 3, 7):
-            assert approx_kernel_q(ind, z, x) == pytest.approx(kernel(z, x), abs=1e-10)
+    X = np.linspace(-3, 3, 7)[:, None]
+    np.testing.assert_allclose(q_gram(ind, Z, X), kernel.gram(Z, X), rtol=0, atol=1e-10)
+    np.testing.assert_allclose(q_gram(ind, X, Z), kernel.gram(X, Z), rtol=0, atol=1e-10)
 
 
 def test_q_equals_k_when_inducing_covers_data(kernel):
@@ -63,7 +64,8 @@ def test_projection_fixes_span_elements(kernel):
     def f(x):
         return sum(c * kernel(z, x) for c, z in zip(coef, Z))
 
-    proj_coef = project_onto_M(ind, np.array([f(z) for z in Z]))
+    # psi_forward gives the coefficients k_ZZ^{-1} f_Z of the projection onto M
+    proj_coef = psi_forward(ind, np.array([f(z) for z in Z]))
     for x in np.linspace(-3, 3, 9):
         val = float(proj_coef @ kernel.gram(Z, np.array([[x]]))[:, 0])
         assert val == pytest.approx(f(x), abs=1e-9)
@@ -74,10 +76,10 @@ def test_projection_evaluates_via_q(kernel):
     ind = make_inducing(kernel, rng.uniform(-3, 3, size=(4, 1)))
     # projecting a point evaluator reproduces q: P(k(., x))(x') = q(x, x')
     x = np.array([0.7])
-    coef = project_onto_M(ind, kernel.gram(ind.points, x[None, :]).ravel())
+    coef = psi_forward(ind, kernel.gram(ind.points, x[None, :]).ravel())
     x2 = np.array([[-1.2]])
     val = float(coef @ kernel.gram(ind.points, x2)[:, 0])
-    assert val == pytest.approx(approx_kernel_q(ind, x, -1.2), abs=1e-10)
+    assert val == pytest.approx(q_gram(ind, x[None, :], x2)[0, 0], abs=1e-10)
 
 
 def test_fit_nystrom_routes_agree(kernel):
@@ -108,16 +110,16 @@ def test_dtc_matches_exact_when_inducing_covers_data(kernel):
     data = random_dataset(10, 4)
     ind = make_inducing(kernel, data.inputs)
     s2 = 0.3
-    mean, cov = dtc_posterior(kernel, data, ind, s2)
+    fac = nystrom_factor(kernel, data, ind, s2)
     exact = fit_gpr(kernel, data, s2)
     xs = np.linspace(-3, 3, 7)
-    for x, mx in zip(xs, mean(xs)):
+    gaps = kernel.diag(xs) - q_diag(ind, xs)
+    for x, mx, gap, var in zip(xs, fac.mean(xs), gaps, fac.dtc_var(xs)):
         assert mx == pytest.approx(exact.mean(x), abs=1e-8)
-        gap = kernel(x, x) - approx_kernel_q(ind, x, x)
-        assert gap + cov(x, x) == pytest.approx(exact.cov(x, x), abs=1e-8)
+        assert gap + var == pytest.approx(exact.cov(x, x), abs=1e-8)
     # at the inducing points themselves the residual vanishes
-    z = data.inputs[0]
-    assert cov(z, z) == pytest.approx(exact.cov(z, z), abs=1e-8)
+    z = data.inputs[:1]
+    assert fac.dtc_var(z)[0] == pytest.approx(exact.cov(z, z), abs=1e-8)
 
 
 def test_dtc_mean_matches_nystrom_regression(kernel):
@@ -125,7 +127,7 @@ def test_dtc_mean_matches_nystrom_regression(kernel):
     data = random_dataset(25, 5)
     ind = make_inducing(kernel, np.array([[-2.0], [0.0], [2.0]]))
     s2 = 0.4
-    mean, _ = dtc_posterior(kernel, data, ind, s2)
+    mean = nystrom_factor(kernel, data, ind, s2).mean
     model = fit_nystrom(kernel, data, ind, s2 / data.n)
     xs = np.linspace(-3, 3, 11)
     for x, mx in zip(xs, mean(xs)):
@@ -142,7 +144,7 @@ def test_trace_gap_matches_direct_sum(kernel):
     rng = np.random.default_rng(6)
     X = rng.uniform(-3, 3, size=(15, 1))
     ind = make_inducing(kernel, rng.uniform(-3, 3, size=(5, 1)))
-    direct = sum(kernel(x, x) - approx_kernel_q(ind, x, x) for x in X)
+    direct = sum(kernel(x, x) - q_gram(ind, x[None, :])[0, 0] for x in X)
     assert trace_gap(ind, X) == pytest.approx(direct, rel=1e-10)
 
 
