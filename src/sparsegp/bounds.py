@@ -15,7 +15,8 @@ from functools import cached_property
 import numpy as np
 
 from .data import Dataset
-from .errors import DimensionMismatch, InternalInconsistency, InvalidCount, UnsupportedKernel
+from .errors import (DimensionMismatch, InternalInconsistency, InvalidCount,
+                     InvalidParameter, UnsupportedKernel)
 from .exact import GpPosterior
 from .kernels import GaussianKernel, Kernel, as_points
 from .linalg import factor_spd, logdet, operator_norm, solve
@@ -58,7 +59,7 @@ class SparseProblem:
 
     def __post_init__(self):
         if self.noise_var <= 0:
-            raise ValueError("noise_var must be positive")
+            raise InvalidParameter("noise_var must be positive")
 
     @property
     def n(self) -> int:

@@ -74,9 +74,12 @@ def cmd_fit(args) -> int:
     else:  # svgp
         ind = select_inducing(kernel, data, args.m, strategy=args.select,
                               seed=args.seed)
-        preds = nystrom_factor(kernel, data, ind, args.noise_var).mean(data.inputs)
-    for x, p in zip(data.inputs, preds):
-        print(",".join(f"{v:.17g}" for v in x) + f",{p:.17g}")
+        preds = nystrom_factor(kernel, data, ind, args.noise_var).fitted
+    # One %-format and one write for the whole table; 17 significant
+    # digits round-trip every float64.
+    row = ",".join(["%.17g"] * (data.d + 1)) + "\n"
+    table = np.column_stack((data.inputs, preds))
+    sys.stdout.write((row * data.n) % tuple(table.ravel().tolist()))
     return 0
 
 

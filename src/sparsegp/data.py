@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyFile, ParseError
+from .errors import DimensionMismatch, EmptyFile, InvalidParameter, ParseError
 from .kernels import Kernel, as_points
 from .linalg import factor_spd
 
@@ -48,7 +49,7 @@ class Dataset:
 def synth_prior_dataset(kernel: Kernel, X, noise_var: float, seed: int) -> Dataset:
     """Draw y ~ N(0, k_XX + noise_var * I) through the SPD factor, seeded."""
     if noise_var <= 0:
-        raise ValueError("noise_var must be positive")
+        raise InvalidParameter("noise_var must be positive")
     X = as_points(X, kernel.input_dim)
     n = X.shape[0]
     K = kernel.gram(X)
@@ -63,7 +64,7 @@ def synth_fixed_function_dataset(f0, X, noise_var: float, seed: int,
                                  input_dim: int = 1) -> Dataset:
     """y_i = f0(x_i) + eps_i with seeded Gaussian noise (noise_var may be 0)."""
     if noise_var < 0:
-        raise ValueError("noise_var must be nonnegative")
+        raise InvalidParameter("noise_var must be nonnegative")
     X = as_points(X, input_dim)
     values = np.array([float(f0(x)) for x in X])
     rng = np.random.default_rng(seed)
@@ -77,7 +78,9 @@ def load_csv(path) -> Dataset:
     """Read a dataset from CSV with header x1,...,xd,y.
 
     Raises ParseError with the 1-based line number on any malformed row,
-    EmptyFile when there are no data rows.
+    EmptyFile when there are no data rows. Field counts are checked for the
+    whole file before any value is converted, so a short row is reported
+    ahead of an earlier value that does not parse.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -92,19 +95,28 @@ def load_csv(path) -> Dataset:
         expected = [f"x{i + 1}" for i in range(d)]
         if header[:-1] != expected:
             raise ParseError(1, f"expected columns {expected + ['y']}, got {header}")
-        rows = []
+        rows, linenos = [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != d + 1:
                 raise ParseError(lineno, f"expected {d + 1} fields, got {len(row)}")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise ParseError(lineno, str(exc)) from None
+            rows.append(row)
+            linenos.append(lineno)
     if not rows:
         raise EmptyFile(f"{path} has a header but no data rows")
-    arr = np.array(rows)
+    try:
+        # float() on every field in one pass with no per-row Python code.
+        arr = np.fromiter(map(float, chain.from_iterable(rows)), dtype=float,
+                          count=len(rows) * (d + 1)).reshape(len(rows), d + 1)
+    except ValueError:
+        # Convert row by row only now, to name the first bad line.
+        for lineno, row in zip(linenos, rows):
+            try:
+                [float(v) for v in row]
+            except ValueError as exc:
+                raise ParseError(lineno, str(exc)) from None
+        raise
     return Dataset(inputs=arr[:, :d], targets=arr[:, d], provenance=f"csv({path})")
 
 

@@ -27,6 +27,11 @@ class InvalidCount(SparseGpError, ValueError):
     inducing points are duplicated."""
 
 
+class InvalidParameter(SparseGpError, ValueError):
+    """A scalar model parameter is out of range (noise variance, ridge,
+    lengthscale, polynomial degree or offset)."""
+
+
 class ParseError(SparseGpError):
     """A CSV row could not be parsed; carries the offending line number."""
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
+from .errors import DimensionMismatch, InvalidParameter
 from .kernels import Kernel, as_points
 from .linalg import SpdFactor, factor_spd, logdet, solve
 
@@ -74,7 +75,7 @@ class GpPosterior:
 def fit_krr(kernel: Kernel, data: Dataset, ridge: float) -> KrrModel:
     """Solve the regularized least-squares problem over the full RKHS."""
     if ridge <= 0:
-        raise ValueError("ridge must be positive")
+        raise InvalidParameter("ridge must be positive")
     n = data.n
     K = kernel.gram(data.inputs)
     F = factor_spd(K + n * ridge * np.eye(n), jitter_ladder=[0.0])
@@ -86,7 +87,7 @@ def fit_krr(kernel: Kernel, data: Dataset, ridge: float) -> KrrModel:
 def fit_gpr(kernel: Kernel, data: Dataset, noise_var: float) -> GpPosterior:
     """Exact GP posterior with zero prior mean."""
     if noise_var <= 0:
-        raise ValueError("noise_var must be positive")
+        raise InvalidParameter("noise_var must be positive")
     K = kernel.gram(data.inputs)
     F = factor_spd(K + noise_var * np.eye(data.n), jitter_ladder=[0.0])
     alpha = solve(F, data.targets)
@@ -104,8 +105,6 @@ def regularized_risk(f_values_at_X: np.ndarray, rkhs_norm_sq: float,
     """R_n(f; y) = (1/n) sum (y_i - f(x_i))^2 + ridge * ||f||^2."""
     f_values_at_X = np.asarray(f_values_at_X, dtype=float).ravel()
     if f_values_at_X.shape[0] != data.n:
-        from .errors import DimensionMismatch
-
         raise DimensionMismatch(
             f"{f_values_at_X.shape[0]} function values for {data.n} targets"
         )

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, UnsupportedKernel
+from .errors import DimensionMismatch, InvalidParameter, UnsupportedKernel
 
 
 def as_points(x, input_dim: int) -> np.ndarray:
@@ -41,7 +41,7 @@ class GaussianKernel:
 
     def __post_init__(self):
         if self.lengthscale <= 0:
-            raise ValueError("lengthscale must be positive")
+            raise InvalidParameter("lengthscale must be positive")
 
     def __call__(self, x, x2) -> float:
         a = as_points(x, self.input_dim)
@@ -57,7 +57,9 @@ class GaussianKernel:
         # The same operations, in the same order, as
         # exp(-max(|a|^2 + |b|^2 - 2 a.b, 0) / ls^2), but in place: an
         # n x n temporary costs more in fresh pages than in arithmetic.
-        K = np.sum(A * A, axis=1)[:, None] + np.sum(B * B, axis=1)[None, :]
+        # einsum takes the row norms without an (n, d) temporary.
+        K = (np.einsum("ij,ij->i", A, A)[:, None]
+             + np.einsum("ij,ij->i", B, B)[None, :])
         AB = A @ B.T
         AB *= 2.0
         K -= AB
@@ -93,9 +95,9 @@ class PolynomialKernel:
 
     def __post_init__(self):
         if self.degree < 1:
-            raise ValueError("degree must be >= 1")
+            raise InvalidParameter("degree must be >= 1")
         if self.offset < 0:
-            raise ValueError("offset must be nonnegative")
+            raise InvalidParameter("offset must be nonnegative")
 
     def __call__(self, x, x2) -> float:
         a = as_points(x, self.input_dim)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import InvalidCount
+from .errors import InvalidCount, InvalidParameter
 from .kernels import Kernel, as_points
 from .linalg import SpdFactor, factor_spd, lower_solve, solve, upper_solve
 
@@ -108,6 +108,7 @@ class NystromFactor:
     mean_coef: np.ndarray  # k_ZZ^{-1} mu* = L_Z^{-T} L_B^{-T} c
     trace_gap: float  # tr(k_XX - q_XX)
     fit_quad: float  # y^T (q_XX + s2 I)^{-1} y
+    fitted: np.ndarray  # m*(X) at the training inputs, bit-identical to mean(X)
 
     def mean(self, X) -> np.ndarray:
         """m*(X) = k_XZ L_Z^{-T} L_B^{-T} c, one value per row of X: the mean
@@ -159,15 +160,17 @@ def nystrom_factor(kernel: Kernel, data: Dataset, ind: InducingSet,
                    noise_var: float) -> NystromFactor:
     """Build the whitened factorization in O(n m^2)."""
     if noise_var <= 0:
-        raise ValueError("noise_var must be positive")
-    V = lower_solve(ind.kzz_factor, kernel.gram(data.inputs, ind.points).T)
+        raise InvalidParameter("noise_var must be positive")
+    Kxz = kernel.gram(data.inputs, ind.points)
+    V = lower_solve(ind.kzz_factor, Kxz.T)
     b_factor = factor_spd(np.eye(ind.m) + V @ V.T / noise_var)
     c, e, r = _woodbury(b_factor, V, data.targets, noise_var)
+    mean_coef = upper_solve(ind.kzz_factor, e)
     return NystromFactor(inducing=ind, inputs=data.inputs, noise_var=noise_var,
-                         b_factor=b_factor, c=c,
-                         mean_coef=upper_solve(ind.kzz_factor, e),
+                         b_factor=b_factor, c=c, mean_coef=mean_coef,
                          trace_gap=_trace_gap(kernel.diag(data.inputs), V),
-                         fit_quad=float(r @ r / noise_var + e @ e))
+                         fit_quad=float(r @ r / noise_var + e @ e),
+                         fitted=Kxz @ mean_coef)
 
 
 def fit_nystrom(kernel: Kernel, data: Dataset, ind: InducingSet, ridge: float) -> NystromModel:
@@ -176,7 +179,7 @@ def fit_nystrom(kernel: Kernel, data: Dataset, ind: InducingSet, ridge: float) -
     beta solves (n*ridge*k_ZZ + k_ZX k_XZ) beta = k_ZX y; O(n m^2 + m^3).
     """
     if ridge <= 0:
-        raise ValueError("ridge must be positive")
+        raise InvalidParameter("ridge must be positive")
     n = data.n
     Kxz = kernel.gram(data.inputs, ind.points)
     Kzz = kernel.gram(ind.points)
@@ -193,7 +196,7 @@ def fit_nystrom_via_q(kernel: Kernel, data: Dataset, ind: InducingSet, ridge: fl
     beta = k_ZZ^{-1} k_ZX (q_XX + n*ridge*I)^{-1} y.
     """
     if ridge <= 0:
-        raise ValueError("ridge must be positive")
+        raise InvalidParameter("ridge must be positive")
     n = data.n
     Qxx = q_gram(ind, data.inputs)
     F = factor_spd(Qxx + n * ridge * np.eye(n), jitter_ladder=[0.0])

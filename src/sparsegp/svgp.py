@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
+from .errors import DimensionMismatch, InvalidParameter
 from .kernels import Kernel, as_points
 from .linalg import SpdFactor, factor_spd, logdet, lower_solve, solve, upper_solve
 from .nystrom import InducingSet, NystromFactor, nystrom_factor
@@ -50,8 +51,6 @@ def make_state(ind: InducingSet, mu, sigma) -> SvgpState:
     mu = np.asarray(mu, dtype=float).ravel()
     sigma = np.asarray(sigma, dtype=float)
     if mu.shape[0] != ind.m or sigma.shape != (ind.m, ind.m):
-        from .errors import DimensionMismatch
-
         raise DimensionMismatch(
             f"mu {mu.shape} / sigma {sigma.shape} inconsistent with m={ind.m}"
         )
@@ -121,7 +120,7 @@ def elbos(states: list[SvgpState], data: Dataset, noise_var: float) -> np.ndarra
     its own KL, fit and variance terms, so elbos(states)[i] is exactly
     elbo(states[i])."""
     if noise_var <= 0:
-        raise ValueError("noise_var must be positive")
+        raise InvalidParameter("noise_var must be positive")
     ind = states[0].inducing
     if any(s.inducing is not ind for s in states):
         raise ValueError("elbos takes states on one inducing set")
@@ -166,7 +165,7 @@ def elbo_breakdown(state: SvgpState, data: Dataset, noise_var: float) -> ElboBre
     residual_trace only on Z.
     """
     if noise_var <= 0:
-        raise ValueError("noise_var must be positive")
+        raise InvalidParameter("noise_var must be positive")
     ind = state.inducing
     Kxz, A, diag_k, diag_q = _data_pieces(ind, data)
     mean_at_X, diag_qnu, kl = _state_pieces(state, Kxz, A)
@@ -246,7 +245,7 @@ def fixed_point_solver(kernel: Kernel, data: Dataset, ind: InducingSet,
     mu = k_ZZ M^{-1} k_ZX y. Neither condition involves the other parameter.
     """
     if noise_var <= 0:
-        raise ValueError("noise_var must be positive")
+        raise InvalidParameter("noise_var must be positive")
     Kzx = kernel.gram(ind.points, data.inputs)
     Kzz = kernel.gram(ind.points)
     F = factor_spd(noise_var * Kzz + Kzx @ Kzx.T)

@@ -106,3 +106,50 @@ def test_load_csv_wrong_field_count(tmp_path):
     with pytest.raises(ParseError) as exc:
         load_csv(path)
     assert exc.value.line == 3
+
+
+def test_load_csv_bad_float_after_blank_lines_reports_its_line(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("x1,y\n1.0,2.0\n\n\n3.0,4.0\n\n5.0,1.2.3\n6.0,7.0\n")
+    with pytest.raises(ParseError) as exc:
+        load_csv(path)
+    assert exc.value.line == 7
+    assert "1.2.3" in exc.value.reason
+
+
+def test_load_csv_checks_field_counts_before_converting(tmp_path):
+    # The short row on line 4 is reported, although line 3 holds a value
+    # that does not convert: field counts are checked for the whole file
+    # before any value is converted.
+    path = tmp_path / "short.csv"
+    path.write_text("x1,x2,y\n1.0,2.0,3.0\n1.0,oops,3.0\n1.0\n")
+    with pytest.raises(ParseError) as exc:
+        load_csv(path)
+    assert exc.value.line == 4
+    assert "expected 3 fields" in exc.value.reason
+
+
+def test_load_csv_accepts_quoted_and_padded_fields(tmp_path):
+    path = tmp_path / "quoted.csv"
+    path.write_text('x1,x2,y\n"1.5", 2.0 ,"  -3e-2 "\n\t4,1_000,"7"\n')
+    data = load_csv(path)
+    assert np.array_equal(data.inputs, [[1.5, 2.0], [4.0, 1000.0]])
+    assert np.array_equal(data.targets, [-3e-2, 7.0])
+
+
+def test_load_csv_values_match_python_float(tmp_path):
+    rng = np.random.default_rng(7)
+    values = rng.standard_normal((50, 3)) * 10.0 ** rng.integers(-30, 30, (50, 3))
+    lines = ["x1,x2,y"] + [",".join(repr(float(v)) for v in row) for row in values]
+    path = tmp_path / "exact.csv"
+    path.write_text("\n".join(lines) + "\n")
+    data = load_csv(path)
+    assert np.array_equal(data.inputs, values[:, :2])
+    assert np.array_equal(data.targets, values[:, 2])
+
+
+def test_load_csv_rejects_nan_rows(tmp_path):
+    path = tmp_path / "nan.csv"
+    path.write_text("x1,y\n1.0,2.0\nnan,3.0\n")
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        load_csv(path)

@@ -59,6 +59,32 @@ def test_batched_means_match_nystrom(csv_path):
     np.testing.assert_allclose(preds, reference, rtol=0, atol=1e-8)
 
 
+def test_fit_svgp_stdout_is_the_per_row_rendering_of_the_mean(csv_path, capsys):
+    data = load_csv(csv_path)
+    kernel = GaussianKernel(lengthscale=1.0, input_dim=2)
+    ind = select_inducing(kernel, data, 16)
+    preds = nystrom_factor(kernel, data, ind, 0.1).mean(data.inputs)
+    expected = "".join(",".join(f"{v:.17g}" for v in x) + f",{p:.17g}\n"
+                       for x, p in zip(data.inputs, preds))
+    assert cli.main(["fit", "svgp", "--data", str(csv_path), "--m", "16"]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_fitted_is_the_mean_at_the_training_inputs(csv_path):
+    data = load_csv(csv_path)
+    kernel = GaussianKernel(lengthscale=1.0, input_dim=2)
+    fac = nystrom_factor(kernel, data, select_inducing(kernel, data, 16), 0.1)
+    assert np.array_equal(fac.fitted, fac.mean(data.inputs))
+
+
+def test_fit_svgp_builds_one_n_by_m_gram(csv_path, gram_shapes, capsys):
+    assert cli.main(["fit", "svgp", "--data", str(csv_path), "--m", "16"]) == 0
+    capsys.readouterr()
+    # greedy selection builds n x 1 pivot columns; nystrom_factor builds
+    # K_XZ once and keeps m*(X) from it
+    assert gram_shapes.count((N, 16)) == 1
+
+
 def test_closed_forms_build_no_n_by_n_matrix(csv_path, gram_shapes):
     data = load_csv(csv_path)
     kernel = GaussianKernel(lengthscale=1.0, input_dim=2)

@@ -139,6 +139,13 @@ def test_cli_bounds_rejects_too_few_mc_samples(name, capsys):
     assert "InvalidCount" in err and "--mc-samples >= 100" in err
 
 
+@pytest.mark.parametrize("flags", [("--noise-var", "-1"), ("--gamma", "0")])
+def test_cli_bounds_rejects_bad_parameter(flags, capsys):
+    assert run_cli("bounds", "burt", *flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: InvalidParameter: ") and "must be positive" in err
+
+
 def test_cli_synth_then_fit(tmp_path, capsys):
     csv_path = tmp_path / "train.csv"
     assert run_cli("synth", "--out", str(csv_path), "--n", "25") == 0

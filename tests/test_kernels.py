@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsegp.errors import DimensionMismatch, UnsupportedKernel
+from sparsegp.errors import DimensionMismatch, InvalidParameter, UnsupportedKernel
 from sparsegp.kernels import GaussianKernel, PolynomialKernel, make_kernel
 
 
@@ -119,3 +119,47 @@ def test_make_kernel():
     assert isinstance(make_kernel("polynomial", degree=3), PolynomialKernel)
     with pytest.raises(UnsupportedKernel):
         make_kernel("matern")
+
+
+def _gram_with_sum_norms(A, B, lengthscale):
+    """The Gaussian Gram with row norms taken as np.sum(A * A, axis=1)."""
+    K = np.sum(A * A, axis=1)[:, None] + np.sum(B * B, axis=1)[None, :]
+    K -= 2.0 * (A @ B.T)
+    return np.exp(-np.maximum(K, 0.0) / lengthscale**2)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_gaussian_gram_matches_sum_norms_exactly_for_d_up_to_2(d):
+    rng = np.random.default_rng(10 + d)
+    k = GaussianKernel(lengthscale=1.3, input_dim=d)
+    for _ in range(20):
+        A = rng.uniform(-3, 3, size=(int(rng.integers(1, 200)), d))
+        B = rng.uniform(-3, 3, size=(int(rng.integers(1, 40)), d))
+        assert np.array_equal(k.gram(A, B), _gram_with_sum_norms(A, B, 1.3))
+
+
+@pytest.mark.parametrize("d", range(3, 9))
+def test_gaussian_gram_matches_sum_norms_to_rounding_for_d_above_2(d):
+    rng = np.random.default_rng(10 + d)
+    k = GaussianKernel(lengthscale=1.3, input_dim=d)
+    for _ in range(20):
+        A = rng.uniform(-3, 3, size=(int(rng.integers(1, 200)), d))
+        B = rng.uniform(-3, 3, size=(int(rng.integers(1, 40)), d))
+        # The row norms agree to within rounding ...
+        np.testing.assert_allclose(np.einsum("ij,ij->i", A, A),
+                                   np.sum(A * A, axis=1), rtol=1e-15, atol=0)
+        # ... and a few ulps of |a|^2 + |b|^2 move the exponent by a few
+        # eps * (|a|^2 + |b|^2) / ls^2, so K moves by K times that.
+        old = _gram_with_sum_norms(A, B, 1.3)
+        scale = (np.sum(A * A, axis=1)[:, None] + np.sum(B * B, axis=1)[None, :]) / 1.3**2
+        assert np.all(np.abs(k.gram(A, B) - old) <= 8 * np.finfo(float).eps * scale * old)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: GaussianKernel(lengthscale=0.0),
+    lambda: PolynomialKernel(degree=0),
+    lambda: PolynomialKernel(degree=2, offset=-1.0),
+])
+def test_kernel_parameters_raise_typed_error(make):
+    with pytest.raises(InvalidParameter):
+        make()

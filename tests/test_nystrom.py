@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 from sparsegp.data import Dataset
-from sparsegp.errors import InvalidCount
+from sparsegp.bounds import SparseProblem
+from sparsegp.data import synth_prior_dataset
+from sparsegp.errors import InvalidCount, InvalidParameter
 from sparsegp.exact import fit_gpr, fit_krr
 from sparsegp.kernels import GaussianKernel, PolynomialKernel
 from sparsegp.nystrom import (fit_nystrom, fit_nystrom_via_q, make_inducing,
                               nystrom_factor, q_diag, q_gram, select_inducing,
                               trace_gap)
-from sparsegp.svgp import psi_forward
+from sparsegp.svgp import fixed_point_solver, optimal_elbo, psi_forward
 
 
 @pytest.fixture
@@ -226,3 +228,21 @@ def test_select_inducing_invalid_count(kernel):
         select_inducing(kernel, data, 0)
     with pytest.raises(InvalidCount):
         select_inducing(kernel, data, 6)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0])
+def test_bad_noise_and_ridge_raise_typed_error(kernel, bad):
+    data = random_dataset(20, seed=3)
+    ind = select_inducing(kernel, data, 4)
+    for call in (lambda: nystrom_factor(kernel, data, ind, bad),
+                 lambda: fit_nystrom(kernel, data, ind, bad),
+                 lambda: fit_nystrom_via_q(kernel, data, ind, bad),
+                 lambda: fit_krr(kernel, data, bad),
+                 lambda: fit_gpr(kernel, data, bad),
+                 lambda: optimal_elbo(kernel, data, ind, bad),
+                 lambda: fixed_point_solver(kernel, data, ind, bad),
+                 lambda: SparseProblem(kernel, data, ind, bad),
+                 lambda: synth_prior_dataset(kernel, data.inputs, bad, seed=0)):
+        # InvalidParameter is also a ValueError, for callers that catch that.
+        with pytest.raises(InvalidParameter):
+            call()
