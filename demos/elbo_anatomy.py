@@ -7,10 +7,9 @@ trace penalty.  Run with: python3 demos/elbo_anatomy.py
 
 import numpy as np
 
-from sparsegp import (Dataset, GaussianKernel, elbo, elbo_breakdown,
-                      log_marginal_likelihood, make_state, optimal_elbo,
-                      optimal_parameters, select_inducing,
-                      synth_prior_dataset, trace_gap)
+from sparsegp import (Dataset, GaussianKernel, elbo, elbo_breakdown, fit_gpr,
+                      make_state, optimal_elbo, optimal_parameters,
+                      select_inducing, synth_prior_dataset, trace_gap)
 
 
 def main():
@@ -38,7 +37,7 @@ def main():
     print(f"  sum of pieces                    {br.term_sum():14.6f}")
     print(f"  -2 s2 * elbo (direct)            {br.total_check:14.6f}")
 
-    evidence = log_marginal_likelihood(kernel, data, s2)
+    evidence = fit_gpr(kernel, data, s2).log_evidence(data.targets)
     star = optimal_parameters(kernel, data, ind, s2)
     best = elbo(star, data, s2)
     print(f"\nevidence                 {evidence:12.6f}")

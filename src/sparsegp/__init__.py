@@ -15,15 +15,15 @@ from .bounds import (BoundRecord, SparseProblem, burt_upper_bound,
                      rkhs_distance_sq, worst_case_decompositions)
 from .data import (Dataset, load_csv, synth_fixed_function_dataset,
                    synth_prior_dataset, write_csv)
-from .exact import (GpPosterior, KrrModel, fit_gpr, fit_krr,
-                    log_marginal_likelihood, regularized_risk)
+from .exact import GpPosterior, fit_gpr, fit_krr, regularized_risk
 from .harness import (ExperimentConfig, VerificationReport, emit_report,
                       run_verification)
-from .kernels import GaussianKernel, Kernel, PolynomialKernel, make_kernel
+from .kernels import (GaussianKernel, Kernel, KernelExpansion, PolynomialKernel,
+                      make_kernel)
 from .linalg import SpdFactor, factor_spd, logdet, operator_norm, solve
-from .nystrom import (InducingSet, NystromFactor, NystromModel, fit_nystrom,
-                      fit_nystrom_via_q, make_inducing, nystrom_factor,
-                      q_diag, q_gram, select_inducing, trace_gap)
+from .nystrom import (InducingSet, NystromFactor, fit_nystrom, fit_nystrom_via_q,
+                      make_inducing, nystrom_factor, q_diag, q_gram,
+                      select_inducing, trace_gap)
 from .svgp import (ElboBreakdown, SvgpState, elbo, elbo_breakdown,
                    elbo_from_factor, elbos, feature_map_phi,
                    fixed_point_solver, make_state, state_from_factor,

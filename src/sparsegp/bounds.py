@@ -17,11 +17,11 @@ import numpy as np
 from .data import Dataset
 from .errors import (DimensionMismatch, InternalInconsistency, InvalidCount,
                      InvalidParameter, UnsupportedKernel)
-from .exact import GpPosterior
-from .kernels import GaussianKernel, Kernel, as_points
+from .exact import GpPosterior, regularized_risk
+from .kernels import GaussianKernel, Kernel, KernelExpansion, as_points
 from .linalg import factor_spd, logdet, operator_norm, solve
-from .nystrom import (InducingSet, NystromFactor, NystromModel, fit_nystrom,
-                      nystrom_factor, q_diag, q_gram)
+from .nystrom import (InducingSet, NystromFactor, fit_nystrom, nystrom_factor,
+                      q_diag, q_gram)
 from .svgp import SvgpState, elbo_from_factor, state_from_factor
 
 HOLDS_RTOL = 1e-8
@@ -116,7 +116,7 @@ class SparseProblem:
         return kl_to_exact_posterior(self)
 
     @cached_property
-    def ridge_fit(self) -> NystromModel:
+    def ridge_fit(self) -> KernelExpansion:
         """The Nystrom ridge fit (`fit_nystrom`) at this problem's ridge."""
         return fit_nystrom(self.kernel, self.data, self.ind, self.ridge)
 
@@ -129,16 +129,14 @@ class SparseProblem:
     def quadratic_form_gap(self) -> float:
         """y^T (q+s2 I)^{-1} y - y^T (k+s2 I)^{-1} y."""
         y = self.data.targets
-        return float(y @ solve(self.q_factor, y) - y @ self.exact.alpha)
+        return float(y @ solve(self.q_factor, y) - y @ self.exact.mean.coef)
 
     @cached_property
     def exact(self) -> GpPosterior:
-        """Exact GP posterior; its alpha is also the KRR coefficient vector
-        at ridge s2 / n."""
-        return GpPosterior(kernel=self.kernel, train_inputs=self.data.inputs,
-                           noise_var=self.noise_var,
-                           alpha=solve(self.k_factor, self.data.targets),
-                           factor=self.k_factor)
+        """Exact GP posterior; its mean is also the KRR fit at ridge s2 / n."""
+        alpha = solve(self.k_factor, self.data.targets)
+        return GpPosterior(mean=KernelExpansion(self.kernel, self.data.inputs, alpha),
+                           noise_var=self.noise_var, factor=self.k_factor)
 
     @cached_property
     def evidence(self) -> float:
@@ -220,16 +218,15 @@ def quadratic_form_gap_bound(prob: SparseProblem) -> BoundRecord:
 
 
 def excess_risk(prob: SparseProblem) -> float:
-    """R_n(nystrom; y) - R_n(exact KRR; y) at ridge s2 / n, from model
-    coefficients; `SparseProblem.excess_risk` keeps the value."""
-    ridge = prob.ridge
-    y = prob.data.targets
-    alpha = prob.exact.alpha
+    """R_n(nystrom; y) - R_n(exact KRR; y) at ridge s2 / n, both by
+    `regularized_risk`; `SparseProblem.excess_risk` keeps the value. The
+    exact side reads its values and norm off the kept k_XX."""
+    alpha = prob.exact.mean.coef
     exact_at_X = prob.kxx @ alpha
     sparse = prob.ridge_fit
-    r_exact = float(np.mean((y - exact_at_X) ** 2) + ridge * (alpha @ exact_at_X))
-    r_sparse = float(np.mean((y - sparse.predict_many(prob.data.inputs)) ** 2)
-                     + ridge * sparse.rkhs_norm_sq())
+    r_exact = regularized_risk(exact_at_X, float(alpha @ exact_at_X), prob.data, prob.ridge)
+    r_sparse = regularized_risk(sparse.predict_many(prob.data.inputs),
+                                sparse.rkhs_norm_sq(), prob.data, prob.ridge)
     return r_sparse - r_exact
 
 
@@ -251,8 +248,8 @@ def excess_risk_upper_bound(prob: SparseProblem) -> tuple[BoundRecord, BoundReco
 def rkhs_distance_sq(prob: SparseProblem) -> float:
     """||f_exact - f_nystrom||^2 in the RKHS at ridge s2 / n, by Gram
     quadratic forms."""
-    alpha = prob.exact.alpha
-    beta = prob.ridge_fit.beta
+    alpha = prob.exact.mean.coef
+    beta = prob.ridge_fit.coef
     Kxz = prob.kernel.gram(prob.data.inputs, prob.ind.points)
     Kzz = prob.kernel.gram(prob.ind.points)
     return float(alpha @ prob.kxx @ alpha - 2.0 * alpha @ Kxz @ beta + beta @ Kzz @ beta)
@@ -269,8 +266,8 @@ def rkhs_distance_bound(prob: SparseProblem) -> BoundRecord:
 def derivative_gap_bounds(prob: SparseProblem, X, js,
                           fd_step: float = 1e-5) -> tuple[np.ndarray, np.ndarray]:
     """Batched `derivative_gap_bound`: (lhs, rhs) for the partial derivative
-    js[i] at each row X[i]. The sparse mean k_XZ k_ZZ^{-1} mu* and the exact
-    mean k_XX' alpha are evaluated on all 2 P shifted points at once."""
+    js[i] at each row X[i]. The sparse mean (an expansion over Z) and the
+    exact mean (over X) are evaluated on all 2 P shifted points at once."""
     kernel = prob.kernel
     if not isinstance(kernel, GaussianKernel):
         raise UnsupportedKernel("derivative bound requires the Gaussian kernel")
@@ -284,16 +281,15 @@ def derivative_gap_bounds(prob: SparseProblem, X, js,
     shifted = np.vstack([X + shift, X - shift])
     p = X.shape[0]
 
-    def partial(gram, coef):
+    def partial(f: KernelExpansion):
         # One Gram build for all 2 P points, then one dot product per row:
-        # each mean is then bit-identical to a one-point evaluation, which a
-        # matrix-vector product is not (it sums in another order, and the
+        # each value then does not depend on P, which a matrix-vector
+        # product does not promise (it may sum in another order, and the
         # difference quotient divides that round-off by fd_step).
-        values = np.array([row @ coef for row in gram])
+        values = np.array([row @ f.coef for row in kernel.gram(shifted, f.centers)])
         return (values[:p] - values[p:]) / (2.0 * fd_step)
 
-    lhs = (partial(kernel.gram(shifted, prob.ind.points), prob.nystrom.mean_coef)
-           - partial(kernel.gram(shifted, prob.data.inputs), prob.exact.alpha)) ** 2
+    lhs = (partial(prob.nystrom.mean) - partial(prob.exact.mean)) ** 2
     y_sq = float(prob.data.targets @ prob.data.targets)
     rhs = 2.0 * prob.nystrom.trace_gap * y_sq * dd / prob.noise_var**2
     return lhs, rhs

@@ -65,8 +65,7 @@ def cmd_fit(args) -> int:
                          degree=args.degree, offset=args.offset)
     ridge = args.ridge if args.ridge is not None else args.noise_var / data.n
     if args.model == "exact":
-        model = fit_krr(kernel, data, ridge)
-        preds = model.predict_many(data.inputs)
+        preds = fit_krr(kernel, data, ridge).predict_many(data.inputs)
     elif args.model == "nystrom":
         ind = select_inducing(kernel, data, args.m, strategy=args.select,
                               seed=args.seed)

@@ -8,7 +8,8 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyFile, InvalidParameter, ParseError
+from .errors import (DimensionMismatch, EmptyFile, InvalidParameter, NonFiniteValue,
+                     ParseError)
 from .kernels import Kernel, as_points
 from .linalg import factor_spd
 
@@ -33,7 +34,7 @@ class Dataset:
                 f"{X.shape[0]} inputs but {y.shape[0]} targets"
             )
         if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
-            raise ValueError("dataset contains NaN or Inf")
+            raise NonFiniteValue("dataset contains NaN or Inf")
         object.__setattr__(self, "inputs", X)
         object.__setattr__(self, "targets", y)
 
@@ -77,10 +78,10 @@ def synth_fixed_function_dataset(f0, X, noise_var: float, seed: int,
 def load_csv(path) -> Dataset:
     """Read a dataset from CSV with header x1,...,xd,y.
 
-    Raises ParseError with the 1-based line number on any malformed row,
-    EmptyFile when there are no data rows. Field counts are checked for the
-    whole file before any value is converted, so a short row is reported
-    ahead of an earlier value that does not parse.
+    Raises ParseError with the 1-based line number on any malformed row or
+    NaN / infinite field, EmptyFile when there are no data rows. Field
+    counts are checked for the whole file before any value is converted, so
+    a short row is reported ahead of an earlier value that does not parse.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -117,6 +118,11 @@ def load_csv(path) -> Dataset:
             except ValueError as exc:
                 raise ParseError(lineno, str(exc)) from None
         raise
+    bad = np.argwhere(~np.isfinite(arr))
+    if bad.size:
+        i, j = bad[0]  # row-major: the first non-finite field in the file
+        raise ParseError(linenos[i], f"dataset contains NaN or Inf: "
+                                     f"{header[j]} = {rows[i][j]!r}")
     return Dataset(inputs=arr[:, :d], targets=arr[:, d], provenance=f"csv({path})")
 
 

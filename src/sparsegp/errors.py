@@ -32,6 +32,11 @@ class InvalidParameter(SparseGpError, ValueError):
     lengthscale, polynomial degree or offset)."""
 
 
+class NonFiniteValue(SparseGpError, ValueError):
+    """An array that must be finite holds a NaN or an infinity (a dataset,
+    or a matrix to factor, such as an overflowed Gram)."""
+
+
 class ParseError(SparseGpError):
     """A CSV row could not be parsed; carries the offending line number."""
 

@@ -1,8 +1,10 @@
 """Exact kernel ridge regression and exact GP posteriors.
 
 These are the ground truths the sparse approximations are later measured
-against. Throughout, the GP prior mean is zero and the KRR coefficients
-solve (k_XX + n*lambda*I) alpha = y.
+against. Throughout, the GP prior mean is zero. The GP posterior mean is
+a KernelExpansion over the training inputs X with coefficients
+alpha = (k_XX + s2 I)^{-1} y; the KRR fit at ridge lambda is that mean at
+s2 = n * lambda.
 """
 
 from __future__ import annotations
@@ -13,75 +15,44 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DimensionMismatch, InvalidParameter
-from .kernels import Kernel, as_points
-from .linalg import SpdFactor, factor_spd, logdet, solve
-
-
-@dataclass(frozen=True)
-class KrrModel:
-    kernel: Kernel
-    train_inputs: np.ndarray
-    coefficients: np.ndarray
-    ridge: float
-
-    def predict(self, x) -> float:
-        """Prediction k_X(x)^T alpha at a single point."""
-        x = as_points(x, self.kernel.input_dim)
-        kx = self.kernel.gram(self.train_inputs, x)[:, 0]
-        return float(kx @ self.coefficients)
-
-    def predict_many(self, X) -> np.ndarray:
-        X = as_points(X, self.kernel.input_dim)
-        return self.kernel.gram(X, self.train_inputs) @ self.coefficients
-
-    def rkhs_norm_sq(self) -> float:
-        """||f||^2 via the Gram quadratic form alpha^T k_XX alpha."""
-        K = self.kernel.gram(self.train_inputs)
-        return float(self.coefficients @ K @ self.coefficients)
+from .kernels import Kernel, KernelExpansion
+from .linalg import SpdFactor, factor_spd, logdet, lower_solve, solve
 
 
 @dataclass(frozen=True)
 class GpPosterior:
-    kernel: Kernel
-    train_inputs: np.ndarray
+    mean: KernelExpansion  # over X, coef alpha = (k_XX + s2 I)^{-1} y
     noise_var: float
-    alpha: np.ndarray
-    factor: SpdFactor
+    factor: SpdFactor  # Cholesky factor of k_XX + s2 I
 
-    def mean(self, x) -> float:
-        x = as_points(x, self.kernel.input_dim)
-        kx = self.kernel.gram(self.train_inputs, x)[:, 0]
-        return float(kx @ self.alpha)
+    def cov(self, A, B=None) -> np.ndarray:
+        """Posterior covariance k_AB - k_AX (k_XX + s2 I)^{-1} k_XB, |A| x |B|;
+        B=None gives the exactly symmetric |A| x |A| matrix. Each k_X(a) gets
+        its own O(n^2) vector solve: a narrow matrix right-hand side would
+        take `lower_solve`'s O(n^3) LU route."""
+        kernel, X = self.mean.kernel, self.mean.centers
 
-    def cov(self, x, x2) -> float:
-        """Posterior covariance k(x,x') - k_X(x)^T (k_XX + s2 I)^{-1} k_X(x')."""
-        x = as_points(x, self.kernel.input_dim)
-        x2 = as_points(x2, self.kernel.input_dim)
-        kx = self.kernel.gram(self.train_inputs, x)[:, 0]
-        kx2 = self.kernel.gram(self.train_inputs, x2)[:, 0]
-        prior = self.kernel.gram(x, x2)[0, 0]
-        return float(prior - kx @ solve(self.factor, kx2))
+        def whitened(P):  # row i is L^{-1} k_X(p_i)
+            return np.array([lower_solve(self.factor, k) for k in kernel.gram(P, X)])
 
-    def variance(self, x) -> float:
-        return self.cov(x, x)
+        Wa = whitened(A)
+        Wb = Wa if B is None else whitened(B)
+        return kernel.gram(A, B) - Wa @ Wb.T
 
     def log_evidence(self, y) -> float:
         """log N(y; 0, k_XX + s2 I) for the targets y the posterior was fit to."""
-        n = self.train_inputs.shape[0]
-        return float(-0.5 * logdet(self.factor) - 0.5 * (y @ self.alpha)
+        n = self.mean.centers.shape[0]
+        return float(-0.5 * logdet(self.factor) - 0.5 * (y @ self.mean.coef)
                      - 0.5 * n * np.log(2.0 * np.pi))
 
 
-def fit_krr(kernel: Kernel, data: Dataset, ridge: float) -> KrrModel:
-    """Solve the regularized least-squares problem over the full RKHS."""
+def fit_krr(kernel: Kernel, data: Dataset, ridge: float) -> KernelExpansion:
+    """Solve the regularized least-squares problem over the full RKHS: the
+    GP posterior mean at noise_var = n * ridge, whose coefficients solve
+    (k_XX + n*ridge*I) alpha = y."""
     if ridge <= 0:
         raise InvalidParameter("ridge must be positive")
-    n = data.n
-    K = kernel.gram(data.inputs)
-    F = factor_spd(K + n * ridge * np.eye(n), jitter_ladder=[0.0])
-    alpha = solve(F, data.targets)
-    return KrrModel(kernel=kernel, train_inputs=data.inputs,
-                    coefficients=alpha, ridge=ridge)
+    return fit_gpr(kernel, data, data.n * ridge).mean
 
 
 def fit_gpr(kernel: Kernel, data: Dataset, noise_var: float) -> GpPosterior:
@@ -90,14 +61,8 @@ def fit_gpr(kernel: Kernel, data: Dataset, noise_var: float) -> GpPosterior:
         raise InvalidParameter("noise_var must be positive")
     K = kernel.gram(data.inputs)
     F = factor_spd(K + noise_var * np.eye(data.n), jitter_ladder=[0.0])
-    alpha = solve(F, data.targets)
-    return GpPosterior(kernel=kernel, train_inputs=data.inputs,
-                       noise_var=noise_var, alpha=alpha, factor=F)
-
-
-def log_marginal_likelihood(kernel: Kernel, data: Dataset, noise_var: float) -> float:
-    """log N(y; 0, k_XX + noise_var * I)."""
-    return fit_gpr(kernel, data, noise_var).log_evidence(data.targets)
+    return GpPosterior(mean=KernelExpansion(kernel, data.inputs, solve(F, data.targets)),
+                       noise_var=noise_var, factor=F)
 
 
 def regularized_risk(f_values_at_X: np.ndarray, rkhs_norm_sq: float,
@@ -109,6 +74,6 @@ def regularized_risk(f_values_at_X: np.ndarray, rkhs_norm_sq: float,
             f"{f_values_at_X.shape[0]} function values for {data.n} targets"
         )
     if rkhs_norm_sq < 0:
-        raise ValueError("rkhs_norm_sq must be nonnegative")
+        raise InvalidParameter("rkhs_norm_sq must be nonnegative")
     resid = data.targets - f_values_at_X
     return float(np.mean(resid**2) + ridge * rkhs_norm_sq)

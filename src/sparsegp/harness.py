@@ -182,7 +182,7 @@ def run_verification(config: ExperimentConfig) -> VerificationReport:
     grid = rng.uniform(-3.0, 3.0, size=(50, config.d))
 
     def check_equivalence():
-        gap = float(np.max(np.abs(prob.nystrom.mean(grid)
+        gap = float(np.max(np.abs(prob.nystrom.mean.predict_many(grid)
                                   - prob.ridge_fit.predict_many(grid))))
         return gap <= tol, f"max |m*(x) - nystrom(x)| = {gap:.3g}"
 
@@ -201,7 +201,7 @@ def run_verification(config: ExperimentConfig) -> VerificationReport:
 
     def check_psi_coefficients():
         gap = float(np.max(np.abs(psi_forward(ind, prob.optimal_state.mu)
-                                  - prob.ridge_fit.beta)))
+                                  - prob.ridge_fit.coef)))
         return gap <= tol, f"max |k_ZZ^-1 mu* - beta| = {gap:.3g}"
 
     def check_optimality():

@@ -3,6 +3,7 @@
 Two families are provided: the Gaussian (squared-exponential) kernel
 exp(-||x - x'||^2 / gamma^2) and the polynomial kernel (x.x' + c)^m.
 Points are row-major (n, d) arrays; d = 1 is the common case in tests.
+Every function the library fits is a KernelExpansion over some centers.
 """
 
 from __future__ import annotations
@@ -125,6 +126,26 @@ class PolynomialKernel:
 
 
 Kernel = GaussianKernel | PolynomialKernel
+
+
+@dataclass(frozen=True)
+class KernelExpansion:
+    """f = sum_j coef_j k(., c_j), a function in the span of the kernel
+    sections at the rows c_j of `centers`. The exact KRR fit and GP mean
+    are expansions over the training inputs X, the Nystrom ridge fit and
+    the SVGP mean expansions over the inducing points Z."""
+
+    kernel: Kernel
+    centers: np.ndarray
+    coef: np.ndarray
+
+    def predict_many(self, X) -> np.ndarray:
+        """f at each row of X: k_XC coef."""
+        return self.kernel.gram(X, self.centers) @ self.coef
+
+    def rkhs_norm_sq(self) -> float:
+        """||f||^2 = coef^T k_CC coef."""
+        return float(self.coef @ self.kernel.gram(self.centers) @ self.coef)
 
 
 def make_kernel(family: str, input_dim: int = 1, *, gamma: float = 1.0,

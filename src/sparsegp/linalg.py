@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionMismatch, FactorizationFailed, NoConvergence
+from .errors import DimensionMismatch, FactorizationFailed, NoConvergence, NonFiniteValue
 
 # Relative rungs, scaled by mean(diag) of the input matrix.
 DEFAULT_JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8, 1e-6)
@@ -64,7 +64,7 @@ class SpdFactor:
 
 
 def _symmetric_copy(A) -> np.ndarray:
-    """A private copy of (A + A.T)/2, exactly symmetric; ValueError if A
+    """A private copy of (A + A.T)/2, exactly symmetric; NonFiniteValue if A
     holds a NaN or an infinity."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -72,7 +72,7 @@ def _symmetric_copy(A) -> np.ndarray:
     S = A + A.T
     S *= 0.5
     if not np.isfinite(S).all():
-        raise ValueError("array must not contain infs or NaNs")
+        raise NonFiniteValue("array must not contain infs or NaNs")
     return S
 
 
@@ -86,8 +86,8 @@ def factor_spd(A: np.ndarray, jitter_ladder=None) -> SpdFactor:
 
     Raises
     ------
-    ValueError
-        If A holds a NaN or an infinity.
+    NonFiniteValue
+        If A holds a NaN or an infinity (an overflowed Gram, say).
     FactorizationFailed
         If no rung of the ladder yields a positive-definite matrix.
     """

@@ -5,7 +5,8 @@ degenerate kernel q(x, x') = k_Z(x)^T k_ZZ^{-1} k_Z(x'), ridge regression
 restricted to M (two equivalent routes), the whitened factorization
 NystromFactor behind the posterior of a GP with prior kernel q and the
 optimal variational posterior, and two inducing-point selection
-strategies.
+strategies. The ridge fits and the posterior mean are KernelExpansions
+over Z.
 
 q(x, x') = v(x)^T v(x') with the feature map v(x) = L_Z^{-1} k_Z(x),
 L_Z = chol(k_ZZ). `fit_nystrom` stays in raw beta coordinates as a
@@ -20,7 +21,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import InvalidCount, InvalidParameter
-from .kernels import Kernel, as_points
+from .kernels import Kernel, KernelExpansion, as_points
 from .linalg import SpdFactor, factor_spd, lower_solve, solve, upper_solve
 
 
@@ -46,29 +47,6 @@ def make_inducing(kernel: Kernel, Z) -> InducingSet:
         raise InvalidCount("duplicated inducing points")
     F = factor_spd(kernel.gram(Z))
     return InducingSet(kernel=kernel, points=Z, kzz_factor=F)
-
-
-@dataclass(frozen=True)
-class NystromModel:
-    """Ridge regression restricted to M: f(x) = k_Z(x)^T beta."""
-
-    kernel: Kernel
-    inducing: InducingSet
-    beta: np.ndarray
-    ridge: float
-
-    def predict(self, x) -> float:
-        x = as_points(x, self.kernel.input_dim)
-        kx = self.kernel.gram(self.inducing.points, x)[:, 0]
-        return float(kx @ self.beta)
-
-    def predict_many(self, X) -> np.ndarray:
-        X = as_points(X, self.kernel.input_dim)
-        return self.kernel.gram(X, self.inducing.points) @ self.beta
-
-    def rkhs_norm_sq(self) -> float:
-        Kzz = self.kernel.gram(self.inducing.points)
-        return float(self.beta @ Kzz @ self.beta)
 
 
 def _features(ind: InducingSet, X) -> np.ndarray:
@@ -105,15 +83,12 @@ class NystromFactor:
     noise_var: float
     b_factor: SpdFactor
     c: np.ndarray
-    mean_coef: np.ndarray  # k_ZZ^{-1} mu* = L_Z^{-T} L_B^{-T} c
+    # m* = k_Z(.)^T L_Z^{-T} L_B^{-T} c over Z: the mean of both the DTC and
+    # the optimal variational posterior; its coef is k_ZZ^{-1} mu*.
+    mean: KernelExpansion
     trace_gap: float  # tr(k_XX - q_XX)
     fit_quad: float  # y^T (q_XX + s2 I)^{-1} y
-    fitted: np.ndarray  # m*(X) at the training inputs, bit-identical to mean(X)
-
-    def mean(self, X) -> np.ndarray:
-        """m*(X) = k_XZ L_Z^{-T} L_B^{-T} c, one value per row of X: the mean
-        of both the DTC and the optimal variational posterior."""
-        return self.inducing.kernel.gram(X, self.inducing.points) @ self.mean_coef
+    fitted: np.ndarray  # m*(X) at the training inputs, bit-identical to mean.predict_many(X)
 
     def dtc_var(self, X) -> np.ndarray:
         """DTC posterior variance
@@ -167,16 +142,19 @@ def nystrom_factor(kernel: Kernel, data: Dataset, ind: InducingSet,
     c, e, r = _woodbury(b_factor, V, data.targets, noise_var)
     mean_coef = upper_solve(ind.kzz_factor, e)
     return NystromFactor(inducing=ind, inputs=data.inputs, noise_var=noise_var,
-                         b_factor=b_factor, c=c, mean_coef=mean_coef,
+                         b_factor=b_factor, c=c,
+                         mean=KernelExpansion(kernel, ind.points, mean_coef),
                          trace_gap=_trace_gap(kernel.diag(data.inputs), V),
                          fit_quad=float(r @ r / noise_var + e @ e),
                          fitted=Kxz @ mean_coef)
 
 
-def fit_nystrom(kernel: Kernel, data: Dataset, ind: InducingSet, ridge: float) -> NystromModel:
+def fit_nystrom(kernel: Kernel, data: Dataset, ind: InducingSet,
+                ridge: float) -> KernelExpansion:
     """Minimize the ridge objective over M directly in beta coordinates.
 
-    beta solves (n*ridge*k_ZZ + k_ZX k_XZ) beta = k_ZX y; O(n m^2 + m^3).
+    f = k_Z(.)^T beta, where beta solves
+    (n*ridge*k_ZZ + k_ZX k_XZ) beta = k_ZX y; O(n m^2 + m^3).
     """
     if ridge <= 0:
         raise InvalidParameter("ridge must be positive")
@@ -184,11 +162,11 @@ def fit_nystrom(kernel: Kernel, data: Dataset, ind: InducingSet, ridge: float) -
     Kxz = kernel.gram(data.inputs, ind.points)
     Kzz = kernel.gram(ind.points)
     A = n * ridge * Kzz + Kxz.T @ Kxz
-    beta = solve(factor_spd(A), Kxz.T @ data.targets)
-    return NystromModel(kernel=kernel, inducing=ind, beta=beta, ridge=ridge)
+    return KernelExpansion(kernel, ind.points, solve(factor_spd(A), Kxz.T @ data.targets))
 
 
-def fit_nystrom_via_q(kernel: Kernel, data: Dataset, ind: InducingSet, ridge: float) -> NystromModel:
+def fit_nystrom_via_q(kernel: Kernel, data: Dataset, ind: InducingSet,
+                      ridge: float) -> KernelExpansion:
     """Solve KRR with the approximate kernel q and map back to M coordinates.
 
     KRR with kernel q gives f(x) = q_X(x)^T (q_XX + n*ridge*I)^{-1} y; with
@@ -202,8 +180,7 @@ def fit_nystrom_via_q(kernel: Kernel, data: Dataset, ind: InducingSet, ridge: fl
     F = factor_spd(Qxx + n * ridge * np.eye(n), jitter_ladder=[0.0])
     gamma = solve(F, data.targets)
     Kzx = kernel.gram(ind.points, data.inputs)
-    beta = solve(ind.kzz_factor, Kzx @ gamma)
-    return NystromModel(kernel=kernel, inducing=ind, beta=beta, ridge=ridge)
+    return KernelExpansion(kernel, ind.points, solve(ind.kzz_factor, Kzx @ gamma))
 
 
 def trace_gap(ind: InducingSet, X) -> float:

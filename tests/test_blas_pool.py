@@ -51,14 +51,15 @@ def test_fit_svgp_runs_without_scipy_level3_calls(scipy_level2_only, tmp_path, c
 
 def test_exact_posterior_cov_solves_with_a_vector(monkeypatch):
     # A matrix right-hand side would take the O(n^3) np.linalg.solve route.
-    solve = exact.solve
+    lower_solve = exact.lower_solve
 
     def vector_solve(F, B):
         assert np.ndim(B) == 1
-        return solve(F, B)
+        return lower_solve(F, B)
 
-    monkeypatch.setattr(exact, "solve", vector_solve)
+    monkeypatch.setattr(exact, "lower_solve", vector_solve)
     kernel = GaussianKernel(lengthscale=1.0)
     X = np.linspace(-3, 3, 30)[:, None]
     post = exact.fit_gpr(kernel, Dataset(X, np.sin(X[:, 0])), 0.1)
-    assert 0.0 < post.cov([0.3], [0.3]) < 1.0
+    assert 0.0 < post.cov([0.3], [0.3])[0, 0] < 1.0
+    assert np.all(np.diag(post.cov([0.3, -1.0, 2.0])) < 1.0)

@@ -3,7 +3,7 @@ import pytest
 
 from sparsegp.data import (Dataset, load_csv, synth_fixed_function_dataset,
                            synth_prior_dataset, write_csv)
-from sparsegp.errors import DimensionMismatch, EmptyFile, ParseError
+from sparsegp.errors import DimensionMismatch, EmptyFile, NonFiniteValue, ParseError
 from sparsegp.kernels import GaussianKernel
 
 
@@ -19,9 +19,10 @@ def test_dataset_rejects_mismatched_lengths():
 
 
 def test_dataset_rejects_nan():
-    with pytest.raises(ValueError):
+    # NonFiniteValue is also a ValueError, for callers that catch that
+    with pytest.raises(NonFiniteValue, match="NaN or Inf"):
         Dataset(np.array([[np.nan]]), np.array([1.0]))
-    with pytest.raises(ValueError):
+    with pytest.raises(NonFiniteValue, match="NaN or Inf"):
         Dataset(np.array([[1.0]]), np.array([np.inf]))
 
 
@@ -151,5 +152,18 @@ def test_load_csv_values_match_python_float(tmp_path):
 def test_load_csv_rejects_nan_rows(tmp_path):
     path = tmp_path / "nan.csv"
     path.write_text("x1,y\n1.0,2.0\nnan,3.0\n")
-    with pytest.raises(ValueError, match="NaN or Inf"):
+    with pytest.raises(ParseError, match="NaN or Inf: x1 = 'nan'") as err:
         load_csv(path)
+    assert err.value.line == 3
+
+
+def test_load_csv_reports_the_first_non_finite_field(tmp_path):
+    path = tmp_path / "inf.csv"
+    path.write_text("x1,x2,y\n1.0,2.0,3.0\n1.0,2.0,-inf\n\n4.0,inf,nan\n")
+    with pytest.raises(ParseError, match="y = '-inf'") as err:
+        load_csv(path)
+    assert err.value.line == 3
+    path.write_text("x1,x2,y\n1.0,2.0,3.0\n\n4.0,inf,nan\n")
+    with pytest.raises(ParseError, match="x2 = 'inf'") as err:
+        load_csv(path)
+    assert err.value.line == 4

@@ -9,6 +9,7 @@ import pytest
 
 from sparsegp import cli
 from sparsegp.data import load_csv, synth_prior_dataset, write_csv
+from sparsegp.exact import fit_krr
 from sparsegp.kernels import GaussianKernel
 from sparsegp.nystrom import fit_nystrom, nystrom_factor, select_inducing
 from sparsegp.svgp import optimal_elbo
@@ -54,27 +55,44 @@ def test_batched_means_match_nystrom(csv_path):
     ind = select_inducing(kernel, data, 16)
     s2 = 0.1
     reference = fit_nystrom(kernel, data, ind, s2 / data.n).predict_many(data.inputs)
-    preds = nystrom_factor(kernel, data, ind, s2).mean(data.inputs)
+    preds = nystrom_factor(kernel, data, ind, s2).mean.predict_many(data.inputs)
     assert preds.shape == (N,)
     np.testing.assert_allclose(preds, reference, rtol=0, atol=1e-8)
+
+
+def per_row_rendering(inputs, preds) -> str:
+    return "".join(",".join(f"{v:.17g}" for v in x) + f",{p:.17g}\n"
+                   for x, p in zip(inputs, preds))
 
 
 def test_fit_svgp_stdout_is_the_per_row_rendering_of_the_mean(csv_path, capsys):
     data = load_csv(csv_path)
     kernel = GaussianKernel(lengthscale=1.0, input_dim=2)
     ind = select_inducing(kernel, data, 16)
-    preds = nystrom_factor(kernel, data, ind, 0.1).mean(data.inputs)
-    expected = "".join(",".join(f"{v:.17g}" for v in x) + f",{p:.17g}\n"
-                       for x, p in zip(data.inputs, preds))
+    preds = nystrom_factor(kernel, data, ind, 0.1).mean.predict_many(data.inputs)
     assert cli.main(["fit", "svgp", "--data", str(csv_path), "--m", "16"]) == 0
-    assert capsys.readouterr().out == expected
+    assert capsys.readouterr().out == per_row_rendering(data.inputs, preds)
+
+
+@pytest.mark.parametrize("model", ["exact", "nystrom"])
+def test_fit_stdout_is_the_per_row_rendering_of_predict_many(model, csv_path, capsys):
+    data = load_csv(csv_path)
+    kernel = GaussianKernel(lengthscale=1.0, input_dim=2)
+    ridge = 0.1 / data.n  # the CLI's default noise_var / n
+    if model == "exact":
+        fit = fit_krr(kernel, data, ridge)
+    else:
+        fit = fit_nystrom(kernel, data, select_inducing(kernel, data, 16), ridge)
+    assert cli.main(["fit", model, "--data", str(csv_path), "--m", "16"]) == 0
+    assert capsys.readouterr().out == per_row_rendering(data.inputs,
+                                                        fit.predict_many(data.inputs))
 
 
 def test_fitted_is_the_mean_at_the_training_inputs(csv_path):
     data = load_csv(csv_path)
     kernel = GaussianKernel(lengthscale=1.0, input_dim=2)
     fac = nystrom_factor(kernel, data, select_inducing(kernel, data, 16), 0.1)
-    assert np.array_equal(fac.fitted, fac.mean(data.inputs))
+    assert np.array_equal(fac.fitted, fac.mean.predict_many(data.inputs))
 
 
 def test_fit_svgp_builds_one_n_by_m_gram(csv_path, gram_shapes, capsys):
@@ -93,7 +111,7 @@ def test_closed_forms_build_no_n_by_n_matrix(csv_path, gram_shapes):
 
     def posterior_at_data():
         fac = nystrom_factor(kernel, data, ind, 0.1)
-        fac.mean(data.inputs)
+        fac.mean.predict_many(data.inputs)
         fac.optimal_var(data.inputs)
         fac.dtc_var(data.inputs)
 

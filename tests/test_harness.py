@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from sparsegp import bounds
@@ -208,3 +209,28 @@ def test_derivative_check_fails_on_a_negative_certified_bound(monkeypatch):
     assert check.status == "fail"
     assert "rhs=-1e-08" in check.detail
     assert check.detail.endswith("rhs < 0 at 1 probes")
+
+
+def test_cli_fit_non_finite_csv_exits_2(tmp_path, capsys):
+    path = tmp_path / "nan.csv"
+    path.write_text("x1,y\n1.0,2.0\nnan,3.0\n")
+    assert run_cli("fit", "svgp", "--data", str(path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParseError: line 3: dataset contains NaN or Inf")
+
+
+def test_overflowed_gram_is_a_typed_error():
+    # (x.x')^400 overflows to inf on [-3, 3]: `bounds` exits 2 without a
+    # traceback, and verify reports the setup error by its type
+    proc = subprocess.run(
+        [sys.executable, "-m", "sparsegp.cli", "bounds", "burt", "--kernel",
+         "polynomial", "--degree", "400"],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "error: NonFiniteValue: array must not contain infs or NaNs" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    with np.errstate(over="ignore"):
+        report = run_verification(small_config(kernel_family="polynomial", degree=400))
+    assert [c.to_dict() for c in report.checks] == [{
+        "name": "setup", "status": "error",
+        "detail": "NonFiniteValue: array must not contain infs or NaNs"}]

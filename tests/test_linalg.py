@@ -5,7 +5,8 @@ import pytest
 import scipy.linalg
 
 from sparsegp.data import Dataset
-from sparsegp.errors import DimensionMismatch, FactorizationFailed, NoConvergence
+from sparsegp.errors import (DimensionMismatch, FactorizationFailed, NoConvergence,
+                             NonFiniteValue)
 from sparsegp.harness import ExperimentConfig, run_verification
 from sparsegp.kernels import GaussianKernel
 from sparsegp.linalg import factor_spd, logdet, lower_solve, operator_norm, solve, upper_solve
@@ -137,9 +138,10 @@ def test_operator_norm_below_trace_for_spd(seed):
 def test_non_finite_input_raises_value_error(bad):
     A = random_spd(4, 6)
     A[1, 2] = bad
-    with pytest.raises(ValueError, match="infs or NaNs"):
+    # NonFiniteValue is also a ValueError, for callers that catch that
+    with pytest.raises(NonFiniteValue, match="infs or NaNs"):
         factor_spd(A)
-    with pytest.raises(ValueError, match="infs or NaNs"):
+    with pytest.raises(NonFiniteValue, match="infs or NaNs"):
         operator_norm(A)
 
 

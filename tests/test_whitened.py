@@ -15,7 +15,7 @@ def test_posterior_means_match_q_route_at_small_noise():
     kernel, data, ind, s2 = prob.kernel, prob.data, prob.ind, prob.noise_var
     grid = rng.uniform(-3.0, 3.0, size=(50, config.d))  # run_verification's grid
     reference = fit_nystrom_via_q(kernel, data, ind, s2 / data.n).predict_many(grid)
-    mean = nystrom_factor(kernel, data, ind, s2).mean(grid)
+    mean = nystrom_factor(kernel, data, ind, s2).mean.predict_many(grid)
     np.testing.assert_allclose(mean, reference, rtol=0, atol=1e-8)
 
 
