@@ -24,11 +24,9 @@ from .linalg import SpdFactor, factor_spd, logdet, operator_norm, solve
 from .nystrom import (InducingSet, NystromFactor, fit_nystrom, fit_nystrom_via_q,
                       make_inducing, nystrom_factor, q_diag, q_gram,
                       select_inducing, trace_gap)
-from .svgp import (ElboBreakdown, SvgpState, elbo, elbo_breakdown,
-                   elbo_from_factor, elbos, feature_map_phi,
-                   fixed_point_solver, make_state, state_from_factor,
-                   optimal_elbo, optimal_parameters, psi_forward,
-                   psi_inverse)
+from .svgp import (ElboBreakdown, SvgpState, elbo, elbo_breakdown, elbos,
+                   feature_map_phi, fixed_point_solver, make_state,
+                   optimal_parameters, psi_forward, psi_inverse)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

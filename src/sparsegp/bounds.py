@@ -22,7 +22,7 @@ from .kernels import GaussianKernel, Kernel, KernelExpansion, as_points
 from .linalg import factor_spd, logdet, operator_norm, solve
 from .nystrom import (InducingSet, NystromFactor, fit_nystrom, nystrom_factor,
                       q_diag, q_gram)
-from .svgp import SvgpState, elbo_from_factor, state_from_factor
+from .svgp import SvgpState, optimal_parameters
 
 HOLDS_RTOL = 1e-8
 MIN_MC_SAMPLES = 100
@@ -103,11 +103,7 @@ class SparseProblem:
     @cached_property
     def optimal_state(self) -> SvgpState:
         """(mu*, Sigma*), read from the whitened factor."""
-        return state_from_factor(self.nystrom)
-
-    @cached_property
-    def optimal_elbo(self) -> float:
-        return elbo_from_factor(self.nystrom)
+        return optimal_parameters(self.nystrom)
 
     @cached_property
     def kl(self) -> float:
@@ -180,7 +176,7 @@ def kl_to_exact_posterior(prob: SparseProblem) -> float:
     the explicit log-det / quadratic-form / trace expansion on the n x n
     factors; the two paths must agree to 1e-8 relative.
     """
-    kl = prob.evidence - prob.optimal_elbo
+    kl = prob.evidence - prob.nystrom.elbo
     explicit = 0.5 * (
         -logdet(prob.k_factor) + logdet(prob.q_factor)
         + prob.quadratic_form_gap

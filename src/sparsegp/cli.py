@@ -38,11 +38,8 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--m", type=int, default=8)
     p.add_argument("--noise-var", type=float, default=0.1)
-    p.add_argument("--ridge", type=float, default=None)
-    p.add_argument("--link-noise-ridge", action="store_true", default=True,
-                   help="enforce noise_var = n * ridge (default on)")
-    p.add_argument("--no-link-noise-ridge", dest="link_noise_ridge",
-                   action="store_false")
+    p.add_argument("--ridge", type=float, default=None,
+                   help="ridge lambda; unset links it to the noise, noise_var / n")
     p.add_argument("--select", default="greedy_trace",
                    choices=["greedy_trace", "uniform"])
     p.add_argument("--seed", type=int, default=7)
@@ -54,8 +51,7 @@ def _config(args) -> ExperimentConfig:
     return ExperimentConfig(
         kernel_family=args.kernel, gamma=args.gamma, degree=args.degree,
         offset=args.offset, n=args.n, d=args.d, m=args.m,
-        noise_var=args.noise_var, ridge=args.ridge,
-        link_noise_ridge=args.link_noise_ridge, select=args.select,
+        noise_var=args.noise_var, ridge=args.ridge, select=args.select,
         seed=args.seed, mc_samples=args.mc_samples)
 
 

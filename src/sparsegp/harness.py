@@ -35,8 +35,7 @@ class ExperimentConfig:
     d: int = 1
     m: int = 8
     noise_var: float = 0.1
-    ridge: float | None = None  # defaults to noise_var / n when linked
-    link_noise_ridge: bool = True
+    ridge: float | None = None  # None links the ridge to the noise: noise_var / n
     select: str = "greedy_trace"
     seed: int = 7
     mc_samples: int = 2000
@@ -47,9 +46,7 @@ class ExperimentConfig:
                            degree=self.degree, offset=self.offset)
 
     def ridge_value(self) -> float:
-        if self.link_noise_ridge or self.ridge is None:
-            return self.noise_var / self.n
-        return self.ridge
+        return self.noise_var / self.n if self.ridge is None else self.ridge
 
     def to_dict(self) -> dict:
         return {
@@ -62,7 +59,7 @@ class ExperimentConfig:
             "m": self.m,
             "noise_var": self.noise_var,
             "ridge": self.ridge_value() if self.n >= 1 else self.ridge,
-            "link_noise_ridge": self.link_noise_ridge,
+            "link_noise_ridge": self.ridge is None,
             "select": self.select,
             "seed": self.seed,
             "mc_samples": self.mc_samples,

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidParameter, UnsupportedKernel
+from .errors import (DimensionMismatch, InvalidParameter, NonFiniteValue,
+                     UnsupportedKernel)
 
 
 def as_points(x, input_dim: int) -> np.ndarray:
@@ -111,15 +112,27 @@ class PolynomialKernel:
         A = as_points(A, self.input_dim)
         same = B is None
         B = A if same else as_points(B, self.input_dim)
-        K = (A @ B.T + self.offset) ** self.degree
-        if same:
-            K = 0.5 * (K + K.T)
-        return K
+        # An overflow is reported once, as a typed error, not as warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            K = (A @ B.T + self.offset) ** self.degree
+            if same:
+                K = 0.5 * (K + K.T)
+        return self._finite(K, A, B)
 
     def diag(self, X) -> np.ndarray:
         """k(x_i, x_i) for each row of X, without building the Gram matrix."""
         X = as_points(X, self.input_dim)
-        return (np.sum(X * X, axis=1) + self.offset) ** self.degree
+        with np.errstate(over="ignore"):
+            return self._finite((np.sum(X * X, axis=1) + self.offset) ** self.degree, X)
+
+    def _finite(self, K: np.ndarray, *inputs: np.ndarray) -> np.ndarray:
+        if np.isfinite(K).all():
+            return K
+        if not all(np.isfinite(X).all() for X in inputs):
+            raise NonFiniteValue("polynomial kernel inputs contain NaN or Inf")
+        raise NonFiniteValue(
+            f"the polynomial Gram overflows at degree {self.degree}; "
+            "lower the degree or rescale the inputs")
 
     def mixed_second_derivative(self, j: int, x) -> float:
         raise UnsupportedKernel("mixed second derivative implemented for the Gaussian family only")

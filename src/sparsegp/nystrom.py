@@ -22,7 +22,7 @@ import numpy as np
 from .data import Dataset
 from .errors import InvalidCount, InvalidParameter
 from .kernels import Kernel, KernelExpansion, as_points
-from .linalg import SpdFactor, factor_spd, lower_solve, solve, upper_solve
+from .linalg import SpdFactor, factor_spd, logdet, lower_solve, solve, upper_solve
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,10 @@ class NystromFactor:
     # the optimal variational posterior; its coef is k_ZZ^{-1} mu*.
     mean: KernelExpansion
     trace_gap: float  # tr(k_XX - q_XX)
-    fit_quad: float  # y^T (q_XX + s2 I)^{-1} y
+    # The optimal ELBO -n/2 log(2 pi s2) - 1/2 log|L_B L_B^T|
+    # - 1/2 y^T (q_XX + s2 I)^{-1} y - tr(k_XX - q_XX) / (2 s2): the q-model
+    # evidence (determinant lemma) minus the trace penalty, in O(n m^2).
+    elbo: float
     fitted: np.ndarray  # m*(X) at the training inputs, bit-identical to mean.predict_many(X)
 
     def dtc_var(self, X) -> np.ndarray:
@@ -141,12 +144,14 @@ def nystrom_factor(kernel: Kernel, data: Dataset, ind: InducingSet,
     b_factor = factor_spd(np.eye(ind.m) + V @ V.T / noise_var)
     c, e, r = _woodbury(b_factor, V, data.targets, noise_var)
     mean_coef = upper_solve(ind.kzz_factor, e)
+    t = _trace_gap(kernel.diag(data.inputs), V)
+    fit_quad = float(r @ r / noise_var + e @ e)  # y^T (q_XX + s2 I)^{-1} y
+    elbo = float(-0.5 * data.n * np.log(2.0 * np.pi * noise_var) - 0.5 * logdet(b_factor)
+                 - 0.5 * fit_quad - t / (2.0 * noise_var))
     return NystromFactor(inducing=ind, inputs=data.inputs, noise_var=noise_var,
                          b_factor=b_factor, c=c,
                          mean=KernelExpansion(kernel, ind.points, mean_coef),
-                         trace_gap=_trace_gap(kernel.diag(data.inputs), V),
-                         fit_quad=float(r @ r / noise_var + e @ e),
-                         fitted=Kxz @ mean_coef)
+                         trace_gap=t, elbo=elbo, fitted=Kxz @ mean_coef)
 
 
 def fit_nystrom(kernel: Kernel, data: Dataset, ind: InducingSet,

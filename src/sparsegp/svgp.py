@@ -1,18 +1,22 @@
 """Sparse variational GP: the (Z, mu, Sigma) family, its ELBO, and the
 closed-form optimum.
 
-The ELBO is computed fully in closed form (Gaussian likelihood), and the
-four-term expansion of -2*sigma^2*ELBO is exposed with the Gaussian
-normalization constant n*sigma^2*log(2*pi*sigma^2) carried explicitly so
-the identity holds exactly.
+Every member of the family is read in the Nystrom feature coordinates
+v(x) = L_Z^{-1} k_Z(x), L_Z = chol(k_ZZ), with the state whitened to
+u = L_Z^{-1} mu and R = L_Z^{-1} L_Sigma. The mean is m^nu(x) = v(x)^T u,
+the covariance is k(x, x') - q(x, x') + phi(x)^T phi(x') with
+phi(x) = R^T v(x), and 2 KL(N(mu, Sigma) || N(0, k_ZZ)) =
+||R||_F^2 + ||u||^2 - m + log|k_ZZ| - log|Sigma|. The ELBO is computed
+fully in closed form (Gaussian likelihood) on V = v(X), and the four-term
+expansion of -2*sigma^2*ELBO is exposed with the Gaussian normalization
+constant n*sigma^2*log(2*pi*sigma^2) carried explicitly so the identity
+holds exactly.
 
-The optimum comes from the whitened factorization NystromFactor: with
-v(x) = L_Z^{-1} k_Z(x), A = L_Z^{-1} k_ZX / s, L_B = chol(I + A A^T) and
-c = L_B^{-1} A y / s, mu* = L_Z L_B^{-T} c, Sigma* = W^T W for
-W = L_B^{-1} L_Z^T, and the optimal ELBO follows from the determinant
-lemma in O(n m^2). The optimal posterior's mean m* and variance
-k*(x, x) = k - ||v||^2 + ||L_B^{-1} v||^2 are `NystromFactor.mean` and
-`NystromFactor.optimal_var`.
+The optimum is read from the whitened factorization NystromFactor: with
+A = V / s, L_B = chol(I + A A^T) and c = L_B^{-1} A y / s,
+mu* = L_Z L_B^{-T} c and Sigma* = W^T W for W = L_B^{-1} L_Z^T; the
+optimal ELBO is `NystromFactor.elbo`, its posterior mean and variance are
+`NystromFactor.mean` and `NystromFactor.optimal_var`.
 `fixed_point_solver` and `mu_stationarity_residual` stay in raw
 k_ZX k_XZ coordinates as independent references.
 """
@@ -25,9 +29,9 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DimensionMismatch, InvalidParameter
-from .kernels import Kernel, as_points
+from .kernels import Kernel
 from .linalg import SpdFactor, factor_spd, logdet, lower_solve, solve, upper_solve
-from .nystrom import InducingSet, NystromFactor, nystrom_factor
+from .nystrom import InducingSet, NystromFactor, _features, _trace_gap
 
 
 @dataclass(frozen=True)
@@ -71,62 +75,57 @@ def psi_inverse(ind: InducingSet, alpha) -> np.ndarray:
     return Kzz @ alpha
 
 
-def feature_map_phi(state: SvgpState, x) -> np.ndarray:
-    """phi(x) = Sigma^{1/2} k_ZZ^{-1} k_Z(x). The covariance of the state's
-    GP is k^nu(x, x') = k(x, x') - q(x, x') + phi(x)^T phi(x'), and the Gram
-    of phi on Z is Sigma."""
-    ind = state.inducing
-    kx = ind.kernel.gram(ind.points, as_points(x, ind.kernel.input_dim))[:, 0]
-    return state.sigma_factor.lower.T @ solve(ind.kzz_factor, kx)
+def _whitened(state: SvgpState) -> tuple[np.ndarray, np.ndarray]:
+    """u = L_Z^{-1} mu and R = L_Z^{-1} L_Sigma."""
+    kzz = state.inducing.kzz_factor
+    return lower_solve(kzz, state.mu), lower_solve(kzz, state.sigma_factor.lower)
 
 
-def _data_pieces(ind: InducingSet, data: Dataset):
-    """The state-free ELBO pieces: k_XZ, A = k_ZZ^{-1} k_ZX (column i is
-    k_ZZ^{-1} k_Z(x_i)), diag k_XX and diag q_XX."""
-    Kxz = ind.kernel.gram(data.inputs, ind.points)
-    A = solve(ind.kzz_factor, Kxz.T)
-    return Kxz, A, ind.kernel.diag(data.inputs), np.sum(Kxz * A.T, axis=1)
+def feature_map_phi(state: SvgpState, X) -> np.ndarray:
+    """phi(x) = R^T v(x) = Sigma^{1/2} k_ZZ^{-1} k_Z(x), one row per row of X.
+    The covariance of the state's GP is k^nu(x, x') = k(x, x') - q(x, x')
+    + phi(x)^T phi(x'), and the Gram of phi on Z is Sigma."""
+    return (_whitened(state)[1].T @ _features(state.inducing, X)).T
 
 
-def _state_pieces(state: SvgpState, Kxz: np.ndarray, A: np.ndarray):
-    """The pieces that depend on (mu, Sigma): m^nu at X, diag of
-    k_XZ k_ZZ^{-1} Sigma k_ZZ^{-1} k_ZX and KL(N(mu, Sigma) || N(0, k_ZZ))."""
-    ind = state.inducing
-    mean_at_X = Kxz @ solve(ind.kzz_factor, state.mu)
-    diag_qnu = np.sum(A * (state.sigma @ A), axis=0)
-    kl = 0.5 * (
-        np.trace(solve(ind.kzz_factor, state.sigma))
-        + state.mu @ solve(ind.kzz_factor, state.mu)
-        - state.m
-        + logdet(ind.kzz_factor)
-        - logdet(state.sigma_factor)
-    )
-    return mean_at_X, diag_qnu, float(kl)
+def _state_terms(state: SvgpState, data: Dataset, V: np.ndarray):
+    """The parts of the ELBO that depend on (mu, Sigma), on V = v(X):
+    ||y - V^T u||^2, the spread sum_i ||R^T v_i||^2, ||u||^2 and
+    ||R||_F^2 - m + log|k_ZZ| - log|Sigma| (the Sigma part of 2 KL)."""
+    u, R = _whitened(state)
+    resid = data.targets - V.T @ u
+    RV = R.T @ V
+    kl_sigma = (float(np.sum(R * R)) - state.m + logdet(state.inducing.kzz_factor)
+                - logdet(state.sigma_factor))
+    return float(resid @ resid), float(np.sum(RV * RV)), float(u @ u), kl_sigma
 
 
-def _elbo_value(data: Dataset, noise_var: float, diag_k, diag_q,
-                mean_at_X, diag_qnu, kl: float) -> float:
-    n = data.n
-    resid_sq = float(np.sum((data.targets - mean_at_X) ** 2))
-    var_sum = float(np.sum(diag_k - diag_q + diag_qnu))
-    fit = -0.5 * n * np.log(2.0 * np.pi * noise_var) - (resid_sq + var_sum) / (2.0 * noise_var)
-    return fit - kl
+def _elbo_value(n: int, noise_var: float, trace_gap: float, resid_sq: float,
+                spread: float, u_sq: float, kl_sigma: float) -> float:
+    fit = (-0.5 * n * np.log(2.0 * np.pi * noise_var)
+           - (resid_sq + trace_gap + spread) / (2.0 * noise_var))
+    return fit - 0.5 * (u_sq + kl_sigma)
+
+
+def _data_features(ind: InducingSet, data: Dataset, noise_var: float):
+    """V = v(X) and tr(k_XX - q_XX), shared by every state on `ind`."""
+    if noise_var <= 0:
+        raise InvalidParameter("noise_var must be positive")
+    V = _features(ind, data.inputs)
+    return V, _trace_gap(ind.kernel.diag(data.inputs), V)
 
 
 def elbos(states: list[SvgpState], data: Dataset, noise_var: float) -> np.ndarray:
     """Closed-form ELBO of each state; all states share one inducing set.
 
-    k_XZ, k_ZZ^{-1} k_ZX, diag k and diag q are built once; each state keeps
-    its own KL, fit and variance terms, so elbos(states)[i] is exactly
-    elbo(states[i])."""
-    if noise_var <= 0:
-        raise InvalidParameter("noise_var must be positive")
+    V = v(X) and the trace gap are built once; each state keeps its own
+    terms, so elbos(states)[i] is exactly elbo(states[i])."""
     ind = states[0].inducing
     if any(s.inducing is not ind for s in states):
         raise ValueError("elbos takes states on one inducing set")
-    Kxz, A, diag_k, diag_q = _data_pieces(ind, data)
-    return np.array([_elbo_value(data, noise_var, diag_k, diag_q,
-                                 *_state_pieces(s, Kxz, A)) for s in states])
+    V, t = _data_features(ind, data, noise_var)
+    return np.array([_elbo_value(data.n, noise_var, t, *_state_terms(s, data, V))
+                     for s in states])
 
 
 def elbo(state: SvgpState, data: Dataset, noise_var: float) -> float:
@@ -164,75 +163,30 @@ def elbo_breakdown(state: SvgpState, data: Dataset, noise_var: float) -> ElboBre
     sigma_quadratic and kl_regularizer depend only on Sigma (and Z);
     residual_trace only on Z.
     """
-    if noise_var <= 0:
-        raise InvalidParameter("noise_var must be positive")
-    ind = state.inducing
-    Kxz, A, diag_k, diag_q = _data_pieces(ind, data)
-    mean_at_X, diag_qnu, kl = _state_pieces(state, Kxz, A)
+    V, t = _data_features(state.inducing, data, noise_var)
+    terms = _state_terms(state, data, V)
+    resid_sq, spread, u_sq, kl_sigma = terms
     n = data.n
-    fit_plus_norm = float(
-        np.sum((data.targets - mean_at_X) ** 2)
-        + noise_var * state.mu @ solve(ind.kzz_factor, state.mu)
-    )
-    sigma_quadratic = float(np.sum(diag_qnu))
-    kl_regularizer = float(noise_var * (
-        np.trace(solve(ind.kzz_factor, state.sigma))
-        + logdet(ind.kzz_factor) - logdet(state.sigma_factor)
-        - state.m
-    ))
-    residual_trace = float(np.sum(diag_k - diag_q))
-    normalization = float(n * noise_var * np.log(2.0 * np.pi * noise_var))
-    total = -2.0 * noise_var * _elbo_value(data, noise_var, diag_k, diag_q,
-                                           mean_at_X, diag_qnu, kl)
     return ElboBreakdown(
-        fit_plus_norm=fit_plus_norm,
-        sigma_quadratic=sigma_quadratic,
-        kl_regularizer=kl_regularizer,
-        residual_trace=residual_trace,
-        normalization=normalization,
-        total_check=total,
+        fit_plus_norm=resid_sq + noise_var * u_sq,
+        sigma_quadratic=spread,
+        kl_regularizer=noise_var * kl_sigma,
+        residual_trace=t,
+        normalization=float(n * noise_var * np.log(2.0 * np.pi * noise_var)),
+        total_check=-2.0 * noise_var * _elbo_value(n, noise_var, t, *terms),
     )
 
 
-def optimal_parameters(kernel: Kernel, data: Dataset, ind: InducingSet,
-                       noise_var: float) -> SvgpState:
-    """Closed-form ELBO maximizer:
+def optimal_parameters(fac: NystromFactor) -> SvgpState:
+    """Closed-form ELBO maximizer, read from a built whitened factor:
 
     mu*    = k_ZZ (s2 k_ZZ + k_ZX k_XZ)^{-1} k_ZX y    = L_Z L_B^{-T} c
     Sigma* = k_ZZ (k_ZZ + s2^{-1} k_ZX k_XZ)^{-1} k_ZZ = W^T W, W = L_B^{-1} L_Z^T
     """
-    return state_from_factor(nystrom_factor(kernel, data, ind, noise_var))
-
-
-def state_from_factor(fac: NystromFactor) -> SvgpState:
-    """(mu*, Sigma*) read from an already built whitened factor."""
     ind = fac.inducing
     Lz = ind.kzz_factor.lower
     W = lower_solve(fac.b_factor, Lz.T)
     return make_state(ind, Lz @ upper_solve(fac.b_factor, fac.c), W.T @ W)
-
-
-def optimal_elbo(kernel: Kernel, data: Dataset, ind: InducingSet, noise_var: float) -> float:
-    """ELBO at (mu*, Sigma*):
-
-    -1/2 logdet(q_XX + s2 I) - 1/2 y^T (q_XX + s2 I)^{-1} y
-    - n/2 log 2pi - tr(k_XX - q_XX) / (2 s2)
-
-    By the determinant lemma logdet(q_XX + s2 I) = n log s2 + logdet(L_B L_B^T);
-    no n x n matrix is formed: O(n m^2).
-    """
-    return elbo_from_factor(nystrom_factor(kernel, data, ind, noise_var))
-
-
-def elbo_from_factor(fac: NystromFactor) -> float:
-    """The optimal ELBO read from an already built whitened factor."""
-    n, s2 = fac.inputs.shape[0], fac.noise_var
-    return float(
-        -0.5 * n * np.log(2.0 * np.pi * s2)
-        - 0.5 * logdet(fac.b_factor)
-        - 0.5 * fac.fit_quad
-        - fac.trace_gap / (2.0 * s2)
-    )
 
 
 def fixed_point_solver(kernel: Kernel, data: Dataset, ind: InducingSet,

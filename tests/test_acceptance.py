@@ -105,8 +105,8 @@ def test_variational_mean_maps_to_ridge_coefficients():
     worst = 0.0
     for seed in range(20):
         inst = make_instance(seed)
-        star = optimal_parameters(inst.kernel, inst.data, inst.ind,
-                                  inst.noise_var)
+        star = optimal_parameters(nystrom_factor(inst.kernel, inst.data, inst.ind,
+                                                 inst.noise_var))
         beta = fit_nystrom(inst.kernel, inst.data, inst.ind, inst.ridge).coef
         worst = max(worst, float(np.max(np.abs(
             psi_forward(inst.ind, star.mu) - beta))))
@@ -119,8 +119,8 @@ def test_closed_form_parameters_maximize_elbo():
     ok = True
     for seed in range(5):
         inst = make_instance(seed)
-        star = optimal_parameters(inst.kernel, inst.data, inst.ind,
-                                  inst.noise_var)
+        star = optimal_parameters(nystrom_factor(inst.kernel, inst.data, inst.ind,
+                                                 inst.noise_var))
         best = elbo(star, inst.data, inst.noise_var)
         m = inst.ind.m
         rng = np.random.default_rng(3000 + seed)
@@ -264,8 +264,8 @@ def test_fixed_point_solver_matches_closed_form():
     ok = True
     for seed in range(20):
         inst = make_instance(seed)
-        star = optimal_parameters(inst.kernel, inst.data, inst.ind,
-                                  inst.noise_var)
+        star = optimal_parameters(nystrom_factor(inst.kernel, inst.data, inst.ind,
+                                                 inst.noise_var))
         solved = fixed_point_solver(inst.kernel, inst.data, inst.ind,
                                     inst.noise_var)
         ok = ok and np.max(np.abs(solved.mu - star.mu)) <= 1e-6

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsegp.errors import DimensionMismatch, InvalidParameter, UnsupportedKernel
-from sparsegp.kernels import GaussianKernel, PolynomialKernel, make_kernel
+from sparsegp.errors import (DimensionMismatch, InvalidParameter, NonFiniteValue,
+                             UnsupportedKernel)
+from sparsegp.kernels import GaussianKernel, KernelExpansion, PolynomialKernel, make_kernel
 
 
 def test_gaussian_diagonal_is_one():
@@ -163,3 +164,19 @@ def test_gaussian_gram_matches_sum_norms_to_rounding_for_d_above_2(d):
 def test_kernel_parameters_raise_typed_error(make):
     with pytest.raises(InvalidParameter):
         make()
+
+
+def test_polynomial_gram_overflow_is_a_typed_error():
+    # (2.9 * 2.8)^400 and 9^400 overflow: the Gram and the diagonal raise
+    # instead of returning inf, and no RuntimeWarning escapes (pytest turns
+    # one into an error)
+    f = KernelExpansion(PolynomialKernel(degree=400), np.array([[2.9], [-2.5]]),
+                        np.array([1.0, 1.0]))
+    diag = PolynomialKernel(degree=400).diag
+    for evaluate in (lambda: f.predict_many([[2.8]]), f.rkhs_norm_sq,
+                     lambda: diag([[3.0]])):
+        with pytest.raises(NonFiniteValue, match="lower the degree or rescale"):
+            evaluate()
+    assert np.isfinite(PolynomialKernel(degree=400).gram([[0.5], [-1.0]])).all()
+    with pytest.raises(NonFiniteValue, match="inputs contain NaN"):
+        KernelExpansion(PolynomialKernel(degree=2), [[1.0]], [1.0]).predict_many([[np.nan]])

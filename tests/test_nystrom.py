@@ -10,7 +10,7 @@ from sparsegp.kernels import GaussianKernel, PolynomialKernel
 from sparsegp.nystrom import (fit_nystrom, fit_nystrom_via_q, make_inducing,
                               nystrom_factor, q_diag, q_gram, select_inducing,
                               trace_gap)
-from sparsegp.svgp import fixed_point_solver, optimal_elbo, psi_forward
+from sparsegp.svgp import elbo, fixed_point_solver, make_state, psi_forward
 
 
 @pytest.fixture
@@ -237,7 +237,7 @@ def test_bad_noise_and_ridge_raise_typed_error(kernel, bad):
                  lambda: fit_nystrom_via_q(kernel, data, ind, bad),
                  lambda: fit_krr(kernel, data, bad),
                  lambda: fit_gpr(kernel, data, bad),
-                 lambda: optimal_elbo(kernel, data, ind, bad),
+                 lambda: elbo(make_state(ind, np.zeros(4), np.eye(4)), data, bad),
                  lambda: fixed_point_solver(kernel, data, ind, bad),
                  lambda: SparseProblem(kernel, data, ind, bad),
                  lambda: synth_prior_dataset(kernel, data.inputs, bad, seed=0)):

@@ -180,7 +180,7 @@ def test_verify_run_fits_the_sparse_ridge_once_per_problem(monkeypatch, link):
     fit, risk = bounds.fit_nystrom, bounds.excess_risk
     monkeypatch.setattr(bounds, "fit_nystrom", lambda *args: fits.append(args) or fit(*args))
     monkeypatch.setattr(bounds, "excess_risk", lambda prob: risks.append(prob) or risk(prob))
-    config = ExperimentConfig(n=40, m=6, mc_samples=500, link_noise_ridge=link, ridge=0.003)
+    config = ExperimentConfig(n=40, m=6, mc_samples=500, ridge=None if link else 0.003)
     report = run_verification(config)
     assert [c.name for c in report.checks] == CHECK_NAMES
     # The equivalence and psi checks read the noise-linked problem's fit;

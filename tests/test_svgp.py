@@ -8,8 +8,8 @@ from sparsegp.kernels import GaussianKernel
 from sparsegp.nystrom import fit_nystrom, make_inducing, nystrom_factor, q_diag, q_gram
 from sparsegp.svgp import (elbo, elbo_breakdown, feature_map_phi,
                            fixed_point_solver, make_state,
-                           mu_stationarity_residual, optimal_elbo,
-                           optimal_parameters, psi_forward, psi_inverse)
+                           mu_stationarity_residual, optimal_parameters,
+                           psi_forward, psi_inverse)
 
 
 @pytest.fixture
@@ -44,7 +44,7 @@ def variational_mean(state, X):
 def variational_var(state, X):
     """k^nu(x, x) = k(x, x) - q(x, x) + ||phi(x)||^2 at each row of X."""
     ind = state.inducing
-    phi = np.array([feature_map_phi(state, x) for x in X])
+    phi = feature_map_phi(state, X)
     return ind.kernel.diag(X) - q_diag(ind, X) + np.sum(phi**2, axis=1)
 
 
@@ -67,7 +67,8 @@ def test_variational_cov_at_inducing_points(kernel):
     # k - q vanishes on Z, so phi(z_i) . phi(z_j) is the whole covariance Sigma_ij
     state = random_state(kernel, 3, 2)
     Z = state.inducing.points
-    phi = np.array([feature_map_phi(state, z) for z in Z])
+    phi = feature_map_phi(state, Z)
+    assert phi.shape == (3, 3)
     np.testing.assert_allclose(phi @ phi.T, state.sigma, rtol=0, atol=1e-8)
     np.testing.assert_allclose(variational_var(state, Z), np.diag(state.sigma),
                                rtol=0, atol=1e-8)
@@ -100,12 +101,13 @@ def test_feature_map_inner_products(kernel):
     state = random_state(kernel, 4, 6)
     Z = state.inducing.points
     Kzz = kernel.gram(Z)
-    for x, x2 in [(0.0, 0.0), (0.5, -1.0), (2.0, 2.0)]:
-        inner = float(feature_map_phi(state, x) @ feature_map_phi(state, x2))
-        a = np.linalg.solve(Kzz, kernel.gram(Z, np.atleast_2d(x))[:, 0])
-        b = np.linalg.solve(Kzz, kernel.gram(Z, np.atleast_2d(x2))[:, 0])
-        # a second solve path: relative agreement, the values reach ~1e4 here
-        assert inner == pytest.approx(a @ state.sigma @ b, rel=1e-10, abs=1e-8)
+    X = np.array([[0.0], [0.5], [2.0]])
+    X2 = np.array([[0.0], [-1.0], [2.0]])
+    inner = feature_map_phi(state, X) @ feature_map_phi(state, X2).T
+    a = np.linalg.solve(Kzz, kernel.gram(Z, X))
+    b = np.linalg.solve(Kzz, kernel.gram(Z, X2))
+    # a second solve path: relative agreement, the values reach ~1e4 here
+    assert inner == pytest.approx(a.T @ state.sigma @ b, rel=1e-10, abs=1e-8)
 
 
 def test_elbo_at_most_evidence(kernel):
@@ -121,7 +123,7 @@ def test_elbo_equals_evidence_when_inducing_covers_data(kernel):
     data = random_dataset(10, 8)
     s2 = 0.4
     ind = make_inducing(kernel, data.inputs)
-    state = optimal_parameters(kernel, data, ind, s2)
+    state = optimal_parameters(nystrom_factor(kernel, data, ind, s2))
     assert elbo(state, data, s2) == pytest.approx(
         fit_gpr(kernel, data, s2).log_evidence(data.targets), abs=1e-8)
 
@@ -166,9 +168,10 @@ def test_optimal_parameters_maximize_elbo(kernel):
     s2 = 0.3
     rng = np.random.default_rng(15)
     ind = make_inducing(kernel, rng.uniform(-3, 3, size=(4, 1)))
-    star = optimal_parameters(kernel, data, ind, s2)
+    fac = nystrom_factor(kernel, data, ind, s2)
+    star = optimal_parameters(fac)
     best = elbo(star, data, s2)
-    assert best == pytest.approx(optimal_elbo(kernel, data, ind, s2), rel=1e-10)
+    assert best == pytest.approx(fac.elbo, rel=1e-10)
     for seed in range(20):
         r = np.random.default_rng(300 + seed)
         mu = star.mu + 0.1 * r.standard_normal(4)
@@ -188,7 +191,7 @@ def test_optimal_elbo_closed_form(kernel):
     ev_q = scipy.stats.multivariate_normal(
         mean=np.zeros(data.n), cov=Q + s2 * np.eye(data.n),
         allow_singular=True).logpdf(data.targets)
-    assert optimal_elbo(kernel, data, ind, s2) == pytest.approx(
+    assert nystrom_factor(kernel, data, ind, s2).elbo == pytest.approx(
         ev_q - t / (2 * s2), rel=1e-8)
 
 
@@ -211,7 +214,7 @@ def test_optimal_mean_matches_sparse_ridge(kernel):
     s2 = 0.4
     rng = np.random.default_rng(21)
     ind = make_inducing(kernel, rng.uniform(-3, 3, size=(4, 1)))
-    star = optimal_parameters(kernel, data, ind, s2)
+    star = optimal_parameters(nystrom_factor(kernel, data, ind, s2))
     model = fit_nystrom(kernel, data, ind, s2 / data.n)
     assert np.allclose(psi_forward(ind, star.mu), model.coef, atol=1e-8)
 
@@ -221,7 +224,7 @@ def test_fixed_point_solver_recovers_optimum(kernel):
     s2 = 0.3
     rng = np.random.default_rng(23)
     ind = make_inducing(kernel, rng.uniform(-3, 3, size=(4, 1)))
-    star = optimal_parameters(kernel, data, ind, s2)
+    star = optimal_parameters(nystrom_factor(kernel, data, ind, s2))
     solved = fixed_point_solver(kernel, data, ind, s2)
     assert np.allclose(solved.mu, star.mu, atol=1e-6)
     assert np.allclose(solved.sigma, star.sigma, atol=1e-6)
@@ -232,7 +235,7 @@ def test_mu_stationarity_residual_vanishes_at_optimum(kernel):
     s2 = 0.3
     rng = np.random.default_rng(27)
     ind = make_inducing(kernel, rng.uniform(-3, 3, size=(4, 1)))
-    star = optimal_parameters(kernel, data, ind, s2)
+    star = optimal_parameters(nystrom_factor(kernel, data, ind, s2))
     assert mu_stationarity_residual(kernel, data, star, s2) <= 1e-8
     shifted = make_state(ind, star.mu + 1.0, star.sigma)
     assert mu_stationarity_residual(kernel, data, shifted, s2) > 1e-4

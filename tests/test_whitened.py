@@ -3,10 +3,11 @@
 the answer."""
 
 import numpy as np
+import pytest
 
 from sparsegp.harness import ExperimentConfig, make_problem
 from sparsegp.nystrom import fit_nystrom_via_q, nystrom_factor
-from sparsegp.svgp import elbo_breakdown, optimal_parameters
+from sparsegp.svgp import elbo, elbo_breakdown, optimal_parameters
 
 
 def test_posterior_means_match_q_route_at_small_noise():
@@ -23,6 +24,22 @@ def test_optimal_state_exists_and_elbo_closes_at_n800():
     config = ExperimentConfig(n=800, m=40, seed=7)
     prob, _, _ = make_problem(config)
     kernel, data, ind, s2 = prob.kernel, prob.data, prob.ind, prob.noise_var
-    state = optimal_parameters(kernel, data, ind, s2)
+    state = optimal_parameters(nystrom_factor(kernel, data, ind, s2))
     bd = elbo_breakdown(state, data, s2)
     assert abs(bd.term_sum() - bd.total_check) <= 1e-8 * max(1.0, abs(bd.total_check))
+
+
+@pytest.mark.parametrize("over", [
+    dict(n=400, m=24),
+    dict(n=60, m=30, noise_var=1e-4),
+    dict(select="uniform", n=800, m=40),
+    dict(n=2000, m=60),
+], ids=["n400", "noise1e-4", "uniform800", "n2000"])
+def test_elbo_at_the_optimum_is_the_closed_form(over):
+    # The ELBO of (mu*, Sigma*), evaluated on the Nystrom features, meets
+    # the factor's determinant-lemma form to 1e-12 relative, even where
+    # cond(k_ZZ) reaches 1e16.
+    prob, _, _ = make_problem(ExperimentConfig(**over))
+    closed = prob.nystrom.elbo
+    gap = abs(elbo(prob.optimal_state, prob.data, prob.noise_var) - closed)
+    assert gap <= 1e-12 * abs(closed)
