@@ -8,7 +8,7 @@ RKHS-distance and derivative bounds) that tie the two sides together.
 """
 
 from .bounds import (BoundRecord, SparseProblem, burt_upper_bound,
-                     derivative_gap_bound, derivative_gap_bounds, excess_risk,
+                     derivative_gap_bounds, excess_risk,
                      excess_risk_upper_bound, expected_excess_risk_lower_bound,
                      expected_kl_sandwich, kl_to_exact_posterior,
                      quadratic_form_gap_bound, rkhs_distance_bound,

@@ -30,7 +30,6 @@ MIN_MC_SAMPLES = 100
 
 @dataclass(frozen=True)
 class BoundRecord:
-    name: str
     lhs: float
     rhs: float
 
@@ -199,8 +198,8 @@ def burt_upper_bound(prob: SparseProblem) -> tuple[BoundRecord, BoundRecord]:
     loose = (t / s2) * (y_sq / s2 + 1.0)
     tight = (t / s2) * (y_sq / (t + s2) + 1.0)
     return (
-        BoundRecord("kl_upper_bound", kl2, loose),
-        BoundRecord("kl_upper_bound_intermediate", kl2, tight),
+        BoundRecord(kl2, loose),
+        BoundRecord(kl2, tight),
     )
 
 
@@ -210,7 +209,7 @@ def quadratic_form_gap_bound(prob: SparseProblem) -> BoundRecord:
     op = prob.opnorm_gap
     y_sq = float(prob.data.targets @ prob.data.targets)
     rhs = y_sq * op / (s2 * (op + s2))
-    return BoundRecord("quadratic_form_gap", prob.quadratic_form_gap, rhs)
+    return BoundRecord(prob.quadratic_form_gap, rhs)
 
 
 def excess_risk(prob: SparseProblem) -> float:
@@ -236,8 +235,8 @@ def excess_risk_upper_bound(prob: SparseProblem) -> tuple[BoundRecord, BoundReco
     rhs_trace = y_sq * t / (n**2 * ridge * (t + n * ridge))
     rhs_op = y_sq * op / (n**2 * ridge * (op + n * ridge))
     return (
-        BoundRecord("excess_risk_trace", lhs, rhs_trace),
-        BoundRecord("excess_risk_opnorm", lhs, rhs_op),
+        BoundRecord(lhs, rhs_trace),
+        BoundRecord(lhs, rhs_op),
     )
 
 
@@ -256,14 +255,19 @@ def rkhs_distance_bound(prob: SparseProblem) -> BoundRecord:
     lhs = rkhs_distance_sq(prob)
     y_sq = float(prob.data.targets @ prob.data.targets)
     rhs = 2.0 * prob.nystrom.trace_gap * y_sq / (prob.n * prob.ridge) ** 2
-    return BoundRecord("rkhs_distance", lhs, rhs)
+    return BoundRecord(lhs, rhs)
 
 
 def derivative_gap_bounds(prob: SparseProblem, X, js,
                           fd_step: float = 1e-5) -> tuple[np.ndarray, np.ndarray]:
-    """Batched `derivative_gap_bound`: (lhs, rhs) for the partial derivative
-    js[i] at each row X[i]. The sparse mean (an expansion over Z) and the
-    exact mean (over X) are evaluated on all 2 P shifted points at once."""
+    """Squared gap of the js[i]-th partial derivatives of the sparse and
+    exact posterior means at each row X[i] (lhs), against
+    2 t ||y||^2 d_j d'_j k(x,x) / s2^2 (rhs).
+
+    The derivatives are central finite differences with step `fd_step`, so
+    callers compare lhs and rhs at a looser 1e-4 tolerance. The sparse mean
+    (an expansion over Z) and the exact mean (over X) are evaluated on all
+    2 P shifted points at once."""
     kernel = prob.kernel
     if not isinstance(kernel, GaussianKernel):
         raise UnsupportedKernel("derivative bound requires the Gaussian kernel")
@@ -289,19 +293,6 @@ def derivative_gap_bounds(prob: SparseProblem, X, js,
     y_sq = float(prob.data.targets @ prob.data.targets)
     rhs = 2.0 * prob.nystrom.trace_gap * y_sq * dd / prob.noise_var**2
     return lhs, rhs
-
-
-def derivative_gap_bound(prob: SparseProblem, x, j: int,
-                         fd_step: float = 1e-5) -> BoundRecord:
-    """Squared gap of the j-th partial derivatives of the sparse and exact
-    posterior means, against 2 t ||y||^2 d_j d'_j k(x,x) / s2^2.
-
-    The derivatives are central finite differences with step `fd_step`, so
-    the record is compared at a looser 1e-4 tolerance by callers.
-    """
-    x = as_points(x, prob.kernel.input_dim)[:1]
-    lhs, rhs = derivative_gap_bounds(prob, x, [j], fd_step)
-    return BoundRecord("derivative_gap", float(lhs[0]), float(rhs[0]))
 
 
 def training_collisions(prob: SparseProblem, X) -> np.ndarray:
@@ -372,5 +363,5 @@ def expected_excess_risk_lower_bound(prob: SparseProblem, n_samples: int = 2000,
     quad_k, quad_q = _mc_quadratic_forms(prob, n_samples, seed)
     excess = (quad_q - quad_k) / n
     mc = float(np.mean(excess))
-    rec = BoundRecord("expected_excess_risk_lower", float(lhs), mc)
+    rec = BoundRecord(float(lhs), mc)
     return rec, float(np.std(excess, ddof=1) / np.sqrt(n_samples))

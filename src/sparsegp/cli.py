@@ -1,13 +1,17 @@
 """Command-line entry point.
 
-Subcommands:
+Subcommands, each taking only the flags it reads:
   fit    fit an exact, nystrom, or svgp model to a CSV dataset and print
          predictions at the training inputs
   verify run the full verification suite and emit a report
-  bounds evaluate a single named bound on a synthetic instance
+  bounds run the verification checks of one named bound (BOUNDS) and emit
+         their report
   synth  generate a synthetic dataset and write it as CSV
 
-Exit code of `verify` is 0 iff every check passes.
+`verify` exits 0 iff every check passes, else 1. `bounds` exits 0 iff its
+checks pass, 1 if one fails, and 2 if the set-up or one of its checks
+errors or is skipped. A library or file error in `fit` or `synth`, and a
+flag a subcommand does not take, exit 2.
 """
 
 from __future__ import annotations
@@ -17,34 +21,46 @@ import sys
 
 import numpy as np
 
-from . import bounds as bnd
 from .data import load_csv, synth_prior_dataset, write_csv
 from .errors import SparseGpError
 from .exact import fit_krr
-from .harness import ExperimentConfig, emit_report, make_problem, run_verification
+from .harness import ExperimentConfig, emit_report, run_verification
 from .kernels import make_kernel
 from .nystrom import fit_nystrom, nystrom_factor, select_inducing
 
-BOUND_NAMES = ("burt", "excess_risk", "rkhs_distance", "derivative",
-               "expected_kl", "expected_excess_risk")
+# The checks of `run_verification` each `sparsegp bounds NAME` reports.
+BOUNDS = {
+    "burt": ("burt_bound", "burt_bound_intermediate"),
+    "excess_risk": ("excess_risk_bound",),
+    "rkhs_distance": ("rkhs_distance_bound",),
+    "derivative": ("derivative_bound",),
+    "expected_kl": ("expected_kl_sandwich",),
+    "expected_excess_risk": ("expected_excess_risk_lower_bound",),
+}
+
+# Every flag; each subcommand adds the ones it reads.
+FLAGS = {
+    "--kernel": dict(default="gaussian", choices=["gaussian", "polynomial"]),
+    "--gamma": dict(type=float, default=1.0),
+    "--degree": dict(type=int, default=2),
+    "--offset": dict(type=float, default=0.0),
+    "--n": dict(type=int, default=60),
+    "--d": dict(type=int, default=1),
+    "--m": dict(type=int, default=8),
+    "--noise-var": dict(type=float, default=0.1),
+    "--ridge": dict(type=float, default=None,
+                    help="ridge lambda; unset links it to the noise, noise_var / n"),
+    "--select": dict(default="greedy_trace", choices=["greedy_trace", "uniform"]),
+    "--seed": dict(type=int, default=7),
+    "--mc-samples": dict(type=int, default=2000),
+    "--format": dict(default="text", choices=["json", "text"]),
+}
+MODEL_FLAGS = ("--kernel", "--gamma", "--degree", "--offset", "--noise-var", "--seed")
 
 
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--kernel", default="gaussian", choices=["gaussian", "polynomial"])
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--degree", type=int, default=2)
-    p.add_argument("--offset", type=float, default=0.0)
-    p.add_argument("--n", type=int, default=60)
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--m", type=int, default=8)
-    p.add_argument("--noise-var", type=float, default=0.1)
-    p.add_argument("--ridge", type=float, default=None,
-                   help="ridge lambda; unset links it to the noise, noise_var / n")
-    p.add_argument("--select", default="greedy_trace",
-                   choices=["greedy_trace", "uniform"])
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--mc-samples", type=int, default=2000)
-    p.add_argument("--format", default="text", choices=["json", "text"])
+def _add_flags(p: argparse.ArgumentParser, names) -> None:
+    for name in names:
+        p.add_argument(name, **FLAGS[name])
 
 
 def _config(args) -> ExperimentConfig:
@@ -85,34 +101,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    config = _config(args)
-    prob, ridge_prob, rng = make_problem(config)
-    if args.name == "burt":
-        recs = bnd.burt_upper_bound(prob)
-    elif args.name == "excess_risk":
-        recs = bnd.excess_risk_upper_bound(ridge_prob)
-    elif args.name == "rkhs_distance":
-        recs = (bnd.rkhs_distance_bound(ridge_prob),)
-    elif args.name == "derivative":
-        x = rng.uniform(-3.0, 3.0, size=config.d)
-        recs = (bnd.derivative_gap_bound(prob, x, 0),)
-    elif args.name == "expected_kl":
-        mc, half, lo, hi = bnd.expected_kl_sandwich(
-            prob, n_samples=config.mc_samples, seed=config.seed)
-        print(f"mc_estimate={mc:.10g} ci_halfwidth={half:.10g} "
-              f"lower={lo:.10g} upper={hi:.10g}")
-        return 0
-    else:  # expected_excess_risk
-        rec, stderr = bnd.expected_excess_risk_lower_bound(
-            ridge_prob, n_samples=config.mc_samples, seed=config.seed)
-        recs = (rec,)
-        print(f"stderr={stderr:.10g}")
-    ok = True
-    for rec in recs:
-        ok = ok and rec.holds
-        print(f"{rec.name}: lhs={rec.lhs:.10g} rhs={rec.rhs:.10g} "
-              f"slack={rec.slack:.10g} holds={rec.holds}")
-    return 0 if ok else 1
+    report = run_verification(_config(args), BOUNDS[args.name])
+    print(emit_report(report, args.format))
+    broken = [c for c in report.checks if c.status in ("error", "skipped")]
+    for c in broken:
+        print(f"error: {c.detail}", file=sys.stderr)
+    return 2 if broken else 0 if report.overall_pass else 1
 
 
 def cmd_synth(args) -> int:
@@ -127,27 +121,32 @@ def cmd_synth(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="sparsegp")
+    # allow_abbrev=False: a flag a subcommand does not take is an error, not
+    # the prefix of one it does (--n of --noise-var)
+    parser = argparse.ArgumentParser(prog="sparsegp", allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_fit = sub.add_parser("fit", help="fit a model to a CSV dataset")
+    p_fit = sub.add_parser("fit", help="fit a model to a CSV dataset", allow_abbrev=False)
     p_fit.add_argument("model", choices=["exact", "nystrom", "svgp"])
     p_fit.add_argument("--data", required=True, help="CSV file with header x1..xd,y")
-    _add_model_flags(p_fit)
+    _add_flags(p_fit, MODEL_FLAGS + ("--m", "--ridge", "--select"))
     p_fit.set_defaults(func=cmd_fit)
 
-    p_verify = sub.add_parser("verify", help="run the full verification suite")
-    _add_model_flags(p_verify)
+    p_verify = sub.add_parser("verify", help="run the full verification suite",
+                              allow_abbrev=False)
+    _add_flags(p_verify, FLAGS)
     p_verify.set_defaults(func=cmd_verify)
 
-    p_bounds = sub.add_parser("bounds", help="evaluate a single bound")
-    p_bounds.add_argument("name", choices=BOUND_NAMES)
-    _add_model_flags(p_bounds)
+    p_bounds = sub.add_parser("bounds", help="run the checks of one bound",
+                              allow_abbrev=False)
+    p_bounds.add_argument("name", choices=BOUNDS)
+    _add_flags(p_bounds, FLAGS)
     p_bounds.set_defaults(func=cmd_bounds)
 
-    p_synth = sub.add_parser("synth", help="generate a synthetic CSV dataset")
+    p_synth = sub.add_parser("synth", help="generate a synthetic CSV dataset",
+                             allow_abbrev=False)
     p_synth.add_argument("--out", required=True)
-    _add_model_flags(p_synth)
+    _add_flags(p_synth, MODEL_FLAGS + ("--n", "--d"))
     p_synth.set_defaults(func=cmd_synth)
     return parser
 

@@ -5,7 +5,7 @@ derivative bound and the worst-case decomposition."""
 import numpy as np
 import pytest
 
-from sparsegp.bounds import (SparseProblem, derivative_gap_bound, derivative_gap_bounds,
+from sparsegp.bounds import (SparseProblem, derivative_gap_bounds,
                              training_collisions, worst_case_decompositions,
                              worst_case_residuals)
 from sparsegp.data import Dataset
@@ -75,9 +75,9 @@ def test_derivative_gap_bounds_match_one_point_bound(d):
     js = rng.integers(d, size=7)
     lhs, rhs = derivative_gap_bounds(prob, X, js)
     for i in range(7):
-        rec = derivative_gap_bound(prob, X[i], int(js[i]))
-        assert lhs[i] == pytest.approx(rec.lhs, rel=1e-8, abs=1e-14)
-        assert rhs[i] == rec.rhs
+        [lhs_i], [rhs_i] = derivative_gap_bounds(prob, X[i:i + 1], js[i:i + 1])
+        assert lhs[i] == pytest.approx(lhs_i, rel=1e-8, abs=1e-14)
+        assert rhs[i] == rhs_i
     with pytest.raises(DimensionMismatch):
         derivative_gap_bounds(prob, X, js[:3])
 

@@ -177,15 +177,36 @@ def test_cli_fit_missing_file_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+BOUND_CHECKS = {
+    "burt": ["burt_bound", "burt_bound_intermediate"],
+    "excess_risk": ["excess_risk_bound"],
+    "rkhs_distance": ["rkhs_distance_bound"],
+    "derivative": ["derivative_bound"],
+    "expected_kl": ["expected_kl_sandwich"],
+    "expected_excess_risk": ["expected_excess_risk_lower_bound"],
+}
+
+
+def json_checks(capsys, *argv):
+    code = run_cli(*argv, "--format", "json")
+    return code, json.loads(capsys.readouterr().out)["checks"]
+
+
 def test_cli_bounds_commands(capsys):
-    for name in ("burt", "excess_risk", "rkhs_distance", "derivative"):
-        code = run_cli("bounds", name, "--n", "30", "--m", "5")
-        out = capsys.readouterr().out
-        assert code == 0, (name, out)
-        assert "holds=True" in out
-    assert run_cli("bounds", "expected_kl", "--n", "30", "--m", "5",
-                   "--mc-samples", "500") == 0
-    assert "mc_estimate" in capsys.readouterr().out
+    # each `bounds NAME` reports exactly NAME's checks of `verify`, dict for
+    # dict, and exits 0 when they pass
+    flags = ("--n", "30", "--m", "5", "--mc-samples", "500")
+    code, verify_checks = json_checks(capsys, "verify", *flags)
+    assert code == 0
+    by_name = {c["name"]: c for c in verify_checks}
+    for name, checks in BOUND_CHECKS.items():
+        code, bound_checks = json_checks(capsys, "bounds", name, *flags)
+        assert code == 0, name
+        assert [c["name"] for c in bound_checks] == checks
+        assert bound_checks == [by_name[c] for c in checks]
+        assert all(c["status"] == "pass" for c in bound_checks)
+    assert run_cli("bounds", "burt", *flags) == 0
+    assert "burt_bound_intermediate" in capsys.readouterr().out
 
 
 def test_cli_bounds_evaluates_the_verify_instance(capsys):
@@ -194,10 +215,48 @@ def test_cli_bounds_evaluates_the_verify_instance(capsys):
     config = ExperimentConfig(n=400, m=24)
     prob, _, _ = make_problem(config)
     assert float(prob.data.targets @ prob.data.targets) == pytest.approx(100.0)
-    check = next(c for c in run_verification(config).checks if c.name == "burt_bound")
-    assert run_cli("bounds", "burt", "--n", "400", "--m", "24") == 0
-    line = capsys.readouterr().out.splitlines()[0]
-    assert line.startswith(f"kl_upper_bound: lhs={check.lhs:.10g} rhs={check.rhs:.10g} ")
+    verify_checks = [c.to_dict() for c in run_verification(config).checks]
+    by_name = {c["name"]: c for c in verify_checks}
+    for name, checks in BOUND_CHECKS.items():
+        code, bound_checks = json_checks(capsys, "bounds", name, "--n", "400", "--m", "24")
+        assert bound_checks == [by_name[c] for c in checks], name
+        assert code == (0 if all(c["status"] == "pass" for c in bound_checks) else 1)
+    burt = by_name["burt_bound"]
+    assert burt["status"] == "pass" and burt["lhs"] > 0
+
+
+def test_cli_bounds_exits_1_on_an_inverted_kl_band(monkeypatch, capsys):
+    # the monkeypatch of test_expected_kl_check_fails_on_inverted_band:
+    # `bounds` fails where `verify` does
+    monkeypatch.setattr(bounds, "expected_kl_sandwich",
+                        lambda *args, **kwargs: (-0.75, 1.96, -0.5, -1.0))
+    code, checks = json_checks(capsys, "bounds", "expected_kl", "--n", "30", "--m", "5",
+                               "--mc-samples", "500")
+    assert code == 1
+    assert [(c["name"], c["status"]) for c in checks] == [("expected_kl_sandwich", "fail")]
+
+
+def test_cli_bounds_exits_2_on_a_skipped_check(capsys):
+    code, checks = json_checks(capsys, "bounds", "derivative", "--kernel", "polynomial",
+                               "--n", "30", "--m", "5")
+    assert code == 2
+    assert checks == [{"name": "derivative_bound", "status": "skipped",
+                       "detail": "non-gaussian kernel"}]
+
+
+@pytest.mark.parametrize("command, flag", [
+    *((("fit", "svgp", "--data"), flag) for flag in ("--n", "--d", "--mc-samples", "--format")),
+    *((("synth", "--out"), flag)
+      for flag in ("--m", "--ridge", "--select", "--mc-samples", "--format")),
+])
+def test_subcommands_reject_flags_they_do_not_read(command, flag, tmp_path, capsys):
+    # a flag the subcommand would ignore is an argparse error, also where it
+    # is a prefix of one it takes (--n of --noise-var)
+    value = {"--format": "json", "--select": "uniform"}.get(flag, "7")
+    with pytest.raises(SystemExit) as exc:
+        main([*command, str(tmp_path / "t.csv"), flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 def test_cli_entry_point_subprocess(tmp_path):

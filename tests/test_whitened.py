@@ -12,9 +12,8 @@ from sparsegp.svgp import elbo, elbo_breakdown, optimal_parameters
 
 def test_posterior_means_match_q_route_at_small_noise():
     config = ExperimentConfig(n=60, m=30, noise_var=1e-4)
-    prob, _, rng = make_problem(config)
+    prob, _, grid = make_problem(config)  # grid: run_verification's 50 points
     kernel, data, ind, s2 = prob.kernel, prob.data, prob.ind, prob.noise_var
-    grid = rng.uniform(-3.0, 3.0, size=(50, config.d))  # run_verification's grid
     reference = fit_nystrom_via_q(kernel, data, ind, s2 / data.n).predict_many(grid)
     mean = nystrom_factor(kernel, data, ind, s2).mean.predict_many(grid)
     np.testing.assert_allclose(mean, reference, rtol=0, atol=1e-8)
