@@ -3,13 +3,13 @@
 Every bound reads one SparseProblem, which builds each matrix of a
 (kernel, data, Z, s2) instance once. Each bound is returned as a
 BoundRecord pairing the measured quantity with its certified upper (or
-lower) bound; `holds` uses a relative slack tolerance of 1e-8. Ridge-side
-bounds use lambda = s2 / n.
+lower) bound; `holds` uses the relative slack tolerance TOLERANCE.
+Ridge-side bounds use lambda = s2 / n.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -24,7 +24,7 @@ from .nystrom import (InducingSet, NystromFactor, fit_nystrom, nystrom_factor,
                       q_diag, q_gram)
 from .svgp import SvgpState, optimal_parameters
 
-HOLDS_RTOL = 1e-8
+TOLERANCE = 1e-8  # the certified identities' tolerance; 1e-4 for finite differences
 MIN_MC_SAMPLES = 100
 
 
@@ -39,7 +39,7 @@ class BoundRecord:
 
     @property
     def holds(self) -> bool:
-        return self.slack >= -HOLDS_RTOL * max(1.0, abs(self.rhs))
+        return self.slack >= -TOLERANCE * max(1.0, abs(self.rhs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,18 +47,26 @@ class SparseProblem:
     """One (kernel, data, Z, s2) instance and the matrices its bounds read.
 
     Each member is built on first use and then kept, so a verify run forms
-    k_XX, q_XX and the factors of k_XX + s2 I and q_XX + s2 I once. A build
-    that raises is not kept: every reader gets the same typed error.
+    k_XX, q_XX and the factors of k_XX + s2 I and q_XX + s2 I once, and
+    draws one Monte-Carlo sample of mc_samples targets, seeded with
+    mc_seed, for both expected-value bounds. A build that raises is not
+    kept: every reader gets the same typed error.
     """
 
     kernel: Kernel
     data: Dataset
     ind: InducingSet
     noise_var: float
+    mc_samples: int = 2000
+    mc_seed: int = 0
 
     def __post_init__(self):
         if self.noise_var <= 0:
             raise InvalidParameter("noise_var must be positive")
+        if self.mc_samples < MIN_MC_SAMPLES:
+            raise InvalidCount(
+                f"{self.mc_samples} Monte-Carlo samples are too few; use "
+                f"--mc-samples >= {MIN_MC_SAMPLES}")
 
     @property
     def n(self) -> int:
@@ -71,10 +79,10 @@ class SparseProblem:
 
     def at_ridge(self, ridge: float) -> SparseProblem:
         """The problem whose ridge is `ridge`: self when it already is, else
-        a new problem at s2 = n * ridge."""
+        a new problem at s2 = n * ridge with the same Monte-Carlo settings."""
         if ridge == self.ridge:
             return self
-        return SparseProblem(self.kernel, self.data, self.ind, self.n * ridge)
+        return replace(self, noise_var=self.n * ridge)
 
     @cached_property
     def kxx(self) -> np.ndarray:
@@ -141,31 +149,22 @@ class SparseProblem:
     def opnorm_gap(self) -> float:
         return operator_norm(self.kxx - self.qxx)
 
-
-def require_mc_samples(n_samples: int) -> None:
-    """Raise InvalidCount when a Monte-Carlo sample is too small for its
-    standard error to mean anything."""
-    if n_samples < MIN_MC_SAMPLES:
-        raise InvalidCount(
-            f"{n_samples} Monte-Carlo samples are too few; use "
-            f"--mc-samples >= {MIN_MC_SAMPLES}")
+    @cached_property
+    def mc_quadratic_forms(self) -> tuple[np.ndarray, np.ndarray]:
+        """y^T (k+s2 I)^{-1} y and y^T (q+s2 I)^{-1} y for the mc_samples
+        draws y = L_k z ~ N(0, k_XX + s2 I) seeded with mc_seed. The k side
+        is ||z||^2; the q side is taken by Woodbury on the whitened factor
+        in O(n m S)."""
+        z = np.random.default_rng(self.mc_seed).standard_normal((self.n, self.mc_samples))
+        draws = self.k_factor.lower @ z
+        quad_k = np.einsum("ij,ij->j", z, z)
+        del z  # at most two n x S arrays are alive at once
+        return quad_k, self.nystrom.quad_forms(draws)
 
 
 def _explicit_trace_gap(prob: SparseProblem) -> float:
     """tr(k_XX - q_XX) from the two n x n Grams."""
     return float(np.trace(prob.kxx - prob.qxx))
-
-
-def _mc_quadratic_forms(prob: SparseProblem, n_samples: int, seed: int):
-    """y^T (k+s2 I)^{-1} y and y^T (q+s2 I)^{-1} y for n_samples seeded draws
-    y = L_k z ~ N(0, k_XX + s2 I). The k side is ||z||^2; the q side is
-    taken by Woodbury on the whitened factor in O(n m S)."""
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((prob.n, n_samples))
-    draws = prob.k_factor.lower @ z
-    quad_k = np.einsum("ij,ij->j", z, z)
-    del z  # at most two n x S arrays are alive at once
-    return quad_k, prob.nystrom.quad_forms(draws)
 
 
 def kl_to_exact_posterior(prob: SparseProblem) -> float:
@@ -329,14 +328,13 @@ def worst_case_residuals(prob: SparseProblem, X) -> np.ndarray:
     return np.abs(total - split)
 
 
-def expected_kl_sandwich(prob: SparseProblem, n_samples: int = 2000, seed: int = 0):
+def expected_kl_sandwich(prob: SparseProblem):
     """Monte-Carlo estimate of E_y[KL] under y ~ N(0, k_XX + s2 I) (the
-    problem's targets are not used), returned with its 1.96-stderr
-    halfwidth and the a-priori sandwich [t/(2 s2), t/s2].
+    problem's targets are not used) on the problem's kept sample, returned
+    with its standard error and the a-priori sandwich [t/(2 s2), t/s2].
 
     A trace gap below -1e-10 * tr(k_XX) is not round-off: the band would be
     inverted, so InternalInconsistency is raised instead."""
-    require_mc_samples(n_samples)
     s2 = prob.noise_var
     t = _explicit_trace_gap(prob)
     if t < -1e-10 * float(np.sum(np.diag(prob.kxx))):
@@ -344,24 +342,21 @@ def expected_kl_sandwich(prob: SparseProblem, n_samples: int = 2000, seed: int =
             f"negative trace gap t = {t!r} inverts the KL band; reduce m or "
             "check the inducing set for near-duplicate points")
     # Per-draw KL from the explicit expansion.
-    quad_k, quad_q = _mc_quadratic_forms(prob, n_samples, seed)
+    quad_k, quad_q = prob.mc_quadratic_forms
     kls = 0.5 * (logdet(prob.q_factor) - logdet(prob.k_factor) - quad_k + quad_q + t / s2)
-    mc = float(np.mean(kls))
-    stderr = float(np.std(kls, ddof=1) / np.sqrt(n_samples))
-    return mc, 1.96 * stderr, t / (2.0 * s2), t / s2
+    stderr = float(np.std(kls, ddof=1) / np.sqrt(prob.mc_samples))
+    return float(np.mean(kls)), stderr, t / (2.0 * s2), t / s2
 
 
-def expected_excess_risk_lower_bound(prob: SparseProblem, n_samples: int = 2000,
-                                     seed: int = 0) -> tuple[BoundRecord, float]:
+def expected_excess_risk_lower_bound(prob: SparseProblem) -> tuple[BoundRecord, float]:
     """(1/n) log det ratio vs the Monte-Carlo mean excess risk under the
-    prior model at ridge s2 / n (the problem's targets are not used). The
-    caller should allow 3 stderr of slack on top of the record's rhs."""
-    require_mc_samples(n_samples)
+    prior model at ridge s2 / n (the problem's targets are not used) on the
+    problem's kept sample, with its standard error. The caller should allow
+    3 stderr of slack on top of the record's rhs."""
     n = prob.n
     lhs = (logdet(prob.k_factor) - logdet(prob.q_factor)) / n
     # n * excess risk = y^T (q+s2 I)^{-1} y - y^T (k+s2 I)^{-1} y
-    quad_k, quad_q = _mc_quadratic_forms(prob, n_samples, seed)
+    quad_k, quad_q = prob.mc_quadratic_forms
     excess = (quad_q - quad_k) / n
-    mc = float(np.mean(excess))
-    rec = BoundRecord(float(lhs), mc)
-    return rec, float(np.std(excess, ddof=1) / np.sqrt(n_samples))
+    stderr = float(np.std(excess, ddof=1) / np.sqrt(prob.mc_samples))
+    return BoundRecord(float(lhs), float(np.mean(excess))), stderr

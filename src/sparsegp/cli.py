@@ -148,11 +148,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--out", required=True)
     _add_flags(p_synth, MODEL_FLAGS + ("--n", "--d"))
     p_synth.set_defaults(func=cmd_synth)
+    for p in sub.choices.values():
+        p.set_defaults(parser=p)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:
+        # argparse hands a subcommand's unknown flags back to the top-level
+        # parser; reject them with the usage line of the subcommand
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         return args.func(args)
     except (SparseGpError, OSError) as exc:

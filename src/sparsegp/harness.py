@@ -25,7 +25,6 @@ from .nystrom import fit_nystrom_via_q, select_inducing
 from .svgp import elbo_breakdown, elbos, fixed_point_solver, make_state, psi_forward
 
 SCHEMA_VERSION = 1
-TOLERANCE = 1e-8  # the certified identities' tolerance; 1e-4 for finite differences
 
 
 @dataclass(frozen=True)
@@ -65,7 +64,7 @@ class ExperimentConfig:
             "select": self.select,
             "seed": self.seed,
             "mc_samples": self.mc_samples,
-            "tolerance": TOLERANCE,
+            "tolerance": bnd.TOLERANCE,
         }
 
 
@@ -136,7 +135,8 @@ def make_problem(config: ExperimentConfig) -> tuple[bnd.SparseProblem, bnd.Spars
     X ~ U[-3, 3]^(n x d) is drawn from a generator seeded with config.seed,
     the targets are a prior draw rescaled to norm at most 10, the inducing
     set is selected from X, and the grid is the generator's next draw from
-    U[-3, 3]^(50 x d)."""
+    U[-3, 3]^(50 x d). Both problems draw their Monte-Carlo sample of
+    config.mc_samples targets with seed config.seed + 4."""
     kernel = config.kernel()
     rng = np.random.default_rng(config.seed)
     X = rng.uniform(-3.0, 3.0, size=(config.n, config.d))
@@ -147,7 +147,8 @@ def make_problem(config: ExperimentConfig) -> tuple[bnd.SparseProblem, bnd.Spars
                        provenance=data.provenance)
     ind = select_inducing(kernel, data, config.m, strategy=config.select,
                           seed=config.seed)
-    prob = bnd.SparseProblem(kernel, data, ind, config.noise_var)
+    prob = bnd.SparseProblem(kernel, data, ind, config.noise_var,
+                             mc_samples=config.mc_samples, mc_seed=config.seed + 4)
     grid = rng.uniform(-3.0, 3.0, size=(50, config.d))
     return prob, prob.at_ridge(config.ridge_value()), grid
 
@@ -158,27 +159,27 @@ def make_problem(config: ExperimentConfig) -> tuple[bnd.SparseProblem, bnd.Spars
 def _equivalence(prob, ridge_prob, grid, config):
     gap = float(np.max(np.abs(prob.nystrom.mean.predict_many(grid)
                               - prob.ridge_fit.predict_many(grid))))
-    return gap <= TOLERANCE, f"max |m*(x) - nystrom(x)| = {gap:.3g}"
+    return gap <= bnd.TOLERANCE, f"max |m*(x) - nystrom(x)| = {gap:.3g}"
 
 
 def _nystrom_routes(prob, ridge_prob, grid, config):
     a = ridge_prob.ridge_fit
     b = fit_nystrom_via_q(prob.kernel, prob.data, prob.ind, ridge_prob.ridge)
     gap = float(np.max(np.abs(a.predict_many(grid) - b.predict_many(grid))))
-    return gap <= TOLERANCE, f"max route disagreement = {gap:.3g}"
+    return gap <= bnd.TOLERANCE, f"max route disagreement = {gap:.3g}"
 
 
 def _elbo_decomposition(prob, ridge_prob, grid, config):
     bd = elbo_breakdown(prob.optimal_state, prob.data, prob.noise_var)
     resid = abs(bd.term_sum() - bd.total_check)
-    ok = resid <= TOLERANCE * max(1.0, abs(bd.total_check))
+    ok = resid <= bnd.TOLERANCE * max(1.0, abs(bd.total_check))
     return ok, f"decomposition residual = {resid:.3g}"
 
 
 def _psi_coefficients(prob, ridge_prob, grid, config):
     gap = float(np.max(np.abs(psi_forward(prob.ind, prob.optimal_state.mu)
                               - prob.ridge_fit.coef)))
-    return gap <= TOLERANCE, f"max |k_ZZ^-1 mu* - beta| = {gap:.3g}"
+    return gap <= bnd.TOLERANCE, f"max |k_ZZ^-1 mu* - beta| = {gap:.3g}"
 
 
 def _optimality(prob, ridge_prob, grid, config):
@@ -192,7 +193,7 @@ def _optimality(prob, ridge_prob, grid, config):
         states.append(make_state(prob.ind, state.mu + delta, sigma))
     values = elbos(states, prob.data, prob.noise_var)
     worst_gain = float(np.max(values[1:] - values[0]))
-    return worst_gain <= TOLERANCE, f"best probe gain = {worst_gain:.3g}"
+    return worst_gain <= bnd.TOLERANCE, f"best probe gain = {worst_gain:.3g}"
 
 
 def _kl_two_path(prob, ridge_prob, grid, config):
@@ -200,10 +201,10 @@ def _kl_two_path(prob, ridge_prob, grid, config):
 
 
 def _fixed_point(prob, ridge_prob, grid, config):
-    state = fixed_point_solver(prob.kernel, prob.data, prob.ind, prob.noise_var)
+    mu, sigma = fixed_point_solver(prob.kernel, prob.data, prob.ind, prob.noise_var)
     target = prob.optimal_state
-    gap = max(float(np.max(np.abs(state.mu - target.mu))),
-              float(np.max(np.abs(state.sigma - target.sigma))))
+    gap = max(float(np.max(np.abs(mu - target.mu))),
+              float(np.max(np.abs(sigma - target.sigma))))
     return gap <= 1e-6, f"max-abs gap to closed form = {gap:.3g}"
 
 
@@ -211,7 +212,7 @@ def _excess_risk_identity(prob, ridge_prob, grid, config):
     # n * excess = s2 * (quad_q - quad_k) with s2 = n * ridge
     direct = ridge_prob.noise_var * ridge_prob.quadratic_form_gap
     resid = abs(prob.n * ridge_prob.excess_risk - direct)
-    return resid <= TOLERANCE * max(1.0, abs(direct)), f"identity residual = {resid:.3g}"
+    return resid <= bnd.TOLERANCE * max(1.0, abs(direct)), f"identity residual = {resid:.3g}"
 
 
 def _derivative(prob, ridge_prob, grid, config):
@@ -243,20 +244,18 @@ def _worst_case(prob, ridge_prob, grid, config):
     worst = float(np.max(resid, initial=0.0))
     detail = (f"max decomposition residual = {worst:.3g} "
               f"over {resid.size} probes, {len(X) - resid.size} skipped")
-    return resid.size > 0 and worst <= TOLERANCE, detail
+    return resid.size > 0 and worst <= bnd.TOLERANCE, detail
 
 
 def _expected_kl(prob, ridge_prob, grid, config):
-    mc, half, lo, hi = bnd.expected_kl_sandwich(
-        prob, n_samples=config.mc_samples, seed=config.seed + 4)
-    stderr3 = 3.0 * half / 1.96
+    mc, stderr, lo, hi = bnd.expected_kl_sandwich(prob)
+    stderr3 = 3.0 * stderr
     ok = lo <= hi and mc + stderr3 >= lo - 1e-10 and mc - stderr3 <= hi + 1e-10
     return ok, f"mc={mc:.6g} band=[{lo:.6g},{hi:.6g}] 3se={stderr3:.3g}"
 
 
 def _expected_excess(prob, ridge_prob, grid, config):
-    rec, stderr = bnd.expected_excess_risk_lower_bound(
-        ridge_prob, n_samples=config.mc_samples, seed=config.seed + 5)
+    rec, stderr = bnd.expected_excess_risk_lower_bound(ridge_prob)
     ok = rec.lhs <= rec.rhs + 3.0 * stderr + 1e-10
     return ok, f"lhs={rec.lhs:.6g} mc={rec.rhs:.6g} 3se={3 * stderr:.3g}"
 
@@ -287,14 +286,13 @@ def run_verification(config: ExperimentConfig, names=None) -> VerificationReport
     """Run the checks of CHECKS named in `names` (all of them when None), in
     report order, on the instance `make_problem` builds from `config`.
 
-    The checks share one SparseProblem, so its matrices are built once per
-    run, and only those the run's checks read; a second problem is built
-    only when the ridge is not linked to the noise. A set-up that fails is
-    reported as one "setup" error, a check that raises as that check's
-    error."""
+    The checks share one SparseProblem, so its matrices and its
+    Monte-Carlo sample are built once per run, and only those the run's
+    checks read; a second problem is built only when the ridge is not
+    linked to the noise. A set-up that fails is reported as one "setup"
+    error, a check that raises as that check's error."""
     report = VerificationReport(config=config.to_dict())
     try:
-        bnd.require_mc_samples(config.mc_samples)
         instance = make_problem(config)
     except (SparseGpError, ValueError) as exc:
         report.checks.append(CheckResult("setup", "error", f"{type(exc).__name__}: {exc}"))

@@ -17,8 +17,8 @@ A = V / s, L_B = chol(I + A A^T) and c = L_B^{-1} A y / s,
 mu* = L_Z L_B^{-T} c and Sigma* = W^T W for W = L_B^{-1} L_Z^T; the
 optimal ELBO is `NystromFactor.elbo`, its posterior mean and variance are
 `NystromFactor.mean` and `NystromFactor.optimal_var`.
-`fixed_point_solver` and `mu_stationarity_residual` stay in raw
-k_ZX k_XZ coordinates as independent references.
+`fixed_point_solver` stays in raw k_ZX k_XZ coordinates as an independent
+reference and returns raw (mu, Sigma) arrays.
 """
 
 from __future__ import annotations
@@ -190,13 +190,15 @@ def optimal_parameters(fac: NystromFactor) -> SvgpState:
 
 
 def fixed_point_solver(kernel: Kernel, data: Dataset, ind: InducingSet,
-                       noise_var: float) -> SvgpState:
+                       noise_var: float) -> tuple[np.ndarray, np.ndarray]:
     """Raw-coordinate reference for `optimal_parameters`: the ELBO
     stationarity conditions solved with one factor of M = s2 k_ZZ + k_ZX k_XZ.
 
     Sigma^{-1} = k_ZZ^{-1} M k_ZZ^{-1} / s2 gives Sigma = s2 k_ZZ M^{-1} k_ZZ;
     (s2^{-1} k_ZX k_XZ k_ZZ^{-1} + I) mu = s2^{-1} k_ZX y gives
     mu = k_ZZ M^{-1} k_ZX y. Neither condition involves the other parameter.
+    Returns the arrays (mu, Sigma) unfactored: Sigma can be indefinite at
+    round-off when k_ZZ is ill-conditioned.
     """
     if noise_var <= 0:
         raise InvalidParameter("noise_var must be positive")
@@ -204,15 +206,4 @@ def fixed_point_solver(kernel: Kernel, data: Dataset, ind: InducingSet,
     Kzz = kernel.gram(ind.points)
     F = factor_spd(noise_var * Kzz + Kzx @ Kzx.T)
     sigma = noise_var * Kzz @ solve(F, Kzz)
-    return make_state(ind, Kzz @ solve(F, Kzx @ data.targets), 0.5 * (sigma + sigma.T))
-
-
-def mu_stationarity_residual(kernel: Kernel, data: Dataset, state: SvgpState,
-                             noise_var: float) -> float:
-    """Max-abs residual of the mu stationarity condition at the given state."""
-    ind = state.inducing
-    Kzx = kernel.gram(ind.points, data.inputs)
-    B = Kzx @ Kzx.T
-    lhs = B @ solve(ind.kzz_factor, state.mu) / noise_var + state.mu
-    rhs = Kzx @ data.targets / noise_var
-    return float(np.max(np.abs(lhs - rhs)))
+    return Kzz @ solve(F, Kzx @ data.targets), 0.5 * (sigma + sigma.T)

@@ -187,13 +187,13 @@ def test_expected_kl_sandwich_brackets_monte_carlo(kernel):
     X = rng.uniform(-3, 3, size=(30, 1))
     data = Dataset(X, np.zeros(30))
     ind = select_inducing(kernel, data, 5)
-    mc, hw, low, high = expected_kl_sandwich(SparseProblem(kernel, data, ind, 0.3),
-                                             n_samples=2000, seed=1)
+    mc, stderr, low, high = expected_kl_sandwich(
+        SparseProblem(kernel, data, ind, 0.3, mc_samples=2000, mc_seed=1))
     assert 0 <= low <= high
     # the analytic sandwich must intersect the Monte-Carlo interval
-    assert low <= mc + 3 * hw + 1e-12
-    assert mc - 3 * hw <= high + 1e-12
-    assert hw > 0
+    assert low <= mc + 3 * stderr + 1e-12
+    assert mc - 3 * stderr <= high + 1e-12
+    assert stderr > 0
 
 
 def test_expected_kl_sandwich_rejects_negative_trace_gap(kernel, monkeypatch):
@@ -204,8 +204,8 @@ def test_expected_kl_sandwich_rejects_negative_trace_gap(kernel, monkeypatch):
     X = rng.uniform(-3, 3, size=(20, 1))
     ind = make_inducing(kernel, X[:3])
     with pytest.raises(InternalInconsistency, match="trace gap t = .*reduce m"):
-        expected_kl_sandwich(SparseProblem(kernel, Dataset(X, np.zeros(20)), ind, 0.3),
-                             n_samples=200)
+        expected_kl_sandwich(SparseProblem(kernel, Dataset(X, np.zeros(20)), ind, 0.3,
+                                           mc_samples=200))
 
 
 def test_expected_kl_sandwich_rejects_tiny_sample(kernel):
@@ -213,8 +213,7 @@ def test_expected_kl_sandwich_rejects_tiny_sample(kernel):
     X = rng.uniform(-3, 3, size=(10, 1))
     ind = make_inducing(kernel, X[:3])
     with pytest.raises(ValueError):
-        expected_kl_sandwich(SparseProblem(kernel, Dataset(X, np.zeros(10)), ind, 0.3),
-                             n_samples=10)
+        SparseProblem(kernel, Dataset(X, np.zeros(10)), ind, 0.3, mc_samples=10)
 
 
 def test_expected_excess_risk_lower_bound_holds(kernel):
@@ -222,8 +221,8 @@ def test_expected_excess_risk_lower_bound_holds(kernel):
     X = rng.uniform(-3, 3, size=(30, 1))
     data = Dataset(X, np.zeros(30))
     ind = select_inducing(kernel, data, 5)
-    rec, stderr = expected_excess_risk_lower_bound(SparseProblem(kernel, data, ind, data.n * 0.01),
-                                                   n_samples=2000, seed=2)
+    rec, stderr = expected_excess_risk_lower_bound(
+        SparseProblem(kernel, data, ind, data.n * 0.01, mc_samples=2000, mc_seed=2))
     assert rec.lhs <= rec.rhs + 3 * stderr
 
 
@@ -231,7 +230,22 @@ def test_expected_kl_mc_is_seeded(kernel):
     rng = np.random.default_rng(30)
     X = rng.uniform(-3, 3, size=(15, 1))
     ind = make_inducing(kernel, X[:4])
-    prob = SparseProblem(kernel, Dataset(X, np.zeros(15)), ind, 0.3)
-    a = expected_kl_sandwich(prob, n_samples=500, seed=9)
-    b = expected_kl_sandwich(prob, n_samples=500, seed=9)
+    # two problems, so the second estimate does not read the first's kept sample
+    a, b = (expected_kl_sandwich(SparseProblem(kernel, Dataset(X, np.zeros(15)), ind, 0.3,
+                                               mc_samples=500, mc_seed=9))
+            for _ in range(2))
     assert a == b
+
+
+def test_both_expected_value_bounds_read_one_sample(kernel):
+    # On one sample, mc_KL - t/(2 s2) = (n/2) (mc_excess - lhs_excess): the
+    # per-draw KL and excess risk differ by the draw-free log-det ratio.
+    rng = np.random.default_rng(31)
+    data = Dataset(rng.uniform(-3, 3, size=(40, 1)), np.zeros(40))
+    prob = SparseProblem(kernel, data, select_inducing(kernel, data, 6), 0.2,
+                         mc_samples=1000, mc_seed=3)
+    assert prob.at_ridge(prob.ridge) is prob
+    mc_kl, _, low, _ = expected_kl_sandwich(prob)
+    rec, _ = expected_excess_risk_lower_bound(prob)
+    gap = mc_kl - low - 0.5 * prob.n * (rec.rhs - rec.lhs)
+    assert abs(gap) <= 1e-12 * max(1.0, abs(mc_kl))

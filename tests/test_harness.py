@@ -106,7 +106,7 @@ def test_expected_kl_check_fails_on_inverted_band(monkeypatch):
     # a Monte-Carlo interval wide enough to straddle an inverted band
     # [lo, hi] with lo > hi must not count as a pass
     monkeypatch.setattr(bounds, "expected_kl_sandwich",
-                        lambda *args, **kwargs: (-0.75, 1.96, -0.5, -1.0))
+                        lambda *args, **kwargs: (-0.75, 1.0, -0.5, -1.0))
     report = run_verification(small_config())
     check = next(c for c in report.checks if c.name == "expected_kl_sandwich")
     assert check.status == "fail"
@@ -229,7 +229,7 @@ def test_cli_bounds_exits_1_on_an_inverted_kl_band(monkeypatch, capsys):
     # the monkeypatch of test_expected_kl_check_fails_on_inverted_band:
     # `bounds` fails where `verify` does
     monkeypatch.setattr(bounds, "expected_kl_sandwich",
-                        lambda *args, **kwargs: (-0.75, 1.96, -0.5, -1.0))
+                        lambda *args, **kwargs: (-0.75, 1.0, -0.5, -1.0))
     code, checks = json_checks(capsys, "bounds", "expected_kl", "--n", "30", "--m", "5",
                                "--mc-samples", "500")
     assert code == 1
@@ -257,6 +257,17 @@ def test_subcommands_reject_flags_they_do_not_read(command, flag, tmp_path, caps
         main([*command, str(tmp_path / "t.csv"), flag, value])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [("fit", "svgp", "--data", "t.csv"), ("verify",),
+                                     ("bounds", "burt"), ("synth", "--out", "t.csv")])
+def test_unknown_flag_prints_the_usage_of_its_subcommand(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--bogus", "7"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: sparsegp {command[0]} ")
+    assert err.rstrip().endswith(f"sparsegp {command[0]}: error: unrecognized arguments: --bogus 7")
 
 
 def test_cli_entry_point_subprocess(tmp_path):
@@ -316,20 +327,19 @@ def test_overflowed_gram_is_a_typed_error():
 PINNED_STATUSES = [
     ({}, {}),
     ({"kernel_family": "polynomial"},
-     {"psi_maps_mu_star_to_beta": "fail", "fixed_point_solver": "error",
-      "derivative_bound": "skipped"}),
+     {"psi_maps_mu_star_to_beta": "fail", "derivative_bound": "skipped"}),
     ({"n": 300, "m": 20}, {"psi_maps_mu_star_to_beta": "fail"}),
     ({"n": 800, "m": 40},
-     {"psi_maps_mu_star_to_beta": "fail", "fixed_point_solver": "error",
+     {"psi_maps_mu_star_to_beta": "fail",
       "rkhs_distance_bound": "fail", "derivative_bound": "fail",
       "expected_kl_sandwich": "fail"}),
     ({"n": 60, "m": 30, "noise_var": 1e-4},
      {"svgp_nystrom_equivalence": "fail", "nystrom_two_routes": "fail",
-      "psi_maps_mu_star_to_beta": "fail", "fixed_point_solver": "error",
+      "psi_maps_mu_star_to_beta": "fail", "fixed_point_solver": "fail",
       "excess_risk_identity": "fail", "rkhs_distance_bound": "fail"}),
     ({"select": "uniform", "n": 800, "m": 40},
      {"svgp_nystrom_equivalence": "fail", "nystrom_two_routes": "fail",
-      "psi_maps_mu_star_to_beta": "fail", "fixed_point_solver": "error",
+      "psi_maps_mu_star_to_beta": "fail", "fixed_point_solver": "fail",
       "excess_risk_identity": "fail"}),
 ]
 

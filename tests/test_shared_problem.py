@@ -187,3 +187,18 @@ def test_verify_run_fits_the_sparse_ridge_once_per_problem(monkeypatch, link):
     # the ridge-side checks read the ridge problem's, the same one when linked.
     assert len(fits) == (1 if link else 2)
     assert len(risks) == 1
+
+
+@pytest.mark.parametrize("link", [True, False])
+def test_verify_run_draws_one_monte_carlo_sample_per_problem(monkeypatch, link):
+    # Both expected-value checks read the kept sample of their problem: one
+    # L_k z and one Woodbury pass when the ridge is linked, one per problem
+    # when it is not.
+    calls = []
+    quad_forms = NystromFactor.quad_forms
+    monkeypatch.setattr(NystromFactor, "quad_forms",
+                        lambda self, Y: calls.append(Y.shape) or quad_forms(self, Y))
+    report = run_verification(ExperimentConfig(n=40, m=6, mc_samples=500,
+                                               ridge=None if link else 0.01))
+    assert [c.name for c in report.checks] == CHECK_NAMES
+    assert calls == [(40, 500)] * (1 if link else 2)
