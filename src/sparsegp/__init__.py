@@ -21,9 +21,8 @@ from .harness import (ExperimentConfig, VerificationReport, emit_report,
 from .kernels import (GaussianKernel, Kernel, KernelExpansion, PolynomialKernel,
                       make_kernel)
 from .linalg import SpdFactor, factor_spd, logdet, operator_norm, solve
-from .nystrom import (InducingSet, NystromFactor, fit_nystrom, fit_nystrom_via_q,
-                      make_inducing, nystrom_factor, q_diag, q_gram,
-                      select_inducing, trace_gap)
+from .nystrom import (InducingSet, NystromFactor, fit_nystrom, make_inducing,
+                      nystrom_factor, q_diag, q_gram, select_inducing, trace_gap)
 from .svgp import (ElboBreakdown, SvgpState, elbo, elbo_breakdown, elbos,
                    feature_map_phi, fixed_point_solver, make_state,
                    optimal_parameters, psi_forward, psi_inverse)

@@ -9,7 +9,7 @@ Ridge-side bounds use lambda = s2 / n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -19,7 +19,7 @@ from .errors import (DimensionMismatch, InternalInconsistency, InvalidCount,
                      InvalidParameter, UnsupportedKernel)
 from .exact import GpPosterior, regularized_risk
 from .kernels import GaussianKernel, Kernel, KernelExpansion, as_points
-from .linalg import factor_spd, logdet, operator_norm, solve
+from .linalg import SpdFactor, factor_spd, logdet, operator_norm, solve
 from .nystrom import (InducingSet, NystromFactor, fit_nystrom, nystrom_factor,
                       q_diag, q_gram)
 from .svgp import SvgpState, optimal_parameters
@@ -46,11 +46,13 @@ class BoundRecord:
 class SparseProblem:
     """One (kernel, data, Z, s2) instance and the matrices its bounds read.
 
-    Each member is built on first use and then kept, so a verify run forms
-    k_XX, q_XX and the factors of k_XX + s2 I and q_XX + s2 I once, and
-    draws one Monte-Carlo sample of mc_samples targets, seeded with
-    mc_seed, for both expected-value bounds. A build that raises is not
-    kept: every reader gets the same typed error.
+    Each member but q_XX is built on first use and then kept, so a verify
+    run forms k_XX, the gap k_XX - q_XX and the factors of k_XX + s2 I and
+    q_XX + s2 I once, and draws one Monte-Carlo sample of mc_samples
+    targets, seeded with mc_seed, for both expected-value bounds. A caller
+    that drew the targets through the factor of k_XX + s2 I passes it and
+    k_XX as prior_kxx and prior_k_factor, and they are kept as they are. A
+    build that raises is not kept: every reader gets the same typed error.
     """
 
     kernel: Kernel
@@ -59,6 +61,8 @@ class SparseProblem:
     noise_var: float
     mc_samples: int = 2000
     mc_seed: int = 0
+    prior_kxx: np.ndarray | None = field(default=None, repr=False)
+    prior_k_factor: SpdFactor | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.noise_var <= 0:
@@ -79,29 +83,48 @@ class SparseProblem:
 
     def at_ridge(self, ridge: float) -> SparseProblem:
         """The problem whose ridge is `ridge`: self when it already is, else
-        a new problem at s2 = n * ridge with the same Monte-Carlo settings."""
+        a new problem at s2 = n * ridge with the same Monte-Carlo settings
+        and prior_kxx; the factor of k_XX + s2 I is not the new problem's."""
         if ridge == self.ridge:
             return self
-        return replace(self, noise_var=self.n * ridge)
+        return replace(self, noise_var=self.n * ridge, prior_k_factor=None)
 
     @cached_property
     def kxx(self) -> np.ndarray:
+        if self.prior_kxx is not None:
+            return self.prior_kxx
         return self.kernel.gram(self.data.inputs)
 
-    @cached_property
+    @property
     def qxx(self) -> np.ndarray:
+        """q_XX, built on each read and not kept: its two readers, the gap
+        and the factor of q_XX + s2 I, are kept instead, so a verify run
+        builds it twice in O(n^2 m) and holds one n x n matrix fewer."""
         return q_gram(self.ind, self.data.inputs)
 
     @cached_property
-    def k_factor(self):
-        """Cholesky factor of k_XX + s2 I."""
-        return factor_spd(self.kxx + self.noise_var * np.eye(self.n), jitter_ladder=[0.0])
+    def gap(self) -> np.ndarray:
+        """The Nystrom gap G = k_XX - q_XX; its trace and its operator norm
+        both read it."""
+        return self.kxx - self.qxx
 
     @cached_property
-    def q_factor(self):
+    def k_factor(self) -> SpdFactor:
+        """Cholesky factor of k_XX + s2 I."""
+        if self.prior_k_factor is not None:
+            return self.prior_k_factor
+        return noise_factor(self.kxx, self.noise_var)
+
+    @cached_property
+    def q_factor(self) -> SpdFactor:
         """Cholesky factor of q_XX + s2 I, the explicit n x n side that the
         O(n m^2) closed forms are checked against."""
-        return factor_spd(self.qxx + self.noise_var * np.eye(self.n), jitter_ladder=[0.0])
+        return noise_factor(self.qxx, self.noise_var)
+
+    @cached_property
+    def q_solve(self) -> np.ndarray:
+        """(q_XX + s2 I)^{-1} y on the kept factor."""
+        return solve(self.q_factor, self.data.targets)
 
     @cached_property
     def nystrom(self) -> NystromFactor:
@@ -129,10 +152,21 @@ class SparseProblem:
         return excess_risk(self)
 
     @cached_property
+    def ridge_fit_via_q(self) -> KernelExpansion:
+        """The Nystrom ridge fit at this problem's ridge by a second route:
+        KRR with the kernel q, f(x) = q_X(x)^T (q_XX + s2 I)^{-1} y, mapped
+        back to M. With q_X(x) = k_XZ k_ZZ^{-1} k_Z(x), f = k_Z(.)^T beta for
+        beta = k_ZZ^{-1} k_ZX (q_XX + s2 I)^{-1} y. It reads the explicit
+        n x n q side, never `fit_nystrom`'s normal equations."""
+        Kzx = self.kernel.gram(self.ind.points, self.data.inputs)
+        return KernelExpansion(self.kernel, self.ind.points,
+                               solve(self.ind.kzz_factor, Kzx @ self.q_solve))
+
+    @cached_property
     def quadratic_form_gap(self) -> float:
         """y^T (q+s2 I)^{-1} y - y^T (k+s2 I)^{-1} y."""
         y = self.data.targets
-        return float(y @ solve(self.q_factor, y) - y @ self.exact.mean.coef)
+        return float(y @ self.q_solve - y @ self.exact.mean.coef)
 
     @cached_property
     def exact(self) -> GpPosterior:
@@ -147,7 +181,8 @@ class SparseProblem:
 
     @cached_property
     def opnorm_gap(self) -> float:
-        return operator_norm(self.kxx - self.qxx)
+        """||k_XX - q_XX||_2, by Lanczos on the kept gap."""
+        return operator_norm(self.gap)
 
     @cached_property
     def mc_quadratic_forms(self) -> tuple[np.ndarray, np.ndarray]:
@@ -162,9 +197,17 @@ class SparseProblem:
         return quad_k, self.nystrom.quad_forms(draws)
 
 
+def noise_factor(gram: np.ndarray, noise_var: float) -> SpdFactor:
+    """Cholesky factor of gram + noise_var I, without jitter: the factor of
+    k_XX + s2 I or q_XX + s2 I."""
+    if noise_var <= 0:
+        raise InvalidParameter("noise_var must be positive")
+    return factor_spd(gram + noise_var * np.eye(gram.shape[0]), jitter_ladder=[0.0])
+
+
 def _explicit_trace_gap(prob: SparseProblem) -> float:
-    """tr(k_XX - q_XX) from the two n x n Grams."""
-    return float(np.trace(prob.kxx - prob.qxx))
+    """tr(k_XX - q_XX) from the kept n x n gap."""
+    return float(np.trace(prob.gap))
 
 
 def kl_to_exact_posterior(prob: SparseProblem) -> float:

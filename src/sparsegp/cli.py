@@ -38,6 +38,15 @@ BOUNDS = {
     "expected_excess_risk": ("expected_excess_risk_lower_bound",),
 }
 
+
+def dimension(text: str) -> int:
+    """The value of --d: an input dimension, at least 1."""
+    d = int(text)
+    if d < 1:
+        raise argparse.ArgumentTypeError(f"input dimension d must be >= 1, got {d}")
+    return d
+
+
 # Every flag; each subcommand adds the ones it reads.
 FLAGS = {
     "--kernel": dict(default="gaussian", choices=["gaussian", "polynomial"]),
@@ -45,7 +54,7 @@ FLAGS = {
     "--degree": dict(type=int, default=2),
     "--offset": dict(type=float, default=0.0),
     "--n": dict(type=int, default=60),
-    "--d": dict(type=int, default=1),
+    "--d": dict(type=dimension, default=1),
     "--m": dict(type=int, default=8),
     "--noise-var": dict(type=float, default=0.1),
     "--ridge": dict(type=float, default=None,

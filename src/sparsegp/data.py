@@ -11,7 +11,7 @@ import numpy as np
 from .errors import (DimensionMismatch, EmptyFile, InvalidParameter, NonFiniteValue,
                      ParseError)
 from .kernels import Kernel, as_points
-from .linalg import factor_spd
+from .linalg import SpdFactor, factor_spd
 
 
 @dataclass(frozen=True)
@@ -47,17 +47,22 @@ class Dataset:
         return self.inputs.shape[1]
 
 
-def synth_prior_dataset(kernel: Kernel, X, noise_var: float, seed: int) -> Dataset:
-    """Draw y ~ N(0, k_XX + noise_var * I) through the SPD factor, seeded."""
+def synth_prior_dataset(kernel: Kernel, X, noise_var: float, seed: int,
+                        factor: SpdFactor | None = None) -> Dataset:
+    """Draw y ~ N(0, k_XX + noise_var * I) through the SPD factor, seeded.
+
+    `factor`, the Cholesky factor of k_XX + noise_var * I without jitter,
+    is built here unless the caller holds it already."""
     if noise_var <= 0:
         raise InvalidParameter("noise_var must be positive")
     X = as_points(X, kernel.input_dim)
     n = X.shape[0]
-    K = kernel.gram(X)
-    K.flat[::n + 1] += noise_var  # k_XX + noise_var * I, without an n x n identity
-    F = factor_spd(K, jitter_ladder=[0.0])
+    if factor is None:
+        K = kernel.gram(X)
+        K.flat[::n + 1] += noise_var  # k_XX + noise_var * I, without an n x n identity
+        factor = factor_spd(K, jitter_ladder=[0.0])
     rng = np.random.default_rng(seed)
-    y = F.lower @ rng.standard_normal(n)
+    y = factor.lower @ rng.standard_normal(n)
     return Dataset(inputs=X, targets=y, provenance=f"synthetic(seed={seed}, generator=prior)")
 
 

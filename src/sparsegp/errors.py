@@ -14,8 +14,8 @@ class FactorizationFailed(SparseGpError):
 
 
 class NoConvergence(SparseGpError):
-    """A numerical routine did not converge: the symmetric eigensolve
-    behind `operator_norm` raised LinAlgError."""
+    """A numerical routine did not converge: a tridiagonal eigensolve of
+    the Lanczos iteration behind `operator_norm` raised LinAlgError."""
 
 
 class UnsupportedKernel(SparseGpError):
@@ -29,7 +29,7 @@ class InvalidCount(SparseGpError, ValueError):
 
 class InvalidParameter(SparseGpError, ValueError):
     """A scalar model parameter is out of range (noise variance, ridge,
-    lengthscale, polynomial degree or offset)."""
+    lengthscale, polynomial degree or offset, input dimension d)."""
 
 
 class NonFiniteValue(SparseGpError, ValueError):

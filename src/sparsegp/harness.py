@@ -21,7 +21,7 @@ from . import bounds as bnd
 from .data import Dataset, synth_prior_dataset
 from .errors import SparseGpError
 from .kernels import Kernel, make_kernel
-from .nystrom import fit_nystrom_via_q, select_inducing
+from .nystrom import select_inducing
 from .svgp import elbo_breakdown, elbos, fixed_point_solver, make_state, psi_forward
 
 SCHEMA_VERSION = 1
@@ -135,12 +135,17 @@ def make_problem(config: ExperimentConfig) -> tuple[bnd.SparseProblem, bnd.Spars
     X ~ U[-3, 3]^(n x d) is drawn from a generator seeded with config.seed,
     the targets are a prior draw rescaled to norm at most 10, the inducing
     set is selected from X, and the grid is the generator's next draw from
-    U[-3, 3]^(50 x d). Both problems draw their Monte-Carlo sample of
+    U[-3, 3]^(50 x d). The prior draw is taken through the factor of
+    k_XX + noise_var I, which the problem at noise_var keeps with k_XX, so
+    both are built once. Both problems draw their Monte-Carlo sample of
     config.mc_samples targets with seed config.seed + 4."""
     kernel = config.kernel()
     rng = np.random.default_rng(config.seed)
     X = rng.uniform(-3.0, 3.0, size=(config.n, config.d))
-    data = synth_prior_dataset(kernel, X, config.noise_var, seed=config.seed + 1)
+    kxx = kernel.gram(X)
+    k_factor = bnd.noise_factor(kxx, config.noise_var)
+    data = synth_prior_dataset(kernel, X, config.noise_var, seed=config.seed + 1,
+                               factor=k_factor)
     scale = float(np.linalg.norm(data.targets))
     if scale > 10.0:
         data = Dataset(data.inputs, data.targets * (10.0 / scale),
@@ -148,7 +153,8 @@ def make_problem(config: ExperimentConfig) -> tuple[bnd.SparseProblem, bnd.Spars
     ind = select_inducing(kernel, data, config.m, strategy=config.select,
                           seed=config.seed)
     prob = bnd.SparseProblem(kernel, data, ind, config.noise_var,
-                             mc_samples=config.mc_samples, mc_seed=config.seed + 4)
+                             mc_samples=config.mc_samples, mc_seed=config.seed + 4,
+                             prior_kxx=kxx, prior_k_factor=k_factor)
     grid = rng.uniform(-3.0, 3.0, size=(50, config.d))
     return prob, prob.at_ridge(config.ridge_value()), grid
 
@@ -163,8 +169,7 @@ def _equivalence(prob, ridge_prob, grid, config):
 
 
 def _nystrom_routes(prob, ridge_prob, grid, config):
-    a = ridge_prob.ridge_fit
-    b = fit_nystrom_via_q(prob.kernel, prob.data, prob.ind, ridge_prob.ridge)
+    a, b = ridge_prob.ridge_fit, ridge_prob.ridge_fit_via_q
     gap = float(np.max(np.abs(a.predict_many(grid) - b.predict_many(grid))))
     return gap <= bnd.TOLERANCE, f"max route disagreement = {gap:.3g}"
 

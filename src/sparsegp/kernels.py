@@ -34,6 +34,11 @@ def as_points(x, input_dim: int) -> np.ndarray:
     return x
 
 
+def _check_input_dim(input_dim: int) -> None:
+    if input_dim < 1:
+        raise InvalidParameter(f"input dimension d must be >= 1, got {input_dim}")
+
+
 @dataclass(frozen=True)
 class GaussianKernel:
     """k(x, x') = exp(-||x - x'||^2 / gamma^2), so k(x, x) = 1."""
@@ -42,6 +47,7 @@ class GaussianKernel:
     input_dim: int = 1
 
     def __post_init__(self):
+        _check_input_dim(self.input_dim)
         if self.lengthscale <= 0:
             raise InvalidParameter("lengthscale must be positive")
 
@@ -96,6 +102,7 @@ class PolynomialKernel:
     input_dim: int = 1
 
     def __post_init__(self):
+        _check_input_dim(self.input_dim)
         if self.degree < 1:
             raise InvalidParameter("degree must be >= 1")
         if self.offset < 0:

@@ -1,16 +1,22 @@
-"""Dense SPD linear algebra: jittered Cholesky factors, solves, log-dets.
+"""Dense SPD linear algebra: jittered Cholesky factors, solves, log-dets,
+and the operator norm of a symmetric matrix.
 
 Every matrix inverse in the library goes through :func:`factor_spd` +
-:func:`solve`; nothing forms an explicit inverse.
+:func:`solve`; nothing forms an explicit inverse. :func:`operator_norm`
+takes the largest absolute eigenvalue by a Lanczos iteration, which
+touches the matrix only through matrix-vector products, in place of a
+dense O(n^3) eigensolve.
 
 numpy and scipy each bundle an OpenBLAS with its own thread pool, and a
 pool's workers busy-wait for a while after each level-3 call. Every
 factorization, eigensolve and multi-column solve therefore runs on numpy's
 library, the one every ``@`` already uses, so scipy's pool never wakes to
-compete with it. A triangular solve with a matrix right-hand side goes
-through ``np.linalg.solve`` on an upper triangle (L^T, or L reversed on
-both axes): partial pivoting makes no row exchange there, so the LU is the
-triangle itself and the solve is a substitution. That LU solve costs
+compete with it: the Lanczos matrix-vector products are ``@`` and its
+small tridiagonal eigensolves ``np.linalg.eigh``. A triangular solve with
+a matrix right-hand side goes through ``np.linalg.solve`` on an upper
+triangle (L^T, or L reversed on both axes): partial pivoting makes no row
+exchange there, so the LU is the triangle itself and the solve is a
+substitution. That LU solve costs
 several times more per column than scipy's trsm, so a wide right-hand
 side is solved by blocked substitution instead, whose work is matrix
 products on numpy's BLAS. Vector right-hand sides keep scipy's O(k^2)
@@ -39,6 +45,11 @@ DEFAULT_JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8, 1e-6)
 # substitution's Python loop costs a few microseconds per row).
 _LU_COLUMNS_PER_ROW = 4
 _SUBSTITUTION_BLOCK = 16
+
+# operator_norm's start vector is drawn from this seed, and its Ritz
+# residual is measured against this machine epsilon.
+_LANCZOS_SEED = 0
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -171,10 +182,48 @@ def logdet(F: SpdFactor) -> float:
 
 
 def operator_norm(A: np.ndarray) -> float:
-    """Largest absolute eigenvalue of a symmetric matrix, by a dense
-    symmetric eigensolve; NoConvergence if the eigensolve fails."""
+    """Largest absolute eigenvalue ||A||_2 of a symmetric matrix, by Lanczos.
+
+    The iteration starts from a fixed-seed vector and reorthogonalises each
+    new Lanczos vector against all earlier ones (twice), so repeat calls
+    return the same bits. After step j it takes the Ritz value theta of
+    largest magnitude, an eigenvalue of the j x j tridiagonal T_j, and
+    stops once the Ritz residual |beta_j s_j| (s_j the last entry of its
+    eigenvector) is at most eps |theta|: A then has an eigenvalue within
+    eps |theta| of theta. It also stops on breakdown (beta_j = 0: the
+    Krylov space is invariant) and at j = n, where T_n is similar to A.
+    A matrix whose spectrum decays fast, such as k_XX - q_XX, takes few
+    steps: 6 to 28 on the verify configurations up to n = 2000.
+    NoConvergence if a tridiagonal eigensolve fails.
+    """
     A = _symmetric_copy(A)
-    try:
-        return float(np.max(np.abs(np.linalg.eigvalsh(A))))
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"symmetric eigensolve failed: {exc}") from exc
+    n = A.shape[0]
+    if n == 0:
+        return 0.0
+    Q = np.empty((n, n))  # the Lanczos vectors, one per row; rows fill as j grows
+    alpha, beta = np.empty(n), np.empty(n)
+    q = np.random.default_rng(_LANCZOS_SEED).standard_normal(n)
+    q /= np.linalg.norm(q)
+    for j in range(n):
+        Q[j] = q
+        w = A @ q
+        if j:
+            w -= beta[j - 1] * Q[j - 1]
+        alpha[j] = q @ w
+        w -= alpha[j] * q
+        basis = Q[:j + 1]
+        for _ in range(2):
+            w -= (basis @ w) @ basis
+        beta[j] = np.linalg.norm(w)
+        try:
+            # eigh reads the lower triangle: the diagonal and the subdiagonal.
+            thetas, S = np.linalg.eigh(np.diag(alpha[:j + 1]) + np.diag(beta[:j], -1))
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence(f"Lanczos tridiagonal eigensolve failed at step "
+                                f"{j + 1}: {exc}") from exc
+        k = int(np.argmax(np.abs(thetas)))
+        theta = abs(float(thetas[k]))
+        if j + 1 == n or beta[j] * abs(S[-1, k]) <= _EPS * theta:
+            break
+        q = w / beta[j]
+    return theta

@@ -2,15 +2,16 @@
 
 Holds the span subspace M = span(k(., z_1), ..., k(., z_m)), the
 degenerate kernel q(x, x') = k_Z(x)^T k_ZZ^{-1} k_Z(x'), ridge regression
-restricted to M (two equivalent routes), the whitened factorization
-NystromFactor behind the posterior of a GP with prior kernel q and the
-optimal variational posterior, and two inducing-point selection
-strategies. The ridge fits and the posterior mean are KernelExpansions
-over Z.
+restricted to M, the whitened factorization NystromFactor behind the
+posterior of a GP with prior kernel q and the optimal variational
+posterior, and two inducing-point selection strategies. The ridge fit and
+the posterior mean are KernelExpansions over Z.
 
 q(x, x') = v(x)^T v(x') with the feature map v(x) = L_Z^{-1} k_Z(x),
 L_Z = chol(k_ZZ). `fit_nystrom` stays in raw beta coordinates as a
-reference.
+reference; the second route to the same fit, KRR with the kernel q, is
+`SparseProblem.ridge_fit_via_q`, which reads its problem's factor of
+q_XX + s2 I.
 """
 
 from __future__ import annotations
@@ -168,24 +169,6 @@ def fit_nystrom(kernel: Kernel, data: Dataset, ind: InducingSet,
     Kzz = kernel.gram(ind.points)
     A = n * ridge * Kzz + Kxz.T @ Kxz
     return KernelExpansion(kernel, ind.points, solve(factor_spd(A), Kxz.T @ data.targets))
-
-
-def fit_nystrom_via_q(kernel: Kernel, data: Dataset, ind: InducingSet,
-                      ridge: float) -> KernelExpansion:
-    """Solve KRR with the approximate kernel q and map back to M coordinates.
-
-    KRR with kernel q gives f(x) = q_X(x)^T (q_XX + n*ridge*I)^{-1} y; with
-    q_X(x) = k_XZ k_ZZ^{-1} k_Z(x) this is k_Z(x)^T beta for
-    beta = k_ZZ^{-1} k_ZX (q_XX + n*ridge*I)^{-1} y.
-    """
-    if ridge <= 0:
-        raise InvalidParameter("ridge must be positive")
-    n = data.n
-    Qxx = q_gram(ind, data.inputs)
-    F = factor_spd(Qxx + n * ridge * np.eye(n), jitter_ladder=[0.0])
-    gamma = solve(F, data.targets)
-    Kzx = kernel.gram(ind.points, data.inputs)
-    return KernelExpansion(kernel, ind.points, solve(ind.kzz_factor, Kzx @ gamma))
 
 
 def trace_gap(ind: InducingSet, X) -> float:

@@ -270,6 +270,24 @@ def test_unknown_flag_prints_the_usage_of_its_subcommand(command, capsys):
     assert err.rstrip().endswith(f"sparsegp {command[0]}: error: unrecognized arguments: --bogus 7")
 
 
+@pytest.mark.parametrize("command", [("synth", "--n", "5"), ("verify",)])
+def test_zero_input_dimension_exits_2_naming_d(command, tmp_path, capsys):
+    out = tmp_path / "f.csv"
+    argv = [*command, "--out", str(out)] if command[0] == "synth" else list(command)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--d", "0"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.rstrip().endswith(f"sparsegp {command[0]}: error: argument --d: "
+                                 "input dimension d must be >= 1, got 0")
+    assert not out.exists()
+    # the library names d too, as a set-up error of the run
+    report = run_verification(small_config(d=0))
+    assert [c.to_dict() for c in report.checks] == [{
+        "name": "setup", "status": "error",
+        "detail": "InvalidParameter: input dimension d must be >= 1, got 0"}]
+
+
 def test_cli_entry_point_subprocess(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "sparsegp.cli", "verify", "--n", "30", "--m", "5",

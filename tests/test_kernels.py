@@ -160,6 +160,8 @@ def test_gaussian_gram_matches_sum_norms_to_rounding_for_d_above_2(d):
     lambda: GaussianKernel(lengthscale=0.0),
     lambda: PolynomialKernel(degree=0),
     lambda: PolynomialKernel(degree=2, offset=-1.0),
+    lambda: GaussianKernel(input_dim=0),
+    lambda: PolynomialKernel(input_dim=0),
 ])
 def test_kernel_parameters_raise_typed_error(make):
     with pytest.raises(InvalidParameter):

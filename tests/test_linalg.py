@@ -7,7 +7,7 @@ import scipy.linalg
 from sparsegp.data import Dataset
 from sparsegp.errors import (DimensionMismatch, FactorizationFailed, NoConvergence,
                              NonFiniteValue)
-from sparsegp.harness import ExperimentConfig, run_verification
+from sparsegp.harness import ExperimentConfig, make_problem, run_verification
 from sparsegp.kernels import GaussianKernel
 from sparsegp.linalg import factor_spd, logdet, lower_solve, operator_norm, solve, upper_solve
 from sparsegp.nystrom import select_inducing
@@ -97,27 +97,74 @@ def test_logdet_inverse_cancels():
     assert logdet(F) + logdet(Finv) == pytest.approx(0.0, abs=1e-8)
 
 
+def assert_matches_dense_eigensolve(A):
+    """operator_norm(A) is max |eig(A)| of the dense eigensolve to 1e-12
+    relative, or to n eps max |A_ij| when that is looser: a gap k - q at
+    round-off level has no more digits to agree on."""
+    expected = float(np.max(np.abs(np.linalg.eigvalsh(A))))
+    tol = max(1e-12 * expected, A.shape[0] * np.finfo(float).eps * np.max(np.abs(A)))
+    assert abs(operator_norm(A) - expected) <= tol, (operator_norm(A), expected)
+
+
 def test_operator_norm_diag():
-    assert operator_norm(np.diag([1.0, -3.0, 2.0])) == pytest.approx(3.0)
+    assert operator_norm(np.diag([1.0, -3.0, 2.0])) == pytest.approx(3.0, rel=1e-12)
 
 
 def test_operator_norm_zero():
     assert operator_norm(np.zeros((4, 4))) == 0.0
 
 
+def test_operator_norm_one_by_one():
+    assert operator_norm(np.array([[-2.5]])) == 2.5
+
+
 def test_operator_norm_eigensolver_oracle():
     rng = np.random.default_rng(5)
     A = rng.standard_normal((15, 15))
     A = 0.5 * (A + A.T)
-    expected = float(np.max(np.abs(np.linalg.eigvalsh(A))))
-    assert operator_norm(A) == pytest.approx(expected, abs=1e-8)
+    assert_matches_dense_eigensolve(A)
+
+
+@pytest.mark.parametrize("n", [2, 7, 40, 150])
+@pytest.mark.parametrize("seed", range(3))
+def test_operator_norm_on_random_indefinite_matrices(n, seed):
+    rng = np.random.default_rng(100 * n + seed)
+    A = rng.standard_normal((n, n))
+    A = A + A.T
+    # shift the spectrum so that either end may hold the largest |eigenvalue|
+    A += rng.uniform(-2.0, 2.0) * np.sqrt(n) * np.eye(n)
+    assert_matches_dense_eigensolve(A)
+
+
+# The regression configs of ROADMAP item 1 with n <= 800.
+ITEM1_CONFIGS = [
+    {}, {"d": 3}, {"kernel_family": "polynomial"}, {"n": 300, "m": 20},
+    {"n": 800, "m": 40}, {"n": 60, "m": 30, "noise_var": 1e-4},
+    {"select": "uniform", "n": 800, "m": 40},
+]
+# The pool of the verify-mid benchmark workload at seed 1.
+VERIFY_MID_POOL = [{"n": 400, "m": 24, "seed": int(s)}
+                   for s in np.random.SeedSequence(1).generate_state(8)]
+
+
+@pytest.mark.parametrize("over", ITEM1_CONFIGS + VERIFY_MID_POOL)
+def test_operator_norm_of_the_nystrom_gap_matches_the_dense_eigensolve(over):
+    prob, _, _ = make_problem(ExperimentConfig(**over))
+    assert_matches_dense_eigensolve(prob.gap)
+
+
+def test_operator_norm_repeats_bit_for_bit():
+    prob, _, _ = make_problem(ExperimentConfig(n=400, m=24))
+    first = operator_norm(prob.gap)
+    assert all(operator_norm(prob.gap) == first for _ in range(3))
 
 
 def test_operator_norm_raises_no_convergence_when_the_eigensolve_fails(monkeypatch):
-    def failing(A):
+    def failing(A, *args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    # the tridiagonal eigensolve of each Lanczos step
+    monkeypatch.setattr(np.linalg, "eigh", failing)
     with pytest.raises(NoConvergence, match="did not converge"):
         operator_norm(np.eye(3))
     # the checks that read ||k - q||_2 report the typed error

@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from sparsegp.data import Dataset
-from sparsegp.bounds import SparseProblem
+from sparsegp.bounds import SparseProblem, noise_factor
 from sparsegp.data import synth_prior_dataset
 from sparsegp.errors import InvalidCount, InvalidParameter
 from sparsegp.exact import fit_gpr, fit_krr
 from sparsegp.kernels import GaussianKernel, PolynomialKernel
-from sparsegp.nystrom import (fit_nystrom, fit_nystrom_via_q, make_inducing,
-                              nystrom_factor, q_diag, q_gram, select_inducing,
-                              trace_gap)
+from sparsegp.nystrom import (fit_nystrom, make_inducing, nystrom_factor, q_diag,
+                              q_gram, select_inducing, trace_gap)
 from sparsegp.svgp import elbo, fixed_point_solver, make_state, psi_forward
 
 
@@ -90,7 +89,7 @@ def test_fit_nystrom_routes_agree(kernel):
     ind = make_inducing(kernel, np.array([[-2.0], [-0.5], [1.0], [2.5]]))
     lam = 0.01
     direct = fit_nystrom(kernel, data, ind, lam)
-    via_q = fit_nystrom_via_q(kernel, data, ind, lam)
+    via_q = SparseProblem(kernel, data, ind, data.n * lam).ridge_fit_via_q
     assert np.allclose(direct.coef, via_q.coef, atol=1e-8)
     xs = np.linspace(-3, 3, 11)
     assert direct.predict_many(xs) == pytest.approx(via_q.predict_many(xs), abs=1e-8)
@@ -234,7 +233,7 @@ def test_bad_noise_and_ridge_raise_typed_error(kernel, bad):
     ind = select_inducing(kernel, data, 4)
     for call in (lambda: nystrom_factor(kernel, data, ind, bad),
                  lambda: fit_nystrom(kernel, data, ind, bad),
-                 lambda: fit_nystrom_via_q(kernel, data, ind, bad),
+                 lambda: noise_factor(np.eye(20), bad),
                  lambda: fit_krr(kernel, data, bad),
                  lambda: fit_gpr(kernel, data, bad),
                  lambda: elbo(make_state(ind, np.zeros(4), np.eye(4)), data, bad),

@@ -2,12 +2,14 @@
 independent cross-checks still catch a broken side, and a failed build is
 reported by every check that needs it without escaping the run."""
 
+import subprocess
 import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from sparsegp import bounds
+from sparsegp import bounds, harness
 from sparsegp.data import Dataset
 from sparsegp.errors import FactorizationFailed
 from sparsegp.harness import ExperimentConfig, run_verification
@@ -23,12 +25,17 @@ CHECK_NAMES = [
     "expected_kl_sandwich", "expected_excess_risk_lower_bound",
 ]
 
-# Checks that read k_XX + s2 I or q_XX + s2 I (fit_nystrom_via_q factors
-# its own q_XX + n ridge I).
-NN_CHECKS = {
+# Checks that read q_XX + s2 I of the problem at noise_var or
+# q_XX + n ridge I of the ridge problem (the q route of nystrom_two_routes).
+Q_CHECKS = {
     "nystrom_two_routes", "kl_two_path", "burt_bound", "burt_bound_intermediate",
-    "quadratic_form_gap", "excess_risk_identity", "excess_risk_bound",
-    "rkhs_distance_bound", "derivative_bound", "expected_kl_sandwich",
+    "quadratic_form_gap", "excess_risk_identity", "expected_kl_sandwich",
+    "expected_excess_risk_lower_bound",
+}
+# Checks that read k_XX + n ridge I of the ridge problem; when the ridge is
+# linked, that is the factor the prior draw was taken through.
+RIDGE_K_CHECKS = {
+    "excess_risk_identity", "excess_risk_bound", "rkhs_distance_bound",
     "expected_excess_risk_lower_bound",
 }
 
@@ -46,7 +53,7 @@ def statuses(report):
 
 def test_verify_run_builds_each_n_by_n_matrix_once(monkeypatch):
     n = 400
-    factor_dims, gram_shapes = [], []
+    factor_dims, gram_shapes, eigen_shapes = [], [], []
 
     def recording(factor_spd):
         def factor(A, *args, **kwargs):
@@ -63,12 +70,31 @@ def test_verify_run_builds_each_n_by_n_matrix_once(monkeypatch):
         return K
 
     monkeypatch.setattr(GaussianKernel, "gram", recording_gram)
+    for mod in (np.linalg, scipy.linalg):
+        for name in ("eigh", "eigvalsh", "eig", "eigvals"):
+            fn = getattr(mod, name)
+            monkeypatch.setattr(mod, name, lambda A, *args, fn=fn, **kwargs:
+                                eigen_shapes.append(np.shape(A)) or fn(A, *args, **kwargs))
     report = run_verification(ExperimentConfig(n=n, m=24))
     assert [c.name for c in report.checks] == CHECK_NAMES
-    # The synthetic draw, k_XX + s2 I, q_XX + s2 I and fit_nystrom_via_q's
-    # own q_XX + n ridge I; the synthetic draw's Gram and k_XX.
-    assert factor_dims.count(n) <= 4
-    assert gram_shapes.count((n, n)) <= 2
+    # k_XX + s2 I, shared by the prior draw and the problem, and q_XX + s2 I,
+    # shared by the KL, the quadratic-form gap and the q route; k_XX, shared
+    # by the prior draw and the problem. ||k - q||_2 is taken by Lanczos,
+    # whose eigensolves are j x j for a few dozen steps j.
+    assert factor_dims.count(n) <= 2
+    assert gram_shapes.count((n, n)) <= 1
+    assert eigen_shapes and all(shape[0] < 100 for shape in eigen_shapes)
+
+
+def test_verify_run_leaves_scipy_sparse_unimported():
+    code = ("import sys\n"
+            "from sparsegp.harness import ExperimentConfig, run_verification\n"
+            "report = run_verification(ExperimentConfig(n=60, m=8, mc_samples=200))\n"
+            "assert len(report.checks) == 17\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_kl_two_path_catches_a_wrong_q_gram(monkeypatch):
@@ -141,25 +167,52 @@ def test_verify_run_shares_one_nystrom_factor_and_batches_its_probes(monkeypatch
     assert len(grams) <= 100
 
 
-def test_failed_n_by_n_factor_is_an_error_in_each_check_that_needs_it(monkeypatch):
+def assert_factor_failures(monkeypatch, link):
     n = 30
+    config = ExperimentConfig(n=n, m=5, mc_samples=500, ridge=None if link else 0.01)
+    healthy = statuses(run_verification(config))
+    refuse = [True]
 
     def failing(factor_spd):
         def factor(A, *args, **kwargs):
-            if np.shape(A)[0] == n:
+            if refuse and np.shape(A)[0] == n:
                 raise FactorizationFailed("refused n x n factor")
             return factor_spd(A, *args, **kwargs)
         return factor
 
-    # The synthetic draw is set-up, not a check: leave its factor alone.
-    patch_factor_spd(monkeypatch, failing, skip=("sparsegp.data",))
-    report = run_verification(ExperimentConfig(n=n, m=5, mc_samples=500))
+    patch_factor_spd(monkeypatch, failing)
+    # The factor of k_XX + s2 I is built at set-up, for the prior draw: when
+    # it fails, the run reports one set-up error.
+    report = run_verification(config)
+    assert [c.to_dict() for c in report.checks] == [{
+        "name": "setup", "status": "error",
+        "detail": "FactorizationFailed: refused n x n factor"}]
+
+    # Refuse only the n x n factors built after set-up: the q side, and the
+    # k side of an unlinked ridge problem, in each check that reads them.
+    refuse.clear()
+    make_problem = harness.make_problem
+
+    def make_problem_then_refuse(config):
+        instance = make_problem(config)
+        refuse.append(True)
+        return instance
+
+    monkeypatch.setattr(harness, "make_problem", make_problem_then_refuse)
+    report = run_verification(config)
     assert [c.name for c in report.checks] == CHECK_NAMES
+    needs = Q_CHECKS if link else Q_CHECKS | RIDGE_K_CHECKS
     for check in report.checks:
-        expected = "error" if check.name in NN_CHECKS else "pass"
-        assert check.status == expected, (check.name, check.detail)
+        expected = "error" if check.name in needs else healthy[check.name]
+        assert check.status == expected, (link, check.name, check.detail)
         if expected == "error":
             assert check.detail.startswith("FactorizationFailed")
+
+
+def test_failed_n_by_n_factor_is_an_error_in_each_check_that_needs_it(monkeypatch):
+    for link in (True, False):
+        with monkeypatch.context() as patch:
+            assert_factor_failures(patch, link)
 
 
 @pytest.mark.parametrize("link", [True, False])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sparsegp.harness import ExperimentConfig, make_problem
-from sparsegp.nystrom import fit_nystrom_via_q, nystrom_factor
+from sparsegp.nystrom import nystrom_factor
 from sparsegp.svgp import elbo, elbo_breakdown, optimal_parameters
 
 
@@ -14,7 +14,7 @@ def test_posterior_means_match_q_route_at_small_noise():
     config = ExperimentConfig(n=60, m=30, noise_var=1e-4)
     prob, _, grid = make_problem(config)  # grid: run_verification's 50 points
     kernel, data, ind, s2 = prob.kernel, prob.data, prob.ind, prob.noise_var
-    reference = fit_nystrom_via_q(kernel, data, ind, s2 / data.n).predict_many(grid)
+    reference = prob.ridge_fit_via_q.predict_many(grid)  # KRR with q at ridge s2 / n
     mean = nystrom_factor(kernel, data, ind, s2).mean.predict_many(grid)
     np.testing.assert_allclose(mean, reference, rtol=0, atol=1e-8)
 
