@@ -19,7 +19,7 @@ from .errors import (DimensionMismatch, InternalInconsistency, InvalidCount,
                      InvalidParameter, UnsupportedKernel)
 from .exact import GpPosterior, regularized_risk
 from .kernels import GaussianKernel, Kernel, KernelExpansion, as_points
-from .linalg import SpdFactor, factor_spd, logdet, operator_norm, solve
+from .linalg import SpdFactor, logdet, noise_factor, operator_norm, solve
 from .nystrom import (InducingSet, NystromFactor, fit_nystrom, nystrom_factor,
                       q_diag, q_gram)
 from .svgp import SvgpState, optimal_parameters
@@ -195,14 +195,6 @@ class SparseProblem:
         quad_k = np.einsum("ij,ij->j", z, z)
         del z  # at most two n x S arrays are alive at once
         return quad_k, self.nystrom.quad_forms(draws)
-
-
-def noise_factor(gram: np.ndarray, noise_var: float) -> SpdFactor:
-    """Cholesky factor of gram + noise_var I, without jitter: the factor of
-    k_XX + s2 I or q_XX + s2 I."""
-    if noise_var <= 0:
-        raise InvalidParameter("noise_var must be positive")
-    return factor_spd(gram + noise_var * np.eye(gram.shape[0]), jitter_ladder=[0.0])
 
 
 def _explicit_trace_gap(prob: SparseProblem) -> float:

@@ -11,7 +11,7 @@ import numpy as np
 from .errors import (DimensionMismatch, EmptyFile, InvalidParameter, NonFiniteValue,
                      ParseError)
 from .kernels import Kernel, as_points
-from .linalg import SpdFactor, factor_spd
+from .linalg import SpdFactor, noise_factor
 
 
 @dataclass(frozen=True)
@@ -53,16 +53,11 @@ def synth_prior_dataset(kernel: Kernel, X, noise_var: float, seed: int,
 
     `factor`, the Cholesky factor of k_XX + noise_var * I without jitter,
     is built here unless the caller holds it already."""
-    if noise_var <= 0:
-        raise InvalidParameter("noise_var must be positive")
     X = as_points(X, kernel.input_dim)
-    n = X.shape[0]
     if factor is None:
-        K = kernel.gram(X)
-        K.flat[::n + 1] += noise_var  # k_XX + noise_var * I, without an n x n identity
-        factor = factor_spd(K, jitter_ladder=[0.0])
+        factor = noise_factor(kernel.gram(X), noise_var)
     rng = np.random.default_rng(seed)
-    y = factor.lower @ rng.standard_normal(n)
+    y = factor.lower @ rng.standard_normal(X.shape[0])
     return Dataset(inputs=X, targets=y, provenance=f"synthetic(seed={seed}, generator=prior)")
 
 

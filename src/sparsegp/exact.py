@@ -16,7 +16,7 @@ import numpy as np
 from .data import Dataset
 from .errors import DimensionMismatch, InvalidParameter
 from .kernels import Kernel, KernelExpansion
-from .linalg import SpdFactor, factor_spd, logdet, lower_solve, solve
+from .linalg import SpdFactor, logdet, lower_solve, noise_factor, solve
 
 
 @dataclass(frozen=True)
@@ -27,17 +27,11 @@ class GpPosterior:
 
     def cov(self, A, B=None) -> np.ndarray:
         """Posterior covariance k_AB - k_AX (k_XX + s2 I)^{-1} k_XB, |A| x |B|;
-        B=None gives the exactly symmetric |A| x |A| matrix. Each k_X(a) gets
-        its own O(n^2) vector solve: a narrow matrix right-hand side would
-        take `lower_solve`'s O(n^3) LU route."""
+        B=None gives the exactly symmetric |A| x |A| matrix."""
         kernel, X = self.mean.kernel, self.mean.centers
-
-        def whitened(P):  # row i is L^{-1} k_X(p_i)
-            return np.array([lower_solve(self.factor, k) for k in kernel.gram(P, X)])
-
-        Wa = whitened(A)
-        Wb = Wa if B is None else whitened(B)
-        return kernel.gram(A, B) - Wa @ Wb.T
+        Wa = lower_solve(self.factor, kernel.gram(A, X).T)  # column i is L^{-1} k_X(a_i)
+        Wb = Wa if B is None else lower_solve(self.factor, kernel.gram(B, X).T)
+        return kernel.gram(A, B) - Wa.T @ Wb
 
     def log_evidence(self, y) -> float:
         """log N(y; 0, k_XX + s2 I) for the targets y the posterior was fit to."""
@@ -57,10 +51,7 @@ def fit_krr(kernel: Kernel, data: Dataset, ridge: float) -> KernelExpansion:
 
 def fit_gpr(kernel: Kernel, data: Dataset, noise_var: float) -> GpPosterior:
     """Exact GP posterior with zero prior mean."""
-    if noise_var <= 0:
-        raise InvalidParameter("noise_var must be positive")
-    K = kernel.gram(data.inputs)
-    F = factor_spd(K + noise_var * np.eye(data.n), jitter_ladder=[0.0])
+    F = noise_factor(kernel.gram(data.inputs), noise_var)
     return GpPosterior(mean=KernelExpansion(kernel, data.inputs, solve(F, data.targets)),
                        noise_var=noise_var, factor=F)
 

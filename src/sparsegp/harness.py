@@ -21,6 +21,7 @@ from . import bounds as bnd
 from .data import Dataset, synth_prior_dataset
 from .errors import SparseGpError
 from .kernels import Kernel, make_kernel
+from .linalg import noise_factor
 from .nystrom import select_inducing
 from .svgp import elbo_breakdown, elbos, fixed_point_solver, make_state, psi_forward
 
@@ -143,7 +144,7 @@ def make_problem(config: ExperimentConfig) -> tuple[bnd.SparseProblem, bnd.Spars
     rng = np.random.default_rng(config.seed)
     X = rng.uniform(-3.0, 3.0, size=(config.n, config.d))
     kxx = kernel.gram(X)
-    k_factor = bnd.noise_factor(kxx, config.noise_var)
+    k_factor = noise_factor(kxx, config.noise_var)
     data = synth_prior_dataset(kernel, X, config.noise_var, seed=config.seed + 1,
                                factor=k_factor)
     scale = float(np.linalg.norm(data.targets))

@@ -1,28 +1,16 @@
 """Dense SPD linear algebra: jittered Cholesky factors, solves, log-dets,
-and the operator norm of a symmetric matrix.
+and the operator norm of a symmetric matrix, on numpy alone.
 
-Every matrix inverse in the library goes through :func:`factor_spd` +
-:func:`solve`; nothing forms an explicit inverse. :func:`operator_norm`
-takes the largest absolute eigenvalue by a Lanczos iteration, which
-touches the matrix only through matrix-vector products, in place of a
-dense O(n^3) eigensolve.
+Every matrix inverse in the library goes through :func:`factor_spd` (or
+:func:`noise_factor`) + :func:`solve`; nothing forms an explicit inverse.
+:func:`operator_norm` takes the largest absolute eigenvalue by a Lanczos
+iteration, which touches the matrix only through matrix-vector products,
+in place of a dense O(n^3) eigensolve.
 
-numpy and scipy each bundle an OpenBLAS with its own thread pool, and a
-pool's workers busy-wait for a while after each level-3 call. Every
-factorization, eigensolve and multi-column solve therefore runs on numpy's
-library, the one every ``@`` already uses, so scipy's pool never wakes to
-compete with it: the Lanczos matrix-vector products are ``@`` and its
-small tridiagonal eigensolves ``np.linalg.eigh``. A triangular solve with
-a matrix right-hand side goes through ``np.linalg.solve`` on an upper
-triangle (L^T, or L reversed on both axes): partial pivoting makes no row
-exchange there, so the LU is the triangle itself and the solve is a
-substitution. That LU solve costs
-several times more per column than scipy's trsm, so a wide right-hand
-side is solved by blocked substitution instead, whose work is matrix
-products on numpy's BLAS. Vector right-hand sides keep scipy's O(k^2)
-triangular solves; those are level-2 calls, which never wake scipy's
-pool. Nothing here sets a thread count: the caller's BLAS settings are
-left as they are.
+numpy has no triangular solve, so triangular systems are solved by
+blocked substitution, whose work is matrix products and small LU solves
+on numpy's BLAS. Nothing here sets a thread count: the caller's BLAS
+settings are left as they are.
 """
 
 from __future__ import annotations
@@ -30,21 +18,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .errors import DimensionMismatch, FactorizationFailed, NoConvergence, NonFiniteValue
+from .errors import (DimensionMismatch, FactorizationFailed, InvalidParameter, NoConvergence,
+                     NonFiniteValue)
 
 # Relative rungs, scaled by mean(diag) of the input matrix.
 DEFAULT_JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8, 1e-6)
 
-# A right-hand side with more than _LU_COLUMNS_PER_ROW columns per row of
-# the factor is solved by blocked substitution in row blocks of
-# _SUBSTITUTION_BLOCK, a narrower one by np.linalg.solve. On a 2-vCPU
-# x86-64 VM (2 OpenBLAS threads), np.linalg.solve took 8.8 ms on 64 x 4000
-# and the substitution 1.9 ms; on 24 x 24, 0.02 ms against 0.08 ms (the
-# substitution's Python loop costs a few microseconds per row).
+# _substitute solves a right-hand side of more than _LU_COLUMNS_PER_ROW
+# columns per row of the factor row by row in blocks of _SUBSTITUTION_BLOCK
+# rows, a narrower one by LU per block of _LU_BLOCK rows. On a 2-vCPU x86-64
+# VM the routes meet near 4 columns per row at k = 64 (row by row 0.58 ms
+# against 0.72 ms on 64 x 256, 2.1 ms against 13.7 ms on 64 x 4096, 0.48 ms
+# against 0.09 ms on 64 x 32). A vector takes 0.03 ms at k = 24, 0.4 ms at
+# k = 400 and 3 ms at k = 2000; blocks of 16 or 64 rows were slower.
 _LU_COLUMNS_PER_ROW = 4
 _SUBSTITUTION_BLOCK = 16
+_LU_BLOCK = 32
 
 # operator_norm's start vector is drawn from this seed, and its Ritz
 # residual is measured against this machine epsilon.
@@ -102,9 +92,24 @@ def factor_spd(A: np.ndarray, jitter_ladder=None) -> SpdFactor:
     FactorizationFailed
         If no rung of the ladder yields a positive-definite matrix.
     """
-    A = _symmetric_copy(A)
     if jitter_ladder is None:
         jitter_ladder = DEFAULT_JITTER_LADDER
+    return _factor_copy(_symmetric_copy(A), jitter_ladder)
+
+
+def noise_factor(gram: np.ndarray, noise_var: float) -> SpdFactor:
+    """Cholesky factor of gram + noise_var I, without jitter (k_XX + s2 I,
+    q_XX + s2 I): bit for bit factor_spd(gram + noise_var * I, [0.0]), with
+    noise_var added to the diagonal of factor_spd's private copy instead."""
+    if not noise_var > 0:
+        raise InvalidParameter("noise_var must be positive")
+    A = _symmetric_copy(gram)
+    A.flat[::A.shape[0] + 1] += noise_var
+    return _factor_copy(A, (0.0,))
+
+
+def _factor_copy(A: np.ndarray, jitter_ladder) -> SpdFactor:
+    """factor_spd on A, a private, exactly symmetric copy that it shifts."""
     scale = float(np.mean(np.diag(A))) if A.shape[0] else 1.0
     if scale <= 0.0:
         scale = 1.0
@@ -134,45 +139,45 @@ def solve(F: SpdFactor, B: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(
             f"factor dim {F.matrix_dim} does not match rhs leading dim {B.shape[0]}"
         )
-    if B.ndim == 1:
-        return scipy.linalg.cho_solve((F.lower, True), B)
     return upper_solve(F, lower_solve(F, B))
 
 
 def lower_solve(F: SpdFactor, B: np.ndarray) -> np.ndarray:
     """Return L^{-1} B, L = F.lower: B in the coordinates whitened by F."""
-    B = np.asarray(B, dtype=float)
-    if B.ndim == 1:
-        return scipy.linalg.solve_triangular(F.lower, B, lower=True)
-    if B.shape[1] > _LU_COLUMNS_PER_ROW * B.shape[0]:
-        return _forward_substitution(F.lower, B)
-    # L reversed on both axes is upper triangular: forward substitution on L.
-    return np.linalg.solve(F.lower[::-1, ::-1], B[::-1])[::-1]
+    return _substitute(F.lower, B, lower=True)
 
 
 def upper_solve(F: SpdFactor, B: np.ndarray) -> np.ndarray:
     """Return L^{-T} B, L = F.lower; solve(F, B) is upper_solve(F, lower_solve(F, B))."""
-    B = np.asarray(B, dtype=float)
-    if B.ndim == 1:
-        return scipy.linalg.solve_triangular(F.lower, B, lower=True, trans="T")
-    if B.shape[1] > _LU_COLUMNS_PER_ROW * B.shape[0]:
-        # L^T reversed on both axes is lower triangular.
-        return _forward_substitution(F.lower.T[::-1, ::-1], B[::-1])[::-1].copy()
-    return np.linalg.solve(F.lower.T, B)
+    return _substitute(F.lower.T, B, lower=False)
 
 
-def _forward_substitution(L: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """L^{-1} B for lower-triangular L, one block of rows at a time: the
-    block is updated by one matrix product with the rows already solved,
-    then solved row by row."""
-    n = L.shape[0]
+def _substitute(T: np.ndarray, B, lower: bool) -> np.ndarray:
+    """T^{-1} B for triangular T, one block of rows at a time in the order
+    of substitution: the rows already solved are folded into the block by
+    one matrix product, then the block is solved. A wide B has it solved
+    row by row; a narrower one (a vector, say) by LU on the diagonal
+    block, made upper triangular (reversed on both axes if lower), where
+    partial pivoting exchanges no rows."""
+    k = T.shape[0]
     X = np.array(B, dtype=float, order="C")  # rows contiguous for the row steps
-    for start in range(0, n, _SUBSTITUTION_BLOCK):
-        stop = min(start + _SUBSTITUTION_BLOCK, n)
-        X[start:stop] -= L[start:stop, :start] @ X[:start]
-        for i in range(start, stop):
-            X[i] -= L[i, start:i] @ X[start:i]
-            X[i] /= L[i, i]
+    wide = X.ndim == 2 and X.shape[1] > _LU_COLUMNS_PER_ROW * k
+    size = _SUBSTITUTION_BLOCK if wide else _LU_BLOCK
+    starts = range(0, k, size) if lower else range((k - 1) // size * size, -1, -size)
+    for start in starts:
+        block = slice(start, min(start + size, k))
+        done = slice(0, start) if lower else slice(block.stop, k)
+        X[block] -= T[block, done] @ X[done]
+        if not wide:
+            D = T[block, block]
+            X[block] = (np.linalg.solve(D[::-1, ::-1], X[block][::-1])[::-1] if lower
+                        else np.linalg.solve(D, X[block]))
+            continue
+        rows = range(start, block.stop)
+        for i in rows if lower else reversed(rows):
+            within = slice(start, i) if lower else slice(i + 1, block.stop)
+            X[i] -= T[i, within] @ X[within]
+            X[i] /= T[i, i]
     return X
 
 
@@ -194,9 +199,17 @@ def operator_norm(A: np.ndarray) -> float:
     Krylov space is invariant) and at j = n, where T_n is similar to A.
     A matrix whose spectrum decays fast, such as k_XX - q_XX, takes few
     steps: 6 to 28 on the verify configurations up to n = 2000.
+    A matrix that is not exactly symmetric is read as (A + A.T)/2.
     NoConvergence if a tridiagonal eigensolve fails.
     """
-    A = _symmetric_copy(A)
+    A = np.asarray(A, dtype=float)
+    # A square, finite A equal to A.T bit for bit (compared 32 rows at a
+    # time, with no n x n temporary) is read in place; any other is copied.
+    square = A.ndim == 2 and A.shape[0] == A.shape[1]
+    if not (square and all(np.isfinite(A[i:i + 32, i:]).all()
+                           and np.array_equal(A[i:i + 32, i:], A[i:, i:i + 32].T)
+                           for i in range(0, A.shape[0], 32))):
+        A = _symmetric_copy(A)
     n = A.shape[0]
     if n == 0:
         return 0.0

@@ -5,11 +5,13 @@ import pytest
 import scipy.linalg
 
 from sparsegp.data import Dataset
-from sparsegp.errors import (DimensionMismatch, FactorizationFailed, NoConvergence,
-                             NonFiniteValue)
+from sparsegp import linalg
+from sparsegp.errors import (DimensionMismatch, FactorizationFailed, InvalidParameter,
+                             NoConvergence, NonFiniteValue)
 from sparsegp.harness import ExperimentConfig, make_problem, run_verification
 from sparsegp.kernels import GaussianKernel
-from sparsegp.linalg import factor_spd, logdet, lower_solve, operator_norm, solve, upper_solve
+from sparsegp.linalg import (factor_spd, logdet, lower_solve, noise_factor, operator_norm, solve,
+                             upper_solve)
 from sparsegp.nystrom import select_inducing
 
 
@@ -43,6 +45,24 @@ def test_rank_one_needs_jitter():
 def test_factor_diag_positive():
     F = factor_spd(random_spd(12, 0))
     assert np.all(np.diag(F.lower) > 0)
+
+
+@pytest.mark.parametrize("n", [1, 7, 300])
+def test_noise_factor_is_bit_identical_to_factoring_the_shifted_gram(n):
+    # ((K + s2 I) + (K + s2 I)^T) / 2 and (K + K^T) / 2 + s2 I agree bit for
+    # bit, also for a Gram with round-off asymmetry.
+    rng = np.random.default_rng(n)
+    K = GaussianKernel(lengthscale=1.0).gram(rng.uniform(-3.0, 3.0, size=(n, 1)))
+    K += 1e-17 * rng.standard_normal((n, n))
+    before = K.copy()
+    F = noise_factor(K, 0.1)
+    expected = factor_spd(K + 0.1 * np.eye(n), jitter_ladder=[0.0])
+    assert np.array_equal(F.lower, expected.lower)
+    assert F.jitter_used == 0.0
+    assert np.array_equal(K, before)
+    for bad in (0.0, -0.1, np.nan):
+        with pytest.raises(InvalidParameter, match="noise_var must be positive"):
+            noise_factor(K, bad)
 
 
 def test_factorization_failed():
@@ -175,6 +195,29 @@ def test_operator_norm_raises_no_convergence_when_the_eigensolve_fails(monkeypat
         assert check.detail.startswith("NoConvergence"), name
 
 
+def test_operator_norm_reads_an_exactly_symmetric_matrix_without_a_copy(monkeypatch):
+    gap = make_problem(ExperimentConfig(n=400, m=24))[0].gap
+    assert np.array_equal(gap, gap.T)
+    expected = operator_norm(0.5 * (gap + gap.T))
+
+    def refuse(A):
+        raise AssertionError("copied an exactly symmetric matrix")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "_symmetric_copy", refuse)
+        assert operator_norm(gap) == expected
+    # A matrix that is not exactly symmetric is still read as (A + A^T)/2.
+    A = gap + np.triu(np.full(gap.shape, 1e-3), 1)
+    assert operator_norm(A) == operator_norm(0.5 * (A + A.T))
+    for bad in (np.nan, np.inf):
+        G = gap.copy()
+        G[3, 5] = G[5, 3] = bad
+        with pytest.raises(NonFiniteValue):
+            operator_norm(G)
+    with pytest.raises(DimensionMismatch):
+        operator_norm(gap[:, :-1])
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_operator_norm_below_trace_for_spd(seed):
     A = random_spd(7, seed)
@@ -215,19 +258,21 @@ def exact_substitution(T, B, lower):
     return np.array([[float(v) for v in row] for row in X])
 
 
-@pytest.mark.parametrize("m", [24, 40, 64])
+@pytest.mark.parametrize("m", [1, 24, 40, 64, 70])
 @pytest.mark.parametrize("side", ["lower", "upper"])
-@pytest.mark.parametrize("width", ["narrow", "wide"])
+@pytest.mark.parametrize("width", ["vector", "narrow", "wide"])
 def test_triangular_solves_match_scipy_on_ill_conditioned_kzz(m, side, width):
-    # m columns take the LU route, all 400 the blocked substitution.
+    # A vector and m columns take the blocked LU route (m = 1, 24 and 40 are
+    # one or two partial blocks of rows, 64 two full ones, 70 three), all 400
+    # columns the row-by-row substitution.
     F, B = greedy_kzz_factor(m)
-    if width == "narrow":
-        B = B[:, :m]
+    B = {"vector": B[:, 0], "narrow": B[:, :m], "wide": B}[width]
     T = F.lower if side == "lower" else F.lower.T
     ours = (lower_solve if side == "lower" else upper_solve)(F, B)
     theirs = scipy.linalg.solve_triangular(T, B, lower=side == "lower")
+    assert ours.shape == B.shape
     cond = np.linalg.cond(F.lower)
-    assert cond > 1e5
+    assert m == 1 or cond > 1e5
     rel = np.linalg.norm(ours - theirs) / np.linalg.norm(theirs)
     # Two backward-stable substitutions agree to 1e-10 at cond(L) = 1e5;
     # each one's forward error grows with cond(L).
@@ -236,6 +281,7 @@ def test_triangular_solves_match_scipy_on_ill_conditioned_kzz(m, side, width):
     assert (np.linalg.norm(T @ ours - B)
             <= 1e-14 * np.linalg.norm(T) * np.linalg.norm(ours))
     # On three columns, no further from the exact solution than scipy.
+    B, ours, theirs = (x.reshape(m, -1) for x in (B, ours, theirs))
     cols = [0, B.shape[1] // 2, B.shape[1] - 1]
     exact = exact_substitution(T, B[:, cols], lower=side == "lower")
     err = np.linalg.norm(ours[:, cols] - exact)

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from sparsegp.data import Dataset
-from sparsegp.bounds import SparseProblem, noise_factor
+from sparsegp.bounds import SparseProblem
 from sparsegp.data import synth_prior_dataset
 from sparsegp.errors import InvalidCount, InvalidParameter
 from sparsegp.exact import fit_gpr, fit_krr
 from sparsegp.kernels import GaussianKernel, PolynomialKernel
+from sparsegp.linalg import noise_factor
 from sparsegp.nystrom import (fit_nystrom, make_inducing, nystrom_factor, q_diag,
                               q_gram, select_inducing, trace_gap)
 from sparsegp.svgp import elbo, fixed_point_solver, make_state, psi_forward

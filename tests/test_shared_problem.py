@@ -7,7 +7,6 @@ import sys
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from sparsegp import bounds, harness
 from sparsegp.data import Dataset
@@ -40,11 +39,13 @@ RIDGE_K_CHECKS = {
 }
 
 
-def patch_factor_spd(monkeypatch, wrap, skip=()):
-    """Replace factor_spd in every sparsegp module that imported it."""
+def patch_factors(monkeypatch, wrap):
+    """Replace factor_spd and noise_factor in every sparsegp module that
+    imported them."""
     for name, mod in list(sys.modules.items()):
-        if name.startswith("sparsegp.") and name not in skip and hasattr(mod, "factor_spd"):
-            monkeypatch.setattr(mod, "factor_spd", wrap(mod.factor_spd))
+        for fn in ("factor_spd", "noise_factor"):
+            if name.startswith("sparsegp.") and hasattr(mod, fn):
+                monkeypatch.setattr(mod, fn, wrap(getattr(mod, fn)))
 
 
 def statuses(report):
@@ -61,7 +62,7 @@ def test_verify_run_builds_each_n_by_n_matrix_once(monkeypatch):
             return factor_spd(A, *args, **kwargs)
         return factor
 
-    patch_factor_spd(monkeypatch, recording)
+    patch_factors(monkeypatch, recording)
     gram = GaussianKernel.gram
 
     def recording_gram(self, A, B=None):
@@ -70,11 +71,10 @@ def test_verify_run_builds_each_n_by_n_matrix_once(monkeypatch):
         return K
 
     monkeypatch.setattr(GaussianKernel, "gram", recording_gram)
-    for mod in (np.linalg, scipy.linalg):
-        for name in ("eigh", "eigvalsh", "eig", "eigvals"):
-            fn = getattr(mod, name)
-            monkeypatch.setattr(mod, name, lambda A, *args, fn=fn, **kwargs:
-                                eigen_shapes.append(np.shape(A)) or fn(A, *args, **kwargs))
+    for name in ("eigh", "eigvalsh", "eig", "eigvals"):
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda A, *args, fn=fn, **kwargs:
+                            eigen_shapes.append(np.shape(A)) or fn(A, *args, **kwargs))
     report = run_verification(ExperimentConfig(n=n, m=24))
     assert [c.name for c in report.checks] == CHECK_NAMES
     # k_XX + s2 I, shared by the prior draw and the problem, and q_XX + s2 I,
@@ -180,7 +180,7 @@ def assert_factor_failures(monkeypatch, link):
             return factor_spd(A, *args, **kwargs)
         return factor
 
-    patch_factor_spd(monkeypatch, failing)
+    patch_factors(monkeypatch, failing)
     # The factor of k_XX + s2 I is built at set-up, for the prior draw: when
     # it fails, the run reports one set-up error.
     report = run_verification(config)
