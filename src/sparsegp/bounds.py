@@ -84,7 +84,10 @@ class SparseProblem:
     def at_ridge(self, ridge: float) -> SparseProblem:
         """The problem whose ridge is `ridge`: self when it already is, else
         a new problem at s2 = n * ridge with the same Monte-Carlo settings
-        and prior_kxx; the factor of k_XX + s2 I is not the new problem's."""
+        and prior_kxx; the factor of k_XX + s2 I is not the new problem's.
+        InvalidParameter unless ridge > 0."""
+        if not ridge > 0:
+            raise InvalidParameter("ridge must be positive")
         if ridge == self.ridge:
             return self
         return replace(self, noise_var=self.n * ridge, prior_k_factor=None)

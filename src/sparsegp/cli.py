@@ -39,12 +39,26 @@ BOUNDS = {
 }
 
 
+def _at_least(low: int, text: str, what: str) -> int:
+    value = int(text)
+    if value < low:
+        raise argparse.ArgumentTypeError(f"{what} must be >= {low}, got {value}")
+    return value
+
+
 def dimension(text: str) -> int:
     """The value of --d: an input dimension, at least 1."""
-    d = int(text)
-    if d < 1:
-        raise argparse.ArgumentTypeError(f"input dimension d must be >= 1, got {d}")
-    return d
+    return _at_least(1, text, "input dimension d")
+
+
+def size(text: str) -> int:
+    """The value of --n: a number of data points, at least 1."""
+    return _at_least(1, text, "number of points n")
+
+
+def seed(text: str) -> int:
+    """The value of --seed: a random seed, at least 0."""
+    return _at_least(0, text, "seed")
 
 
 # Every flag; each subcommand adds the ones it reads.
@@ -53,14 +67,14 @@ FLAGS = {
     "--gamma": dict(type=float, default=1.0),
     "--degree": dict(type=int, default=2),
     "--offset": dict(type=float, default=0.0),
-    "--n": dict(type=int, default=60),
+    "--n": dict(type=size, default=60),
     "--d": dict(type=dimension, default=1),
     "--m": dict(type=int, default=8),
     "--noise-var": dict(type=float, default=0.1),
     "--ridge": dict(type=float, default=None,
                     help="ridge lambda; unset links it to the noise, noise_var / n"),
     "--select": dict(default="greedy_trace", choices=["greedy_trace", "uniform"]),
-    "--seed": dict(type=int, default=7),
+    "--seed": dict(type=seed, default=7),
     "--mc-samples": dict(type=int, default=2000),
     "--format": dict(default="text", choices=["json", "text"]),
 }

@@ -59,10 +59,6 @@ class SpdFactor:
     def matrix_dim(self) -> int:
         return self.lower.shape[0]
 
-    def reconstruct(self) -> np.ndarray:
-        """Return lower @ lower.T, i.e. A + jitter_used*I."""
-        return self.lower @ self.lower.T
-
 
 def _symmetric_copy(A) -> np.ndarray:
     """A private copy of (A + A.T)/2, exactly symmetric; NonFiniteValue if A

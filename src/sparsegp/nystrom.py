@@ -74,7 +74,8 @@ class NystromFactor:
     """Whitened factorization of one (kernel, data, Z, s2) problem.
 
     With V = L_Z^{-1} k_ZX (q_XX = V^T V), A = V / s, L_B = chol(I + A A^T)
-    and c = L_B^{-1} A y / s: k_ZZ + s2^{-1} k_ZX k_XZ = L_Z L_B L_B^T L_Z^T.
+    and u = L_B^{-T} L_B^{-1} A y / s: k_ZZ + s2^{-1} k_ZX k_XZ =
+    L_Z L_B L_B^T L_Z^T, and u = L_Z^{-1} mu* is the whitened optimal mean.
     I + A A^T has eigenvalues in [1, 1 + ||A||^2], so this stays accurate
     where the raw system is nearly singular. V and A are not kept.
     """
@@ -83,8 +84,8 @@ class NystromFactor:
     inputs: np.ndarray  # the training inputs X
     noise_var: float
     b_factor: SpdFactor
-    c: np.ndarray
-    # m* = k_Z(.)^T L_Z^{-T} L_B^{-T} c over Z: the mean of both the DTC and
+    u: np.ndarray
+    # m* = k_Z(.)^T L_Z^{-T} u over Z: the mean of both the DTC and
     # the optimal variational posterior; its coef is k_ZZ^{-1} mu*.
     mean: KernelExpansion
     trace_gap: float  # tr(k_XX - q_XX)
@@ -114,7 +115,7 @@ class NystromFactor:
         """y^T (q_XX + s2 I)^{-1} y for each column y of Y, by Woodbury in
         O(n m S) for S columns."""
         V = _features(self.inducing, self.inputs)
-        _, e, r = _woodbury(self.b_factor, V, Y, self.noise_var)
+        e, r = _woodbury(self.b_factor, V, Y, self.noise_var)
         return np.einsum("ij,ij->j", r, r) / self.noise_var + np.einsum("ij,ij->j", e, e)
 
 
@@ -123,16 +124,15 @@ def _trace_gap(diag_k: np.ndarray, V: np.ndarray) -> float:
 
 
 def _woodbury(b_factor: SpdFactor, V: np.ndarray, Y: np.ndarray, noise_var: float):
-    """c = L_B^{-1} V Y / s2, e = L_B^{-T} c and the residual r = Y - V^T e.
+    """e = L_B^{-T} c for c = L_B^{-1} V Y / s2, and the residual r = Y - V^T e.
 
     (q_XX + s2 I)^{-1} Y = r / s2, so y^T (q_XX + s2 I)^{-1} y is
     ||r||^2 / s2 + ||e||^2, not ||y||^2 / s2 - ||c||^2 (which cancels).
     """
-    c = lower_solve(b_factor, V @ Y) / noise_var
-    e = upper_solve(b_factor, c)
+    e = upper_solve(b_factor, lower_solve(b_factor, V @ Y) / noise_var)
     r = V.T @ e
     np.subtract(Y, r, out=r)  # no second n x S temporary for many columns
-    return c, e, r
+    return e, r
 
 
 def nystrom_factor(kernel: Kernel, data: Dataset, ind: InducingSet,
@@ -143,14 +143,14 @@ def nystrom_factor(kernel: Kernel, data: Dataset, ind: InducingSet,
     Kxz = kernel.gram(data.inputs, ind.points)
     V = lower_solve(ind.kzz_factor, Kxz.T)
     b_factor = factor_spd(np.eye(ind.m) + V @ V.T / noise_var)
-    c, e, r = _woodbury(b_factor, V, data.targets, noise_var)
-    mean_coef = upper_solve(ind.kzz_factor, e)
+    u, r = _woodbury(b_factor, V, data.targets, noise_var)
+    mean_coef = upper_solve(ind.kzz_factor, u)
     t = _trace_gap(kernel.diag(data.inputs), V)
-    fit_quad = float(r @ r / noise_var + e @ e)  # y^T (q_XX + s2 I)^{-1} y
+    fit_quad = float(r @ r / noise_var + u @ u)  # y^T (q_XX + s2 I)^{-1} y
     elbo = float(-0.5 * data.n * np.log(2.0 * np.pi * noise_var) - 0.5 * logdet(b_factor)
                  - 0.5 * fit_quad - t / (2.0 * noise_var))
     return NystromFactor(inducing=ind, inputs=data.inputs, noise_var=noise_var,
-                         b_factor=b_factor, c=c,
+                         b_factor=b_factor, u=u,
                          mean=KernelExpansion(kernel, ind.points, mean_coef),
                          trace_gap=t, elbo=elbo, fitted=Kxz @ mean_coef)
 

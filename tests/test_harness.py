@@ -6,6 +6,7 @@ import pytest
 
 from sparsegp import bounds
 from sparsegp.cli import main
+from sparsegp.errors import InvalidParameter
 from sparsegp.harness import (CheckResult, ExperimentConfig, VerificationReport,
                               emit_report, make_problem, run_verification)
 
@@ -286,6 +287,52 @@ def test_zero_input_dimension_exits_2_naming_d(command, tmp_path, capsys):
     assert [c.to_dict() for c in report.checks] == [{
         "name": "setup", "status": "error",
         "detail": "InvalidParameter: input dimension d must be >= 1, got 0"}]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("synth", "--n", "-5"), "argument --n: number of points n must be >= 1, got -5"),
+    (("synth", "--n", "0"), "argument --n: number of points n must be >= 1, got 0"),
+    (("synth", "--n", "50", "--seed", "-1"), "argument --seed: seed must be >= 0, got -1"),
+    (("fit", "svgp", "--select", "uniform", "--seed", "-1"),
+     "argument --seed: seed must be >= 0, got -1"),
+    (("verify", "--n", "-5"), "argument --n: number of points n must be >= 1, got -5"),
+    (("verify", "--seed", "-1"), "argument --seed: seed must be >= 0, got -1"),
+    (("bounds", "burt", "--seed", "-1"), "argument --seed: seed must be >= 0, got -1"),
+], ids=["synth-n", "synth-n0", "synth-seed", "fit-seed", "verify-n", "verify-seed",
+        "bounds-seed"])
+def test_negative_count_or_seed_is_a_usage_error(argv, message, tmp_path, capsys):
+    # a usage error naming the flag (exit 2), not numpy's ValueError
+    out = tmp_path / "f.csv"
+    if argv[0] == "synth":
+        argv = (*argv, "--out", str(out))
+    elif argv[0] == "fit":
+        argv = (*argv[:2], "--data", str(tmp_path / "t.csv"), *argv[2:])
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: sparsegp {argv[0]} ")
+    assert err.rstrip().endswith(f"sparsegp {argv[0]}: error: {message}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ridge", ["-1", "0"])
+def test_non_positive_ridge_is_named(ridge, capsys):
+    # the ridge problem is rebuilt at s2 = n * ridge; the error names the
+    # ridge, not the noise
+    assert main(["bounds", "burt", "--n", "30", "--m", "5", "--mc-samples", "500",
+                 "--ridge", ridge, "--format", "json"]) == 2
+    out, err = capsys.readouterr()
+    setup = {"name": "setup", "status": "error",
+             "detail": "InvalidParameter: ridge must be positive"}
+    assert json.loads(out)["checks"] == [setup]
+    assert err == "error: InvalidParameter: ridge must be positive\n"
+    assert main(["verify", "--n", "30", "--m", "5", "--mc-samples", "500",
+                 "--ridge", ridge, "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out)["checks"] == [setup]
+    prob, _, _ = make_problem(small_config())
+    with pytest.raises(InvalidParameter, match="^ridge must be positive$"):
+        prob.at_ridge(float(ridge))
 
 
 def test_cli_entry_point_subprocess(tmp_path):
