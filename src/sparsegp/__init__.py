@@ -24,8 +24,8 @@ from .linalg import SpdFactor, factor_spd, logdet, operator_norm, solve
 from .nystrom import (InducingSet, NystromFactor, fit_nystrom, make_inducing,
                       nystrom_factor, q_diag, q_gram, select_inducing, trace_gap)
 from .svgp import (ElboBreakdown, SvgpState, elbo, elbo_breakdown, elbos,
-                   feature_map_phi, fixed_point_solver, make_state,
-                   optimal_parameters, psi_forward, psi_inverse)
+                   feature_map_phi, make_state, optimal_parameters,
+                   psi_forward, psi_inverse, stationarity_residual)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

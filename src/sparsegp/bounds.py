@@ -20,8 +20,8 @@ from .errors import (DimensionMismatch, InternalInconsistency, InvalidCount,
 from .exact import GpPosterior, regularized_risk
 from .kernels import GaussianKernel, Kernel, KernelExpansion, as_points
 from .linalg import SpdFactor, logdet, noise_factor, operator_norm, solve
-from .nystrom import (InducingSet, NystromFactor, fit_nystrom, nystrom_factor,
-                      q_diag, q_gram)
+from .nystrom import (InducingSet, NystromFactor, _check_kernel, fit_nystrom,
+                      nystrom_factor, q_diag, q_gram)
 from .svgp import SvgpState, optimal_parameters
 
 TOLERANCE = 1e-8  # the certified identities' tolerance; 1e-4 for finite differences
@@ -67,6 +67,7 @@ class SparseProblem:
     def __post_init__(self):
         if self.noise_var <= 0:
             raise InvalidParameter("noise_var must be positive")
+        _check_kernel(self.kernel, self.ind)
         if self.mc_samples < MIN_MC_SAMPLES:
             raise InvalidCount(
                 f"{self.mc_samples} Monte-Carlo samples are too few; use "

@@ -61,10 +61,18 @@ def seed(text: str) -> int:
     return _at_least(0, text, "seed")
 
 
+def lengthscale(text: str) -> float:
+    """The value of --gamma: a Gaussian length-scale, greater than 0."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"length-scale gamma must be > 0, got {value:g}")
+    return value
+
+
 # Every flag; each subcommand adds the ones it reads.
 FLAGS = {
     "--kernel": dict(default="gaussian", choices=["gaussian", "polynomial"]),
-    "--gamma": dict(type=float, default=1.0),
+    "--gamma": dict(type=lengthscale, default=1.0),
     "--degree": dict(type=int, default=2),
     "--offset": dict(type=float, default=0.0),
     "--n": dict(type=size, default=60),

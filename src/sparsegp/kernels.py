@@ -51,13 +51,6 @@ class GaussianKernel:
         if self.lengthscale <= 0:
             raise InvalidParameter("lengthscale must be positive")
 
-    def __call__(self, x, x2) -> float:
-        a = as_points(x, self.input_dim)
-        b = as_points(x2, self.input_dim)
-        if a.shape[0] != 1 or b.shape[0] != 1:
-            raise DimensionMismatch("pointwise eval takes single points")
-        return float(self.gram(a, b)[0, 0])
-
     def gram(self, A, B=None) -> np.ndarray:
         A = as_points(A, self.input_dim)
         same = B is None
@@ -107,13 +100,6 @@ class PolynomialKernel:
             raise InvalidParameter("degree must be >= 1")
         if self.offset < 0:
             raise InvalidParameter("offset must be nonnegative")
-
-    def __call__(self, x, x2) -> float:
-        a = as_points(x, self.input_dim)
-        b = as_points(x2, self.input_dim)
-        if a.shape[0] != 1 or b.shape[0] != 1:
-            raise DimensionMismatch("pointwise eval takes single points")
-        return float(self.gram(a, b)[0, 0])
 
     def gram(self, A, B=None) -> np.ndarray:
         A = as_points(A, self.input_dim)

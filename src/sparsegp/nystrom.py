@@ -50,6 +50,14 @@ def make_inducing(kernel: Kernel, Z) -> InducingSet:
     return InducingSet(kernel=kernel, points=Z, kzz_factor=F)
 
 
+def _check_kernel(kernel: Kernel, ind: InducingSet) -> None:
+    """InvalidParameter unless `kernel` is the one `ind` factored k_ZZ with."""
+    if kernel != ind.kernel:
+        raise InvalidParameter(
+            f"kernel {kernel} is not the inducing set's kernel {ind.kernel}; "
+            "build the inducing set with this kernel")
+
+
 def _features(ind: InducingSet, X) -> np.ndarray:
     """Nystrom features v(x) = L_Z^{-1} k_Z(x), one column per row of X."""
     return lower_solve(ind.kzz_factor, ind.kernel.gram(X, ind.points).T)
@@ -140,6 +148,7 @@ def nystrom_factor(kernel: Kernel, data: Dataset, ind: InducingSet,
     """Build the whitened factorization in O(n m^2)."""
     if noise_var <= 0:
         raise InvalidParameter("noise_var must be positive")
+    _check_kernel(kernel, ind)
     Kxz = kernel.gram(data.inputs, ind.points)
     V = lower_solve(ind.kzz_factor, Kxz.T)
     b_factor = factor_spd(np.eye(ind.m) + V @ V.T / noise_var)
@@ -164,6 +173,7 @@ def fit_nystrom(kernel: Kernel, data: Dataset, ind: InducingSet,
     """
     if ridge <= 0:
         raise InvalidParameter("ridge must be positive")
+    _check_kernel(kernel, ind)
     n = data.n
     Kxz = kernel.gram(data.inputs, ind.points)
     Kzz = kernel.gram(ind.points)

@@ -17,8 +17,8 @@ A = V / s and L_B = chol(I + A A^T), u* = L_B^{-T} L_B^{-1} A y / s (so
 mu* = L_Z u*) and R* = L_B^{-T} (so Sigma* = L_Z L_B^{-T} L_B^{-1} L_Z^T);
 the optimal ELBO is `NystromFactor.elbo`, its posterior mean and variance
 are `NystromFactor.mean` and `NystromFactor.optimal_var`.
-`fixed_point_solver` stays in raw k_ZX k_XZ coordinates as an independent
-reference and returns raw (mu, Sigma) arrays.
+`stationarity_residual` certifies a state as that optimum in the same
+whitened coordinates, with matrix products only.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DimensionMismatch, InvalidParameter
-from .kernels import Kernel
 from .linalg import factor_spd, lower_solve, solve, upper_solve
 from .nystrom import InducingSet, NystromFactor, _features, _trace_gap
 
@@ -167,21 +166,16 @@ def optimal_parameters(fac: NystromFactor) -> SvgpState:
     return SvgpState(fac.inducing, fac.u, upper_solve(fac.b_factor, np.eye(fac.inducing.m)))
 
 
-def fixed_point_solver(kernel: Kernel, data: Dataset, ind: InducingSet,
-                       noise_var: float) -> tuple[np.ndarray, np.ndarray]:
-    """Raw-coordinate reference for `optimal_parameters`: the ELBO
-    stationarity conditions solved with one factor of M = s2 k_ZZ + k_ZX k_XZ.
-
-    Sigma^{-1} = k_ZZ^{-1} M k_ZZ^{-1} / s2 gives Sigma = s2 k_ZZ M^{-1} k_ZZ;
-    (s2^{-1} k_ZX k_XZ k_ZZ^{-1} + I) mu = s2^{-1} k_ZX y gives
-    mu = k_ZZ M^{-1} k_ZX y. Neither condition involves the other parameter.
-    Returns the arrays (mu, Sigma) unfactored: Sigma can be indefinite at
-    round-off when k_ZZ is ill-conditioned.
-    """
+def stationarity_residual(state: SvgpState, data: Dataset, noise_var: float) -> float:
+    """Largest absolute entry of the ELBO's stationarity equations at
+    `state`, with V = v(X) and P = I + V V^T / s2: u - V (y - V^T u) / s2
+    (= -dELBO/du) and R^T P R - I (zero iff R R^T = P^{-1}). Past V, matrix
+    products only: P is neither factored nor solved with, so the residual
+    does not repeat the arithmetic of `optimal_parameters`."""
     if noise_var <= 0:
         raise InvalidParameter("noise_var must be positive")
-    Kzx = kernel.gram(ind.points, data.inputs)
-    Kzz = kernel.gram(ind.points)
-    F = factor_spd(noise_var * Kzz + Kzx @ Kzx.T)
-    sigma = noise_var * Kzz @ solve(F, Kzz)
-    return Kzz @ solve(F, Kzx @ data.targets), 0.5 * (sigma + sigma.T)
+    V = _features(state.inducing, data.inputs)
+    grad = state.u - V @ (data.targets - V.T @ state.u) / noise_var
+    RV = state.R.T @ V
+    cov = state.R.T @ state.R + RV @ RV.T / noise_var - np.eye(state.m)
+    return max(float(np.max(np.abs(grad))), float(np.max(np.abs(cov))))

@@ -7,8 +7,9 @@ import pytest
 from sparsegp import bounds
 from sparsegp.cli import main
 from sparsegp.errors import InvalidParameter
-from sparsegp.harness import (CheckResult, ExperimentConfig, VerificationReport,
+from sparsegp.harness import (CHECKS, CheckResult, ExperimentConfig, VerificationReport,
                               emit_report, make_problem, run_verification)
+from sparsegp.svgp import SvgpState
 
 
 SMALL = dict(n=30, m=5, mc_samples=500)
@@ -113,6 +114,33 @@ def test_expected_kl_check_fails_on_inverted_band(monkeypatch):
     assert check.status == "fail"
 
 
+def check_off_the_optimum(name, config, broken):
+    """Check `name` on the instance of `config`, with the optimum (u*, R*)
+    its checks read replaced by broken(u*, R*): the (ok, detail) pair."""
+    prob, ridge_prob, grid = make_problem(config)
+    star = prob.optimal_state
+    vars(prob)["optimal_state"] = SvgpState(prob.ind, *broken(star.u, star.R))
+    return dict(CHECKS)[name](prob, ridge_prob, grid, config)
+
+
+@pytest.mark.parametrize("broken", [
+    lambda u, R: (0 * u, R), lambda u, R: (0.9 * u, R), lambda u, R: (u, 1.5 * R),
+], ids=["zero-mean", "shrunk-mean", "inflated-R"])
+def test_fixed_point_check_fails_off_the_optimum(broken):
+    ok, detail = check_off_the_optimum("fixed_point_solver", small_config(), broken)
+    assert not ok, detail
+
+
+def test_optimality_probes_fail_at_the_prior_mean():
+    # at n=400, m=24 k_ZZ is ill-conditioned: probes of raw (mu, Sigma),
+    # whitened through L_Z^{-1}, land far below any state, and passed even
+    # at u = 0; probes of (u, R) themselves find a better state
+    ok, detail = check_off_the_optimum("elbo_optimality_probes",
+                                       ExperimentConfig(n=400, m=24),
+                                       lambda u, R: (0 * u, R))
+    assert not ok, detail
+
+
 def test_empty_report_fails():
     rep = VerificationReport(config=small_config(), checks=[])
     assert not rep.overall_pass
@@ -156,7 +184,7 @@ def test_cli_bounds_rejects_too_few_mc_samples(name, capsys):
     assert "InvalidCount" in err and "--mc-samples >= 100" in err
 
 
-@pytest.mark.parametrize("flags", [("--noise-var", "-1"), ("--gamma", "0")])
+@pytest.mark.parametrize("flags", [("--noise-var", "-1")])
 def test_cli_bounds_rejects_bad_parameter(flags, capsys):
     assert run_cli("bounds", "burt", *flags) == 2
     err = capsys.readouterr().err
@@ -298,10 +326,14 @@ def test_zero_input_dimension_exits_2_naming_d(command, tmp_path, capsys):
     (("verify", "--n", "-5"), "argument --n: number of points n must be >= 1, got -5"),
     (("verify", "--seed", "-1"), "argument --seed: seed must be >= 0, got -1"),
     (("bounds", "burt", "--seed", "-1"), "argument --seed: seed must be >= 0, got -1"),
+    *(((*cmd, "--gamma", v), f"argument --gamma: length-scale gamma must be > 0, got {v}")
+      for cmd, v in ((("verify",), "-1"), (("bounds", "burt"), "0"),
+                     (("fit", "svgp"), "0"), (("synth",), "-1"))),
 ], ids=["synth-n", "synth-n0", "synth-seed", "fit-seed", "verify-n", "verify-seed",
-        "bounds-seed"])
+        "bounds-seed", "verify-gamma", "bounds-gamma", "fit-gamma", "synth-gamma"])
 def test_negative_count_or_seed_is_a_usage_error(argv, message, tmp_path, capsys):
-    # a usage error naming the flag (exit 2), not numpy's ValueError
+    # a usage error naming the flag (exit 2), not numpy's ValueError or, for
+    # a length-scale --gamma <= 0, a set-up error of the run
     out = tmp_path / "f.csv"
     if argv[0] == "synth":
         argv = (*argv, "--out", str(out))
@@ -400,11 +432,11 @@ PINNED_STATUSES = [
       "expected_kl_sandwich": "fail"}),
     ({"n": 60, "m": 30, "noise_var": 1e-4},
      {"svgp_nystrom_equivalence": "fail", "nystrom_two_routes": "fail",
-      "psi_maps_mu_star_to_beta": "fail", "fixed_point_solver": "fail",
+      "psi_maps_mu_star_to_beta": "fail",
       "excess_risk_identity": "fail", "rkhs_distance_bound": "fail"}),
     ({"select": "uniform", "n": 800, "m": 40},
      {"svgp_nystrom_equivalence": "fail", "nystrom_two_routes": "fail",
-      "psi_maps_mu_star_to_beta": "fail", "fixed_point_solver": "fail",
+      "psi_maps_mu_star_to_beta": "fail",
       "excess_risk_identity": "fail"}),
 ]
 

@@ -10,8 +10,8 @@ from sparsegp.kernels import GaussianKernel, KernelExpansion, PolynomialKernel, 
 
 def test_gaussian_diagonal_is_one():
     k = GaussianKernel(lengthscale=1.0)
-    assert k(0.0, 0.0) == 1.0
-    assert k(3.7, 3.7) == pytest.approx(1.0)
+    assert k.gram([[0.0]])[0, 0] == 1.0
+    assert k.gram([[3.7]])[0, 0] == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("k", [
@@ -25,26 +25,27 @@ def test_diag_matches_gram_diagonal(k):
 
 def test_gaussian_analytic_value():
     k = GaussianKernel(lengthscale=1.0)
-    assert k(0.0, 1.0) == pytest.approx(np.exp(-1.0))
+    assert k.gram([[0.0]], [[1.0]])[0, 0] == pytest.approx(np.exp(-1.0))
 
 
 def test_polynomial_value():
     k = PolynomialKernel(degree=2, offset=0.0)
-    assert k(1.0, 2.0) == 4.0
+    assert k.gram([[1.0]], [[2.0]])[0, 0] == 4.0
 
 
 def test_polynomial_exact_with_offset():
     k = PolynomialKernel(degree=3, offset=1.5, input_dim=2)
     x = np.array([1.0, 2.0])
     x2 = np.array([-0.5, 0.25])
-    assert k(x, x2) == pytest.approx((x @ x2 + 1.5) ** 3)
+    assert k.gram(x[None, :], x2[None, :])[0, 0] == pytest.approx((x @ x2 + 1.5) ** 3)
 
 
 def test_gram_single_point():
-    for k in (GaussianKernel(), PolynomialKernel(degree=2, offset=1.0)):
+    for k, value in ((GaussianKernel(), 1.0),
+                     (PolynomialKernel(degree=2, offset=1.0), (0.3 * 0.3 + 1.0) ** 2)):
         G = k.gram(np.array([[0.3]]))
         assert G.shape == (1, 1)
-        assert G[0, 0] == pytest.approx(k(0.3, 0.3))
+        assert G[0, 0] == pytest.approx(value)
 
 
 def test_gram_cross():
@@ -54,14 +55,18 @@ def test_gram_cross():
 
 
 def test_gram_matches_pointwise_eval():
-    k = GaussianKernel(lengthscale=0.7, input_dim=2)
+    # each entry against the closed form at its pair of points
     rng = np.random.default_rng(0)
     A = rng.standard_normal((4, 2))
     B = rng.standard_normal((3, 2))
-    G = k.gram(A, B)
+    gauss = GaussianKernel(lengthscale=0.7, input_dim=2)
+    poly = PolynomialKernel(degree=3, offset=1.5, input_dim=2)
+    G, P = gauss.gram(A, B), poly.gram(A, B)
     for i in range(4):
         for j in range(3):
-            assert G[i, j] == pytest.approx(k(A[i], B[j]), abs=1e-14)
+            d2 = np.sum((A[i] - B[j]) ** 2)
+            assert G[i, j] == pytest.approx(np.exp(-d2 / 0.7**2), abs=1e-14)
+            assert P[i, j] == pytest.approx((A[i] @ B[j] + 1.5) ** 3, rel=1e-14)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -99,8 +104,12 @@ def test_mixed_second_derivative_finite_difference():
     j = 1
     e = np.zeros(2)
     e[j] = h
+
+    def kxx(a, b):
+        return k.gram(a[None, :], b[None, :])[0, 0]
+
     # cross stencil for d/dx_j d/dx'_j k(x, x') at x' = x
-    fd = (k(x + e, x + e) - k(x + e, x - e) - k(x - e, x + e) + k(x - e, x - e)) / (4 * h * h)
+    fd = (kxx(x + e, x + e) - kxx(x + e, x - e) - kxx(x - e, x + e) + kxx(x - e, x - e)) / (4 * h * h)
     assert fd == pytest.approx(k.mixed_second_derivative(j, x), abs=1e-5)
 
 

@@ -10,7 +10,8 @@ from sparsegp.kernels import GaussianKernel, PolynomialKernel
 from sparsegp.linalg import noise_factor
 from sparsegp.nystrom import (fit_nystrom, make_inducing, nystrom_factor, q_diag,
                               q_gram, select_inducing, trace_gap)
-from sparsegp.svgp import elbo, fixed_point_solver, make_state, psi_forward
+from sparsegp.svgp import (elbo, make_state, optimal_parameters, psi_forward,
+                           stationarity_residual)
 
 
 @pytest.fixture
@@ -64,7 +65,7 @@ def test_projection_fixes_span_elements(kernel):
     coef = np.array([0.5, -1.0, 2.0])
 
     def f(x):
-        return sum(c * kernel(z, x) for c, z in zip(coef, Z))
+        return float(coef @ kernel.gram(Z, np.atleast_2d(x))[:, 0])
 
     # psi_forward gives the coefficients k_ZZ^{-1} f_Z of the projection onto M
     proj_coef = psi_forward(ind, np.array([f(z) for z in Z]))
@@ -144,7 +145,7 @@ def test_trace_gap_matches_direct_sum(kernel):
     rng = np.random.default_rng(6)
     X = rng.uniform(-3, 3, size=(15, 1))
     ind = make_inducing(kernel, rng.uniform(-3, 3, size=(5, 1)))
-    direct = sum(kernel(x, x) - q_gram(ind, x[None, :])[0, 0] for x in X)
+    direct = sum(kernel.gram(x[None, :])[0, 0] - q_gram(ind, x[None, :])[0, 0] for x in X)
     assert trace_gap(ind, X) == pytest.approx(direct, rel=1e-10)
 
 
@@ -238,9 +239,21 @@ def test_bad_noise_and_ridge_raise_typed_error(kernel, bad):
                  lambda: fit_krr(kernel, data, bad),
                  lambda: fit_gpr(kernel, data, bad),
                  lambda: elbo(make_state(ind, np.zeros(4), np.eye(4)), data, bad),
-                 lambda: fixed_point_solver(kernel, data, ind, bad),
+                 lambda: stationarity_residual(
+                     optimal_parameters(nystrom_factor(kernel, data, ind, 0.1)), data, bad),
                  lambda: SparseProblem(kernel, data, ind, bad),
                  lambda: synth_prior_dataset(kernel, data.inputs, bad, seed=0)):
         # InvalidParameter is also a ValueError, for callers that catch that.
         with pytest.raises(InvalidParameter):
             call()
+
+
+@pytest.mark.parametrize("entry", [nystrom_factor, fit_nystrom, SparseProblem],
+                         ids=["nystrom_factor", "fit_nystrom", "SparseProblem"])
+def test_kernel_other_than_the_inducing_sets_raises(kernel, entry):
+    data = random_dataset(20, seed=3)
+    ind = select_inducing(kernel, data, 4)
+    with pytest.raises(InvalidParameter, match="build the inducing set with this kernel"):
+        entry(GaussianKernel(lengthscale=2.0), data, ind, 0.1)
+    # equal kernels are accepted, whether or not they are one object
+    entry(GaussianKernel(lengthscale=1.0), data, ind, 0.1)

@@ -6,9 +6,9 @@ from sparsegp.data import Dataset
 from sparsegp.exact import fit_gpr
 from sparsegp.kernels import GaussianKernel
 from sparsegp.nystrom import fit_nystrom, make_inducing, nystrom_factor, q_diag, q_gram
-from sparsegp.svgp import (elbo, elbo_breakdown, feature_map_phi,
-                           fixed_point_solver, make_state, optimal_parameters,
-                           psi_forward, psi_inverse)
+from sparsegp.svgp import (SvgpState, elbo, elbo_breakdown, feature_map_phi,
+                           make_state, optimal_parameters, psi_forward, psi_inverse,
+                           stationarity_residual)
 
 
 @pytest.fixture
@@ -204,7 +204,7 @@ def test_optimal_posterior_matches_dtc(kernel):
     opt, dtc = fac.optimal_var(xs), fac.dtc_var(xs)
     for x, v_opt, v_dtc in zip(xs, opt, dtc):
         # optimal variational variance carries the extra k - q residual
-        gap = kernel(x, x) - q_gram(ind, np.atleast_2d(x))[0, 0]
+        gap = kernel.gram(np.atleast_2d(x))[0, 0] - q_gram(ind, np.atleast_2d(x))[0, 0]
         assert v_opt == pytest.approx(v_dtc + gap, abs=1e-8)
 
 
@@ -218,12 +218,26 @@ def test_optimal_mean_matches_sparse_ridge(kernel):
     assert np.allclose(psi_forward(ind, star.mu), model.coef, atol=1e-8)
 
 
-def test_fixed_point_solver_recovers_optimum(kernel):
+def stationarity_instance(kernel):
     data = random_dataset(20, 22)
-    s2 = 0.3
     rng = np.random.default_rng(23)
     ind = make_inducing(kernel, rng.uniform(-3, 3, size=(4, 1)))
-    star = optimal_parameters(nystrom_factor(kernel, data, ind, s2))
-    mu, sigma = fixed_point_solver(kernel, data, ind, s2)
-    assert np.allclose(mu, star.mu, atol=1e-6)
-    assert np.allclose(sigma, star.sigma, atol=1e-6)
+    return data, ind
+
+
+def test_stationarity_residual_vanishes_at_optimum(kernel):
+    data, ind = stationarity_instance(kernel)
+    star = optimal_parameters(nystrom_factor(kernel, data, ind, 0.3))
+    assert stationarity_residual(star, data, 0.3) <= 1e-12
+
+
+@pytest.mark.parametrize("s2_star, broken", [
+    (0.1, lambda s: SvgpState(s.inducing, s.u + 1e-4 * np.eye(s.m)[0], s.R)),
+    (0.1, lambda s: SvgpState(s.inducing, s.u, (1 + 1e-4) * s.R)),
+    (0.11, lambda s: s),
+], ids=["mean", "covariance", "other-noise"])
+def test_stationarity_residual_flags_a_non_optimum(kernel, s2_star, broken):
+    # a perturbed optimum at s2 = 0.1, or the optimum at s2 = 0.11, read at 0.1
+    data, ind = stationarity_instance(kernel)
+    star = optimal_parameters(nystrom_factor(kernel, data, ind, s2_star))
+    assert stationarity_residual(broken(star), data, 0.1) > 1e-6
