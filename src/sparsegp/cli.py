@@ -62,10 +62,11 @@ def seed(text: str) -> int:
 
 
 def lengthscale(text: str) -> float:
-    """The value of --gamma: a Gaussian length-scale, greater than 0."""
+    """The value of --gamma: a Gaussian length-scale, finite and greater than 0."""
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"length-scale gamma must be > 0, got {value:g}")
+    if not 0 < value < np.inf:
+        raise argparse.ArgumentTypeError(
+            f"length-scale gamma must be finite and > 0, got {value:g}")
     return value
 
 

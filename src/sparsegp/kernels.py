@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, InvalidParameter, NonFiniteValue,
                      UnsupportedKernel)
+from .linalg import _symmetrize
 
 
 def as_points(x, input_dim: int) -> np.ndarray:
@@ -34,6 +35,12 @@ def as_points(x, input_dim: int) -> np.ndarray:
     return x
 
 
+# A Gram is built in row blocks of about this many entries (256 KB), each
+# kept in cache through its six passes. At n = 4000 on a 2-vCPU x86-64 VM
+# blocks of 8K to 128K entries took 0.25-0.34 s, whole-matrix passes 0.55 s.
+_BLOCK_ENTRIES = 32768
+
+
 def _check_input_dim(input_dim: int) -> None:
     if input_dim < 1:
         raise InvalidParameter(f"input dimension d must be >= 1, got {input_dim}")
@@ -48,30 +55,32 @@ class GaussianKernel:
 
     def __post_init__(self):
         _check_input_dim(self.input_dim)
-        if self.lengthscale <= 0:
-            raise InvalidParameter("lengthscale must be positive")
+        if not 0 < self.lengthscale < np.inf:
+            raise InvalidParameter("lengthscale must be finite and positive")
 
     def gram(self, A, B=None) -> np.ndarray:
         A = as_points(A, self.input_dim)
         same = B is None
         B = A if same else as_points(B, self.input_dim)
         # The same operations, in the same order, as
-        # exp(-max(|a|^2 + |b|^2 - 2 a.b, 0) / ls^2), but in place: an
-        # n x n temporary costs more in fresh pages than in arithmetic.
-        # einsum takes the row norms without an (n, d) temporary.
-        K = (np.einsum("ij,ij->i", A, A)[:, None]
-             + np.einsum("ij,ij->i", B, B)[None, :])
-        AB = A @ B.T
-        AB *= 2.0
-        K -= AB
-        del AB
-        np.maximum(K, 0.0, out=K)
-        np.negative(K, out=K)
-        K /= self.lengthscale**2
-        np.exp(K, out=K)
+        # exp(-max(|a|^2 + |b|^2 - 2 a.b, 0) / ls^2), but in the buffer of
+        # A @ B.T and a few rows at a time, so that each row block stays in
+        # cache through all six passes: a fresh n x n temporary costs more
+        # in pages than in arithmetic. einsum takes the row norms without
+        # an (n, d) temporary.
+        a2, b2 = np.einsum("ij,ij->i", A, A), np.einsum("ij,ij->i", B, B)
+        K = A @ B.T
+        rows = max(1, _BLOCK_ENTRIES // max(1, K.shape[1]))
+        for start in range(0, K.shape[0], rows):
+            block = K[start:start + rows]
+            block *= 2.0
+            np.subtract(a2[start:start + rows, None] + b2, block, out=block)
+            np.maximum(block, 0.0, out=block)
+            np.negative(block, out=block)
+            block /= self.lengthscale**2
+            np.exp(block, out=block)
         if same:
-            K = K + K.T
-            K *= 0.5
+            _symmetrize(K)
         return K
 
     def diag(self, X) -> np.ndarray:
@@ -107,9 +116,11 @@ class PolynomialKernel:
         B = A if same else as_points(B, self.input_dim)
         # An overflow is reported once, as a typed error, not as warnings.
         with np.errstate(over="ignore", invalid="ignore"):
-            K = (A @ B.T + self.offset) ** self.degree
+            K = A @ B.T
+            K += self.offset
+            np.power(K, self.degree, out=K)
             if same:
-                K = 0.5 * (K + K.T)
+                _symmetrize(K)
         return self._finite(K, A, B)
 
     def diag(self, X) -> np.ndarray:

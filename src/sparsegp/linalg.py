@@ -11,6 +11,9 @@ numpy has no triangular solve, so triangular systems are solved by
 blocked substitution, whose work is matrix products and small LU solves
 on numpy's BLAS. Nothing here sets a thread count: the caller's BLAS
 settings are left as they are.
+
+:func:`noise_factor` and :func:`operator_norm` read an exactly symmetric
+matrix in place and copy any other one, as :func:`factor_spd` copies all.
 """
 
 from __future__ import annotations
@@ -35,6 +38,9 @@ DEFAULT_JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8, 1e-6)
 _LU_COLUMNS_PER_ROW = 4
 _SUBSTITUTION_BLOCK = 16
 _LU_BLOCK = 32
+
+# Symmetry is tested and imposed on tiles of this many rows and columns.
+_TILE = 128
 
 # operator_norm's start vector is drawn from this seed, and its Ritz
 # residual is measured against this machine epsilon.
@@ -90,38 +96,75 @@ def factor_spd(A: np.ndarray, jitter_ladder=None) -> SpdFactor:
     """
     if jitter_ladder is None:
         jitter_ladder = DEFAULT_JITTER_LADDER
-    return _factor_copy(_symmetric_copy(A), jitter_ladder)
+    return _factor_symmetric(_symmetric_copy(A), jitter_ladder)
 
 
 def noise_factor(gram: np.ndarray, noise_var: float) -> SpdFactor:
     """Cholesky factor of gram + noise_var I, without jitter (k_XX + s2 I,
-    q_XX + s2 I): bit for bit factor_spd(gram + noise_var * I, [0.0]), with
-    noise_var added to the diagonal of factor_spd's private copy instead."""
+    q_XX + s2 I): bit for bit factor_spd(gram + noise_var * I, [0.0]).
+
+    A writeable, finite, exactly symmetric gram is not copied: noise_var
+    is added to its own diagonal and the saved diagonal is put back, also
+    if the factorization fails, so no other thread may read gram meanwhile.
+    Any other gram is shifted in factor_spd's private symmetric copy."""
     if not noise_var > 0:
         raise InvalidParameter("noise_var must be positive")
-    A = _symmetric_copy(gram)
-    A.flat[::A.shape[0] + 1] += noise_var
-    return _factor_copy(A, (0.0,))
+    A = np.asarray(gram, dtype=float)
+    if not (A.flags.writeable and _is_exactly_symmetric(A)):
+        A = _symmetric_copy(A)
+    return _factor_symmetric(A, (0.0,), shift=noise_var)
 
 
-def _factor_copy(A: np.ndarray, jitter_ladder) -> SpdFactor:
-    """factor_spd on A, a private, exactly symmetric copy that it shifts."""
-    scale = float(np.mean(np.diag(A))) if A.shape[0] else 1.0
-    if scale <= 0.0:
-        scale = 1.0
+def _tiles(n: int) -> list:
+    """(rows, cols) slices of the tiles on and above an n x n diagonal."""
+    return [(slice(i, i + _TILE), slice(j, j + _TILE))
+            for i in range(0, n, _TILE) for j in range(i, n, _TILE)]
+
+
+def _is_exactly_symmetric(A: np.ndarray) -> bool:
+    """Whether A is square, finite and equal to A.T bit for bit, compared
+    tile by tile with no n x n temporary."""
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        return False
+    bits = A.view(np.int64)
+    return all(np.isfinite(A[rows, cols]).all()
+               and np.array_equal(bits[rows, cols], bits[cols, rows].T)
+               for rows, cols in _tiles(A.shape[0]))
+
+
+def _symmetrize(K: np.ndarray) -> None:
+    """Overwrite the square K with (K + K.T) * 0.5 tile by tile, with no
+    n x n temporary; IEEE addition commutes, so both halves get the bits
+    of the whole-matrix formula."""
+    for rows, cols in _tiles(K.shape[0]):
+        mean = K[rows, cols] + K[cols, rows].T
+        mean *= 0.5
+        K[rows, cols] = mean
+        K[cols, rows] = mean.T
+
+
+def _factor_symmetric(A: np.ndarray, jitter_ladder, shift: float = 0.0) -> SpdFactor:
+    """factor_spd on A + shift I, for an exactly symmetric A whose diagonal
+    it shifts in place for each rung and puts back before it returns."""
     n = A.shape[0]
     diag = A.diagonal().copy()
-    for rung in jitter_ladder:
-        jitter = float(rung) * scale
-        # Each rung shifts the private copy's diagonal in place;
-        # np.linalg.cholesky factors its own copy and leaves A as it is. A.T
-        # is the same matrix, and numpy copies its Fortran order fastest.
-        A.flat[::n + 1] = diag + jitter
-        try:
-            lower = np.linalg.cholesky(A.T)
-        except np.linalg.LinAlgError:
-            continue
-        return SpdFactor(lower=lower, jitter_used=jitter)
+    shifted = diag + shift
+    scale = float(np.mean(shifted)) if n else 1.0
+    if scale <= 0.0:
+        scale = 1.0
+    try:
+        for rung in jitter_ladder:
+            jitter = float(rung) * scale
+            # np.linalg.cholesky factors its own copy and leaves A as it is.
+            # A.T is the same matrix, and numpy copies its Fortran order fastest.
+            A.flat[::n + 1] = shifted + jitter
+            try:
+                lower = np.linalg.cholesky(A.T)
+            except np.linalg.LinAlgError:
+                continue
+            return SpdFactor(lower=lower, jitter_used=jitter)
+    finally:
+        A.flat[::n + 1] = diag
     raise FactorizationFailed(
         f"Cholesky failed at every jitter rung {tuple(jitter_ladder)} "
         f"(matrix dim {n})"
@@ -199,12 +242,8 @@ def operator_norm(A: np.ndarray) -> float:
     NoConvergence if a tridiagonal eigensolve fails.
     """
     A = np.asarray(A, dtype=float)
-    # A square, finite A equal to A.T bit for bit (compared 32 rows at a
-    # time, with no n x n temporary) is read in place; any other is copied.
-    square = A.ndim == 2 and A.shape[0] == A.shape[1]
-    if not (square and all(np.isfinite(A[i:i + 32, i:]).all()
-                           and np.array_equal(A[i:i + 32, i:], A[i:, i:i + 32].T)
-                           for i in range(0, A.shape[0], 32))):
+    # An exactly symmetric A is read in place; any other is copied.
+    if not _is_exactly_symmetric(A):
         A = _symmetric_copy(A)
     n = A.shape[0]
     if n == 0:

@@ -1,3 +1,6 @@
+import csv
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from sparsegp.data import (Dataset, load_csv, synth_fixed_function_dataset,
                            synth_prior_dataset, write_csv)
 from sparsegp.errors import DimensionMismatch, EmptyFile, NonFiniteValue, ParseError
 from sparsegp.kernels import GaussianKernel
+from sparsegp.linalg import noise_factor
 
 
 def test_dataset_shapes_and_properties():
@@ -69,6 +73,49 @@ def test_csv_round_trip(tmp_path):
     assert np.array_equal(loaded.inputs, data.inputs)
     assert np.array_equal(loaded.targets, data.targets)
     assert loaded.d == 2
+
+
+def _peak_in_n_by_n_buffers(run, n):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / (n * n * 8)
+    finally:
+        tracemalloc.stop()
+
+
+def test_prior_draw_allocates_one_n_by_n_buffer_per_matrix():
+    # the Gram is built in the buffer of A @ B.T, and noise_factor shifts a
+    # symmetric Gram in place, so the draw holds only the Gram and the factor
+    # (np.linalg.cholesky's own work copy is not traced)
+    n = 1000
+    kernel = GaussianKernel(lengthscale=1.0, input_dim=2)
+    X = np.random.default_rng(3).uniform(-3, 3, size=(n, 2))
+    K = kernel.gram(X)
+    assert _peak_in_n_by_n_buffers(lambda: kernel.gram(X), n) < 1.25
+    assert _peak_in_n_by_n_buffers(lambda: noise_factor(K, 0.1), n) < 1.25
+    assert _peak_in_n_by_n_buffers(
+        lambda: synth_prior_dataset(kernel, X, 0.1, seed=0), n) < 2.25
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_write_csv_bytes_match_csv_writer(d, tmp_path):
+    values = [-1.5, 5e-324, -2.5e-310, 1e300, -1e300, 0.1, -0.0, 123456.789, 2.0 / 3.0]
+    rng = np.random.default_rng(d)
+    table = rng.permutation(np.resize(values, 9 * (d + 1))).reshape(9, d + 1)
+    data = Dataset(table[:, :d], table[:, d])
+    reference = tmp_path / "reference.csv"
+    with open(reference, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"x{i + 1}" for i in range(d)] + ["y"])
+        for row in table:
+            writer.writerow([f"{v:.17g}" for v in row])
+    path = tmp_path / "data.csv"
+    write_csv(path, data)
+    assert path.read_bytes() == reference.read_bytes()
+    loaded = load_csv(path)
+    assert np.array_equal(loaded.inputs.view(np.int64), data.inputs.view(np.int64))
+    assert np.array_equal(loaded.targets.view(np.int64), data.targets.view(np.int64))
 
 
 def test_load_csv_missing_file_header(tmp_path):

@@ -326,14 +326,19 @@ def test_zero_input_dimension_exits_2_naming_d(command, tmp_path, capsys):
     (("verify", "--n", "-5"), "argument --n: number of points n must be >= 1, got -5"),
     (("verify", "--seed", "-1"), "argument --seed: seed must be >= 0, got -1"),
     (("bounds", "burt", "--seed", "-1"), "argument --seed: seed must be >= 0, got -1"),
-    *(((*cmd, "--gamma", v), f"argument --gamma: length-scale gamma must be > 0, got {v}")
+    *(((*cmd, "--gamma", v),
+       f"argument --gamma: length-scale gamma must be finite and > 0, got {v}")
       for cmd, v in ((("verify",), "-1"), (("bounds", "burt"), "0"),
-                     (("fit", "svgp"), "0"), (("synth",), "-1"))),
+                     (("fit", "svgp"), "0"), (("synth",), "-1"),
+                     (("verify",), "inf"), (("bounds", "burt"), "inf"),
+                     (("fit", "svgp"), "inf"), (("synth",), "inf"))),
 ], ids=["synth-n", "synth-n0", "synth-seed", "fit-seed", "verify-n", "verify-seed",
-        "bounds-seed", "verify-gamma", "bounds-gamma", "fit-gamma", "synth-gamma"])
+        "bounds-seed", "verify-gamma", "bounds-gamma", "fit-gamma", "synth-gamma",
+        "verify-gamma-inf", "bounds-gamma-inf", "fit-gamma-inf", "synth-gamma-inf"])
 def test_negative_count_or_seed_is_a_usage_error(argv, message, tmp_path, capsys):
     # a usage error naming the flag (exit 2), not numpy's ValueError or, for
-    # a length-scale --gamma <= 0, a set-up error of the run
+    # a length-scale --gamma <= 0 or infinite, a set-up error of the run (an
+    # infinite length-scale gives the rank-1 all-ones Gram)
     out = tmp_path / "f.csv"
     if argv[0] == "synth":
         argv = (*argv, "--out", str(out))

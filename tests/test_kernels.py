@@ -171,6 +171,8 @@ def test_gaussian_gram_matches_sum_norms_to_rounding_for_d_above_2(d):
     lambda: PolynomialKernel(degree=2, offset=-1.0),
     lambda: GaussianKernel(input_dim=0),
     lambda: PolynomialKernel(input_dim=0),
+    lambda: GaussianKernel(lengthscale=np.inf),  # the rank-1 all-ones kernel
+    lambda: GaussianKernel(lengthscale=np.nan),
 ])
 def test_kernel_parameters_raise_typed_error(make):
     with pytest.raises(InvalidParameter):
@@ -191,3 +193,50 @@ def test_polynomial_gram_overflow_is_a_typed_error():
     assert np.isfinite(PolynomialKernel(degree=400).gram([[0.5], [-1.0]])).all()
     with pytest.raises(NonFiniteValue, match="inputs contain NaN"):
         KernelExpansion(PolynomialKernel(degree=2), [[1.0]], [1.0]).predict_many([[np.nan]])
+
+
+def _reference_gaussian_gram(A, B, lengthscale):
+    """The Gaussian Gram as whole-matrix passes with fresh n x n buffers,
+    symmetrized as (K + K.T) * 0.5 when B is A."""
+    K = (np.einsum("ij,ij->i", A, A)[:, None]
+         + np.einsum("ij,ij->i", B, B)[None, :])
+    AB = A @ B.T
+    AB *= 2.0
+    K -= AB
+    np.maximum(K, 0.0, out=K)
+    np.negative(K, out=K)
+    K /= lengthscale**2
+    np.exp(K, out=K)
+    if B is A:
+        K = K + K.T
+        K *= 0.5
+    return K
+
+
+def _reference_polynomial_gram(A, B, degree, offset):
+    K = (A @ B.T + offset) ** degree
+    return 0.5 * (K + K.T) if B is A else K
+
+
+@pytest.mark.parametrize("n", [1, 127, 128, 129, 700])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_grams_are_bit_identical_to_whole_matrix_formulas(n, d):
+    # n = 700 spans several row blocks of the Gaussian Gram and a 6 x 6
+    # grid of symmetrization tiles; 127-129 straddle one tile edge.
+    rng = np.random.default_rng(100 * n + d)
+    A = rng.uniform(-3, 3, size=(n, d))
+    B = rng.uniform(-3, 3, size=(n // 2 + 1, d))
+    gauss = GaussianKernel(lengthscale=0.9, input_dim=d)
+    K = gauss.gram(A)
+    assert np.array_equal(K, _reference_gaussian_gram(A, A, 0.9))
+    assert np.array_equal(K, K.T)
+    assert np.array_equal(gauss.gram(A, B), _reference_gaussian_gram(A, B, 0.9))
+    assert np.array_equal(gauss.gram(B, A), _reference_gaussian_gram(B, A, 0.9))
+    for degree in (1, 2, 3, 4):
+        for offset in (0.0, 1.0):
+            poly = PolynomialKernel(degree=degree, offset=offset, input_dim=d)
+            P = poly.gram(A)
+            assert np.array_equal(P, _reference_polynomial_gram(A, A, degree, offset))
+            assert np.array_equal(P, P.T)
+            assert np.array_equal(poly.gram(A, B),
+                                  _reference_polynomial_gram(A, B, degree, offset))

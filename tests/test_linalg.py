@@ -65,6 +65,55 @@ def test_noise_factor_is_bit_identical_to_factoring_the_shifted_gram(n):
             noise_factor(K, bad)
 
 
+@pytest.mark.parametrize("n", [2, 129, 300])
+def test_noise_factor_shifts_a_symmetric_gram_in_place_and_restores_it(n, monkeypatch):
+    K = GaussianKernel(lengthscale=1.0).gram(
+        np.random.default_rng(n).uniform(-3.0, 3.0, size=(n, 1)))
+    assert np.array_equal(K, K.T)
+    before = K.copy()
+    expected = factor_spd(K + 0.1 * np.eye(n), jitter_ladder=[0.0])
+
+    def refuse(A):
+        raise AssertionError("copied an exactly symmetric, writeable Gram")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "_symmetric_copy", refuse)
+        assert np.array_equal(noise_factor(K, 0.1).lower, expected.lower)
+    assert np.array_equal(K.view(np.int64), before.view(np.int64))
+    # a Gram with a NaN or an infinity goes to the validated copy, which raises
+    for bad in (np.nan, np.inf):
+        G = K.copy()
+        G[0, 1] = G[1, 0] = bad
+        with pytest.raises(NonFiniteValue):
+            noise_factor(G, 0.1)
+    # a read-only Gram is copied, not shifted, and gives the same factor
+    K.setflags(write=False)
+    assert np.array_equal(noise_factor(K, 0.1).lower, expected.lower)
+    assert np.array_equal(K.view(np.int64), before.view(np.int64))
+
+
+def test_noise_factor_restores_the_gram_when_the_factorization_fails():
+    K = np.diag([1.0, -5.0, 2.0])
+    K[0, 2] = K[2, 0] = 0.5
+    before = K.copy()
+    with pytest.raises(FactorizationFailed):
+        noise_factor(K, 0.1)
+    assert np.array_equal(K.view(np.int64), before.view(np.int64))
+
+
+@pytest.mark.parametrize("n", [1, 127, 128, 129, 300])
+def test_tile_symmetrize_matches_the_whole_matrix_formula(n):
+    # numpy's A @ A.T is already exactly symmetric, so the Gram tests cannot
+    # tell a tile symmetrize from none: take an asymmetric matrix
+    K = np.random.default_rng(n).standard_normal((n, n))
+    expected = K + K.T
+    expected *= 0.5
+    assert linalg._is_exactly_symmetric(K) == (n == 1)
+    linalg._symmetrize(K)
+    assert np.array_equal(K.view(np.int64), expected.view(np.int64))
+    assert linalg._is_exactly_symmetric(K)
+
+
 def test_factorization_failed():
     with pytest.raises(FactorizationFailed):
         factor_spd(np.diag([1.0, -5.0]), jitter_ladder=[0.0])
