@@ -16,16 +16,24 @@ import numpy as np
 
 from .data import Dataset
 from .errors import (DimensionMismatch, InternalInconsistency, InvalidCount,
-                     InvalidParameter, UnsupportedKernel)
+                     UnsupportedKernel)
 from .exact import GpPosterior, regularized_risk
 from .kernels import GaussianKernel, Kernel, KernelExpansion, as_points
-from .linalg import SpdFactor, logdet, noise_factor, operator_norm, solve
+from .linalg import SpdFactor, _check_positive, logdet, noise_factor, operator_norm, solve
 from .nystrom import (InducingSet, NystromFactor, _check_kernel, fit_nystrom,
                       nystrom_factor, q_diag, q_gram)
 from .svgp import SvgpState, optimal_parameters
 
 TOLERANCE = 1e-8  # the certified identities' tolerance; 1e-4 for finite differences
 MIN_MC_SAMPLES = 100
+# SparseProblem.mc_quadratic_forms draws and reduces its sample this many
+# draws at a time, holding a few n x _MC_BLOCK arrays instead of n x S ones.
+# On a 2-vCPU x86-64 VM at n = 400, m = 24, S = 2000 the sample's traced
+# peak is 1.0 / 1.9 / 3.5 / 6.8 MB at widths 64 / 128 / 256 / 512, a verify
+# run's peak RSS 52.2 / 54.7 / 58.0 MB at 128 / 256 / 512, and the sample
+# takes 28-32 ms at each width; drawn whole, as n x S arrays, it peaked at
+# 13.3 MB traced and 64.6 MB RSS, in 30-34 ms.
+_MC_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -49,10 +57,13 @@ class SparseProblem:
     Each member but q_XX is built on first use and then kept, so a verify
     run forms k_XX, the gap k_XX - q_XX and the factors of k_XX + s2 I and
     q_XX + s2 I once, and draws one Monte-Carlo sample of mc_samples
-    targets, seeded with mc_seed, for both expected-value bounds. A caller
-    that drew the targets through the factor of k_XX + s2 I passes it and
-    k_XX as prior_kxx and prior_k_factor, and they are kept as they are. A
-    build that raises is not kept: every reader gets the same typed error.
+    targets, seeded with mc_seed, for both expected-value bounds. The
+    sample is drawn and reduced in blocks of draws, so it takes O(n
+    _MC_BLOCK) memory at any mc_samples, and only its two quadratic forms
+    per draw are kept. A caller that drew the targets through the factor
+    of k_XX + s2 I passes it and k_XX as prior_kxx and prior_k_factor, and
+    they are kept as they are. A build that raises is not kept: every
+    reader gets the same typed error.
     """
 
     kernel: Kernel
@@ -65,8 +76,7 @@ class SparseProblem:
     prior_k_factor: SpdFactor | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.noise_var <= 0:
-            raise InvalidParameter("noise_var must be positive")
+        _check_positive(self.noise_var, "noise_var")
         _check_kernel(self.kernel, self.ind)
         if self.mc_samples < MIN_MC_SAMPLES:
             raise InvalidCount(
@@ -86,9 +96,8 @@ class SparseProblem:
         """The problem whose ridge is `ridge`: self when it already is, else
         a new problem at s2 = n * ridge with the same Monte-Carlo settings
         and prior_kxx; the factor of k_XX + s2 I is not the new problem's.
-        InvalidParameter unless ridge > 0."""
-        if not ridge > 0:
-            raise InvalidParameter("ridge must be positive")
+        InvalidParameter unless ridge is positive and finite."""
+        _check_positive(ridge, "ridge")
         if ridge == self.ridge:
             return self
         return replace(self, noise_var=self.n * ridge, prior_k_factor=None)
@@ -191,14 +200,22 @@ class SparseProblem:
     @cached_property
     def mc_quadratic_forms(self) -> tuple[np.ndarray, np.ndarray]:
         """y^T (k+s2 I)^{-1} y and y^T (q+s2 I)^{-1} y for the mc_samples
-        draws y = L_k z ~ N(0, k_XX + s2 I) seeded with mc_seed. The k side
-        is ||z||^2; the q side is taken by Woodbury on the whitened factor
-        in O(n m S)."""
-        z = np.random.default_rng(self.mc_seed).standard_normal((self.n, self.mc_samples))
-        draws = self.k_factor.lower @ z
-        quad_k = np.einsum("ij,ij->j", z, z)
-        del z  # at most two n x S arrays are alive at once
-        return quad_k, self.nystrom.quad_forms(draws)
+        draws y = L_k z ~ N(0, k_XX + s2 I) seeded with mc_seed. The z are
+        the rows of rng.standard_normal((mc_samples, n)), drawn _MC_BLOCK
+        rows at a time, so the sample does not depend on the block width,
+        and each block is reduced before the next is drawn: the k side is
+        ||z||^2, the q side is `NystromFactor.quad_forms` in O(n m S)."""
+        rng = np.random.default_rng(self.mc_seed)
+        quad_k = []
+
+        def draws():
+            for start in range(0, self.mc_samples, _MC_BLOCK):
+                z = rng.standard_normal((min(_MC_BLOCK, self.mc_samples - start), self.n))
+                quad_k.append(np.einsum("ij,ij->i", z, z))
+                yield self.k_factor.lower @ z.T
+
+        quad_q = self.nystrom.quad_forms(draws())
+        return np.concatenate(quad_k), quad_q
 
 
 def _explicit_trace_gap(prob: SparseProblem) -> float:

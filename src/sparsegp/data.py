@@ -64,8 +64,10 @@ def synth_prior_dataset(kernel: Kernel, X, noise_var: float, seed: int,
 def synth_fixed_function_dataset(f0, X, noise_var: float, seed: int,
                                  input_dim: int = 1) -> Dataset:
     """y_i = f0(x_i) + eps_i with seeded Gaussian noise (noise_var may be 0)."""
-    if noise_var < 0:
+    if not noise_var >= 0:
         raise InvalidParameter("noise_var must be nonnegative")
+    if noise_var == np.inf:
+        raise InvalidParameter("noise_var must be finite, got inf")
     X = as_points(X, input_dim)
     values = np.array([float(f0(x)) for x in X])
     rng = np.random.default_rng(seed)

@@ -16,7 +16,7 @@ import numpy as np
 from .data import Dataset
 from .errors import DimensionMismatch, InvalidParameter
 from .kernels import Kernel, KernelExpansion
-from .linalg import SpdFactor, logdet, lower_solve, noise_factor, solve
+from .linalg import SpdFactor, _check_positive, logdet, lower_solve, noise_factor, solve
 
 
 @dataclass(frozen=True)
@@ -44,8 +44,7 @@ def fit_krr(kernel: Kernel, data: Dataset, ridge: float) -> KernelExpansion:
     """Solve the regularized least-squares problem over the full RKHS: the
     GP posterior mean at noise_var = n * ridge, whose coefficients solve
     (k_XX + n*ridge*I) alpha = y."""
-    if ridge <= 0:
-        raise InvalidParameter("ridge must be positive")
+    _check_positive(ridge, "ridge")
     return fit_gpr(kernel, data, data.n * ridge).mean
 
 

@@ -99,6 +99,15 @@ def factor_spd(A: np.ndarray, jitter_ladder=None) -> SpdFactor:
     return _factor_symmetric(_symmetric_copy(A), jitter_ladder)
 
 
+def _check_positive(value: float, name: str) -> None:
+    """InvalidParameter unless value is positive and finite; a NaN is not
+    positive."""
+    if not value > 0:
+        raise InvalidParameter(f"{name} must be positive")
+    if value == np.inf:
+        raise InvalidParameter(f"{name} must be finite, got inf")
+
+
 def noise_factor(gram: np.ndarray, noise_var: float) -> SpdFactor:
     """Cholesky factor of gram + noise_var I, without jitter (k_XX + s2 I,
     q_XX + s2 I): bit for bit factor_spd(gram + noise_var * I, [0.0]).
@@ -107,8 +116,7 @@ def noise_factor(gram: np.ndarray, noise_var: float) -> SpdFactor:
     is added to its own diagonal and the saved diagonal is put back, also
     if the factorization fails, so no other thread may read gram meanwhile.
     Any other gram is shifted in factor_spd's private symmetric copy."""
-    if not noise_var > 0:
-        raise InvalidParameter("noise_var must be positive")
+    _check_positive(noise_var, "noise_var")
     A = np.asarray(gram, dtype=float)
     if not (A.flags.writeable and _is_exactly_symmetric(A)):
         A = _symmetric_copy(A)

@@ -23,7 +23,8 @@ import numpy as np
 from .data import Dataset
 from .errors import InvalidCount, InvalidParameter
 from .kernels import Kernel, KernelExpansion, as_points
-from .linalg import SpdFactor, factor_spd, logdet, lower_solve, solve, upper_solve
+from .linalg import (SpdFactor, _check_positive, factor_spd, logdet, lower_solve, solve,
+                     upper_solve)
 
 
 @dataclass(frozen=True)
@@ -119,12 +120,22 @@ class NystromFactor:
         return (self.inducing.kernel.diag(X) - np.einsum("ij,ij->j", V, V)
                 + np.einsum("ij,ij->j", W, W))
 
-    def quad_forms(self, Y) -> np.ndarray:
-        """y^T (q_XX + s2 I)^{-1} y for each column y of Y, by Woodbury in
-        O(n m S) for S columns."""
+    def quad_forms(self, blocks) -> np.ndarray:
+        """y^T (q_XX + s2 I)^{-1} y for each column y of each n x w block
+        of the iterable `blocks`, in order, by Woodbury in O(n m S) for S
+        columns in all. U = L_B^{-T} L_B^{-1} V / s2 is solved for once;
+        each block Y then costs three matrix products, e = U Y and
+        r = Y - V^T e, and is reduced to ||r||^2 / s2 + ||e||^2 (see
+        `_woodbury`) before the next is read."""
         V = _features(self.inducing, self.inputs)
-        e, r = _woodbury(self.b_factor, V, Y, self.noise_var)
-        return np.einsum("ij,ij->j", r, r) / self.noise_var + np.einsum("ij,ij->j", e, e)
+        U = upper_solve(self.b_factor, lower_solve(self.b_factor, V) / self.noise_var)
+        out = []
+        for Y in blocks:
+            e = U @ Y
+            r = V.T @ e
+            np.subtract(Y, r, out=r)
+            out.append(np.einsum("ij,ij->j", r, r) / self.noise_var + np.einsum("ij,ij->j", e, e))
+        return np.concatenate(out)
 
 
 def _trace_gap(diag_k: np.ndarray, V: np.ndarray) -> float:
@@ -138,16 +149,13 @@ def _woodbury(b_factor: SpdFactor, V: np.ndarray, Y: np.ndarray, noise_var: floa
     ||r||^2 / s2 + ||e||^2, not ||y||^2 / s2 - ||c||^2 (which cancels).
     """
     e = upper_solve(b_factor, lower_solve(b_factor, V @ Y) / noise_var)
-    r = V.T @ e
-    np.subtract(Y, r, out=r)  # no second n x S temporary for many columns
-    return e, r
+    return e, Y - V.T @ e
 
 
 def nystrom_factor(kernel: Kernel, data: Dataset, ind: InducingSet,
                    noise_var: float) -> NystromFactor:
     """Build the whitened factorization in O(n m^2)."""
-    if noise_var <= 0:
-        raise InvalidParameter("noise_var must be positive")
+    _check_positive(noise_var, "noise_var")
     _check_kernel(kernel, ind)
     Kxz = kernel.gram(data.inputs, ind.points)
     V = lower_solve(ind.kzz_factor, Kxz.T)
@@ -171,8 +179,7 @@ def fit_nystrom(kernel: Kernel, data: Dataset, ind: InducingSet,
     f = k_Z(.)^T beta, where beta solves
     (n*ridge*k_ZZ + k_ZX k_XZ) beta = k_ZX y; O(n m^2 + m^3).
     """
-    if ridge <= 0:
-        raise InvalidParameter("ridge must be positive")
+    _check_positive(ridge, "ridge")
     _check_kernel(kernel, ind)
     n = data.n
     Kxz = kernel.gram(data.inputs, ind.points)

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import DimensionMismatch, InvalidParameter
-from .linalg import factor_spd, lower_solve, solve, upper_solve
+from .errors import DimensionMismatch
+from .linalg import _check_positive, factor_spd, lower_solve, solve, upper_solve
 from .nystrom import InducingSet, NystromFactor, _features, _trace_gap
 
 
@@ -118,8 +118,7 @@ def _breakdowns(states: list[SvgpState], data: Dataset,
                 noise_var: float) -> list[ElboBreakdown]:
     """The breakdown of each state; V = v(X) and the trace gap, shared by
     every state on the one inducing set, are built once."""
-    if noise_var <= 0:
-        raise InvalidParameter("noise_var must be positive")
+    _check_positive(noise_var, "noise_var")
     ind = states[0].inducing
     if any(s.inducing is not ind for s in states):
         raise ValueError("elbos takes states on one inducing set")
@@ -172,8 +171,7 @@ def stationarity_residual(state: SvgpState, data: Dataset, noise_var: float) -> 
     (= -dELBO/du) and R^T P R - I (zero iff R R^T = P^{-1}). Past V, matrix
     products only: P is neither factored nor solved with, so the residual
     does not repeat the arithmetic of `optimal_parameters`."""
-    if noise_var <= 0:
-        raise InvalidParameter("noise_var must be positive")
+    _check_positive(noise_var, "noise_var")
     V = _features(state.inducing, data.inputs)
     grad = state.u - V @ (data.targets - V.T @ state.u) / noise_var
     RV = state.R.T @ V

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from sparsegp import bounds
 from sparsegp.errors import InternalInconsistency, UnsupportedKernel
 from sparsegp.exact import fit_krr
 from sparsegp.kernels import GaussianKernel, PolynomialKernel
-from sparsegp.linalg import logdet
+from sparsegp.linalg import logdet, solve
 from sparsegp.nystrom import fit_nystrom, make_inducing, q_gram, select_inducing, trace_gap
 
 
@@ -249,3 +251,47 @@ def test_both_expected_value_bounds_read_one_sample(kernel):
     rec, _ = expected_excess_risk_lower_bound(prob)
     gap = mc_kl - low - 0.5 * prob.n * (rec.rhs - rec.lhs)
     assert abs(gap) <= 1e-12 * max(1.0, abs(mc_kl))
+
+
+def _sample_problem(kernel, n, mc_samples, seed=32):
+    rng = np.random.default_rng(seed)
+    data = Dataset(rng.uniform(-3, 3, size=(n, 1)), np.zeros(n))
+    return SparseProblem(kernel, data, select_inducing(kernel, data, 8), 0.1,
+                         mc_samples=mc_samples, mc_seed=seed + 1)
+
+
+def test_monte_carlo_sample_matches_the_whole_sample_reference(kernel):
+    # The draws are the rows of one (S, n) standard-normal array; the q side
+    # agrees with the explicit n x n factor of q_XX + s2 I.
+    prob = _sample_problem(kernel, 30, 700)
+    quad_k, quad_q = prob.mc_quadratic_forms
+    z = np.random.default_rng(prob.mc_seed).standard_normal((700, 30))
+    assert np.array_equal(quad_k, np.einsum("ij,ij->i", z, z))
+    Y = prob.k_factor.lower @ z.T
+    reference = np.einsum("ij,ij->j", Y, solve(prob.q_factor, Y))
+    assert np.max(np.abs(quad_q - reference) / reference) <= 1e-12
+
+
+def test_monte_carlo_sample_does_not_depend_on_the_block_width(kernel, monkeypatch):
+    forms = []
+    for width in (7, 300):
+        monkeypatch.setattr(bounds, "_MC_BLOCK", width)
+        forms.append(_sample_problem(kernel, 30, 701).mc_quadratic_forms)
+    (k7, q7), (k300, q300) = forms
+    assert np.array_equal(k7, k300)
+    assert np.max(np.abs(q7 - q300) / q300) <= 1e-12
+
+
+@pytest.mark.parametrize("n, mc_samples, buffers", [(400, 2000, 1.0), (100, 20000, 0.25)])
+def test_monte_carlo_sample_is_reduced_in_bounded_memory(kernel, n, mc_samples, buffers):
+    # Only a few n x _MC_BLOCK arrays are alive at once, not n x S ones; the
+    # factors the sample reads are built before tracing starts.
+    prob = _sample_problem(kernel, n, mc_samples)
+    prob.k_factor, prob.nystrom
+    tracemalloc.start()
+    try:
+        prob.mc_quadratic_forms
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (n * mc_samples * 8) < buffers

@@ -244,14 +244,26 @@ def test_verify_run_fits_the_sparse_ridge_once_per_problem(monkeypatch, link):
 
 @pytest.mark.parametrize("link", [True, False])
 def test_verify_run_draws_one_monte_carlo_sample_per_problem(monkeypatch, link):
-    # Both expected-value checks read the kept sample of their problem: one
-    # L_k z and one Woodbury pass when the ridge is linked, one per problem
-    # when it is not.
-    calls = []
+    # Both expected-value checks read the kept sample of their problem: each
+    # problem reduces exactly mc_samples draws of n targets, from one
+    # generator seeded with mc_seed; one problem when the ridge is linked,
+    # two when it is not.
+    seeds, reduced = [], []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed=None: seeds.append(seed) or default_rng(seed))
     quad_forms = NystromFactor.quad_forms
-    monkeypatch.setattr(NystromFactor, "quad_forms",
-                        lambda self, Y: calls.append(Y.shape) or quad_forms(self, Y))
-    report = run_verification(ExperimentConfig(n=40, m=6, mc_samples=500,
-                                               ridge=None if link else 0.01))
+
+    def counting(self, blocks):
+        blocks = list(blocks)
+        assert all(Y.shape[0] == 40 for Y in blocks)
+        reduced.append(sum(Y.shape[1] for Y in blocks))
+        return quad_forms(self, blocks)
+
+    monkeypatch.setattr(NystromFactor, "quad_forms", counting)
+    config = ExperimentConfig(n=40, m=6, mc_samples=500, ridge=None if link else 0.01)
+    report = run_verification(config)
     assert [c.name for c in report.checks] == CHECK_NAMES
-    assert calls == [(40, 500)] * (1 if link else 2)
+    problems = 1 if link else 2
+    assert reduced == [500] * problems
+    assert seeds.count(config.seed + 4) == problems
