@@ -15,10 +15,9 @@ from functools import cached_property
 import numpy as np
 
 from .data import Dataset
-from .errors import (DimensionMismatch, InternalInconsistency, InvalidCount,
-                     UnsupportedKernel)
+from .errors import DimensionMismatch, InternalInconsistency, InvalidCount
 from .exact import GpPosterior, regularized_risk
-from .kernels import GaussianKernel, Kernel, KernelExpansion, as_points
+from .kernels import Kernel, KernelExpansion, as_points
 from .linalg import SpdFactor, _check_positive, logdet, noise_factor, operator_norm, solve
 from .nystrom import (InducingSet, NystromFactor, _check_kernel, fit_nystrom,
                       nystrom_factor, q_diag, q_gram)
@@ -322,10 +321,9 @@ def derivative_gap_bounds(prob: SparseProblem, X, js,
     The derivatives are central finite differences with step `fd_step`, so
     callers compare lhs and rhs at a looser 1e-4 tolerance. The sparse mean
     (an expansion over Z) and the exact mean (over X) are evaluated on all
-    2 P shifted points at once."""
+    2 P shifted points at once. A kernel without d_j d'_j k(x,x) raises
+    UnsupportedKernel."""
     kernel = prob.kernel
-    if not isinstance(kernel, GaussianKernel):
-        raise UnsupportedKernel("derivative bound requires the Gaussian kernel")
     X = as_points(X, kernel.input_dim)
     js = np.asarray(js, dtype=int).reshape(-1)
     if js.shape[0] != X.shape[0]:

@@ -8,6 +8,12 @@ Subcommands, each taking only the flags it reads:
          their report
   synth  generate a synthetic dataset and write it as CSV
 
+ExperimentConfig is the one list of experiment parameters: each flag of
+FLAGS but --format sets the config field named by its dest and defaults to
+that field's default, and every subcommand builds its config, kernel and
+ridge from the parsed fields. A new parameter is one ExperimentConfig
+field plus one FLAGS entry. `fit` takes n and d from its CSV.
+
 `verify` exits 0 iff every check passes, else 1. `bounds` exits 0 iff its
 checks pass, 1 if one fails, and 2 if the set-up or one of its checks
 errors or is skipped. A library or file error in `fit` or `synth`, and a
@@ -18,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -25,7 +32,7 @@ from .data import load_csv, synth_prior_dataset, write_csv
 from .errors import SparseGpError
 from .exact import fit_krr
 from .harness import ExperimentConfig, emit_report, run_verification
-from .kernels import make_kernel
+from .linalg import _check_positive
 from .nystrom import fit_nystrom, nystrom_factor, select_inducing
 
 # The checks of `run_verification` each `sparsegp bounds NAME` reports.
@@ -70,21 +77,22 @@ def lengthscale(text: str) -> float:
     return value
 
 
-# Every flag; each subcommand adds the ones it reads.
+# Every flag; each subcommand adds the ones it reads. Each flag but --format
+# sets the ExperimentConfig field of its dest, and takes that field's
+# default (build_parser).
 FLAGS = {
-    "--kernel": dict(default="gaussian", choices=["gaussian", "polynomial"]),
-    "--gamma": dict(type=lengthscale, default=1.0),
-    "--degree": dict(type=int, default=2),
-    "--offset": dict(type=float, default=0.0),
-    "--n": dict(type=size, default=60),
-    "--d": dict(type=dimension, default=1),
-    "--m": dict(type=int, default=8),
-    "--noise-var": dict(type=float, default=0.1),
-    "--ridge": dict(type=float, default=None,
-                    help="ridge lambda; unset links it to the noise, noise_var / n"),
-    "--select": dict(default="greedy_trace", choices=["greedy_trace", "uniform"]),
-    "--seed": dict(type=seed, default=7),
-    "--mc-samples": dict(type=int, default=2000),
+    "--kernel": dict(dest="kernel_family", choices=["gaussian", "polynomial"]),
+    "--gamma": dict(type=lengthscale),
+    "--degree": dict(type=int),
+    "--offset": dict(type=float),
+    "--n": dict(type=size),
+    "--d": dict(type=dimension),
+    "--m": dict(type=int),
+    "--noise-var": dict(type=float),
+    "--ridge": dict(type=float, help="ridge lambda; unset links it to the noise, noise_var / n"),
+    "--select": dict(choices=["greedy_trace", "uniform"]),
+    "--seed": dict(type=seed),
+    "--mc-samples": dict(type=int),
     "--format": dict(default="text", choices=["json", "text"]),
 }
 MODEL_FLAGS = ("--kernel", "--gamma", "--degree", "--offset", "--noise-var", "--seed")
@@ -96,28 +104,23 @@ def _add_flags(p: argparse.ArgumentParser, names) -> None:
 
 
 def _config(args) -> ExperimentConfig:
-    return ExperimentConfig(
-        kernel_family=args.kernel, gamma=args.gamma, degree=args.degree,
-        offset=args.offset, n=args.n, d=args.d, m=args.m,
-        noise_var=args.noise_var, ridge=args.ridge, select=args.select,
-        seed=args.seed, mc_samples=args.mc_samples)
+    return ExperimentConfig(**{f.name: getattr(args, f.name) for f in fields(ExperimentConfig)})
 
 
 def cmd_fit(args) -> int:
     data = load_csv(args.data)
-    kernel = make_kernel(args.kernel, input_dim=data.d, gamma=args.gamma,
-                         degree=args.degree, offset=args.offset)
-    ridge = args.ridge if args.ridge is not None else args.noise_var / data.n
+    config = replace(_config(args), n=data.n, d=data.d)
+    if config.ridge is None:  # a linked ridge, noise_var / n: name the flag set
+        _check_positive(config.noise_var, "noise_var")
+    kernel = config.kernel()
     if args.model == "exact":
-        preds = fit_krr(kernel, data, ridge).predict_many(data.inputs)
-    elif args.model == "nystrom":
-        ind = select_inducing(kernel, data, args.m, strategy=args.select,
-                              seed=args.seed)
-        preds = fit_nystrom(kernel, data, ind, ridge).predict_many(data.inputs)
-    else:  # svgp
-        ind = select_inducing(kernel, data, args.m, strategy=args.select,
-                              seed=args.seed)
-        preds = nystrom_factor(kernel, data, ind, args.noise_var).fitted
+        preds = fit_krr(kernel, data, config.ridge_value()).predict_many(data.inputs)
+    else:
+        ind = select_inducing(kernel, data, config.m, strategy=config.select, seed=config.seed)
+        if args.model == "nystrom":
+            preds = fit_nystrom(kernel, data, ind, config.ridge_value()).predict_many(data.inputs)
+        else:  # svgp
+            preds = nystrom_factor(kernel, data, ind, config.noise_var).fitted
     # One %-format and one write for the whole table; 17 significant
     # digits round-trip every float64.
     row = ",".join(["%.17g"] * (data.d + 1)) + "\n"
@@ -142,11 +145,10 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    kernel = make_kernel(args.kernel, input_dim=args.d, gamma=args.gamma,
-                         degree=args.degree, offset=args.offset)
-    rng = np.random.default_rng(args.seed)
-    X = rng.uniform(-3.0, 3.0, size=(args.n, args.d))
-    data = synth_prior_dataset(kernel, X, args.noise_var, seed=args.seed + 1)
+    config = _config(args)
+    rng = np.random.default_rng(config.seed)
+    X = rng.uniform(-3.0, 3.0, size=(config.n, config.d))
+    data = synth_prior_dataset(config.kernel(), X, config.noise_var, seed=config.seed + 1)
     write_csv(args.out, data)
     print(f"wrote {data.n} rows to {args.out}")
     return 0
@@ -180,8 +182,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--out", required=True)
     _add_flags(p_synth, MODEL_FLAGS + ("--n", "--d"))
     p_synth.set_defaults(func=cmd_synth)
+    defaults = vars(ExperimentConfig())  # not dataclasses.asdict: it deep-copies
     for p in sub.choices.values():
-        p.set_defaults(parser=p)
+        p.set_defaults(parser=p, **defaults)
     return parser
 
 

@@ -28,8 +28,10 @@ class InvalidCount(SparseGpError, ValueError):
 
 
 class InvalidParameter(SparseGpError, ValueError):
-    """A scalar model parameter is out of range (noise variance, ridge,
-    lengthscale, polynomial degree or offset, input dimension d)."""
+    """A model parameter is out of range (noise variance, ridge,
+    lengthscale, polynomial degree or offset, input dimension d, selection
+    strategy) or does not fit the others (states on different inducing
+    sets)."""
 
 
 class NonFiniteValue(SparseGpError, ValueError):

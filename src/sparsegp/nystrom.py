@@ -231,5 +231,5 @@ def select_inducing(kernel: Kernel, data: Dataset, m: int, strategy: str = "gree
             resid[pivot] = -np.inf
         idx = np.array(idx[:m])
     else:
-        raise ValueError(f"unknown selection strategy {strategy!r}")
+        raise InvalidParameter(f"unknown selection strategy {strategy!r}")
     return make_inducing(kernel, X[idx])

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidParameter
 from .linalg import _check_positive, factor_spd, lower_solve, solve, upper_solve
 from .nystrom import InducingSet, NystromFactor, _features, _trace_gap
 
@@ -121,7 +121,7 @@ def _breakdowns(states: list[SvgpState], data: Dataset,
     _check_positive(noise_var, "noise_var")
     ind = states[0].inducing
     if any(s.inducing is not ind for s in states):
-        raise ValueError("elbos takes states on one inducing set")
+        raise InvalidParameter("elbos takes states on one inducing set")
     V = _features(ind, data.inputs)
     t = _trace_gap(ind.kernel.diag(data.inputs), V)
     normalization = float(data.n * noise_var * np.log(2.0 * np.pi * noise_var))

@@ -9,7 +9,7 @@ from sparsegp.bounds import (SparseProblem, derivative_gap_bounds,
                              training_collisions, worst_case_decompositions,
                              worst_case_residuals)
 from sparsegp.data import Dataset
-from sparsegp.errors import DimensionMismatch
+from sparsegp.errors import DimensionMismatch, InvalidParameter
 from sparsegp.kernels import GaussianKernel, PolynomialKernel
 from sparsegp.linalg import factor_spd
 from sparsegp.nystrom import make_inducing, nystrom_factor, q_gram, select_inducing
@@ -62,7 +62,7 @@ def test_elbos_reject_states_on_different_inducing_sets():
     data, ind, _ = instance(kernel)
     other = make_inducing(kernel, ind.points)
     states = [make_state(i, np.zeros(i.m), np.eye(i.m)) for i in (ind, other)]
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParameter, match="^elbos takes states on one inducing set$"):
         elbos(states, data, 0.2)
 
 

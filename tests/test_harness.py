@@ -1,11 +1,12 @@
 import json
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
 from sparsegp import bounds
-from sparsegp.cli import main
+from sparsegp.cli import build_parser, main
 from sparsegp.errors import InvalidParameter
 from sparsegp.harness import (CHECKS, CheckResult, ExperimentConfig, VerificationReport,
                               emit_report, make_problem, run_verification)
@@ -40,6 +41,40 @@ def test_config_links_ridge_to_noise(capsys):
         with pytest.raises(SystemExit):
             main(["verify", gone])
     capsys.readouterr()
+
+
+CONFIG_FIELDS = [f.name for f in fields(ExperimentConfig)]
+
+
+@pytest.mark.parametrize("argv", [["fit", "svgp", "--data", "t.csv"], ["verify"],
+                                  ["bounds", "burt"], ["synth", "--out", "t.csv"]],
+                         ids=lambda argv: argv[0])
+def test_cli_defaults_are_the_config_defaults(argv):
+    args = build_parser().parse_args(argv)
+    default = ExperimentConfig()
+    for name in CONFIG_FIELDS:
+        if hasattr(args, name):
+            assert getattr(args, name) == getattr(default, name), name
+    if argv[0] in ("verify", "bounds"):
+        # every flag but --format sets a config field
+        assert set(vars(args)) - {"command", "func", "parser", "name", "format"} \
+            == set(CONFIG_FIELDS)
+
+
+@pytest.mark.parametrize("ridge", [None, 0.01], ids=["linked", "unlinked"])
+def test_config_dict_is_the_fields_then_two_derived_entries(ridge):
+    config = small_config(ridge=ridge)
+    d = config.to_dict()
+    assert list(d) == CONFIG_FIELDS + ["link_noise_ridge", "tolerance"]
+    assert d["ridge"] == config.ridge_value()
+    assert d["link_noise_ridge"] is (ridge is None)
+    assert d["tolerance"] == bounds.TOLERANCE
+
+
+def test_cli_verify_without_flags_reports_the_default_config(capsys):
+    assert main(["verify", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == json.loads(
+        emit_report(run_verification(ExperimentConfig()), "json"))
 
 
 def test_check_result_serialization_drops_wall_clock():

@@ -229,6 +229,11 @@ def test_select_inducing_invalid_count(kernel):
         select_inducing(kernel, data, 6)
 
 
+def test_select_inducing_unknown_strategy(kernel):
+    with pytest.raises(InvalidParameter, match="^unknown selection strategy 'rpcholesky'$"):
+        select_inducing(kernel, random_dataset(5, 9), 2, strategy="rpcholesky")
+
+
 @pytest.mark.parametrize("bad", [0.0, -1.0])
 def test_bad_noise_and_ridge_raise_typed_error(kernel, bad):
     data = random_dataset(20, seed=3)

@@ -77,6 +77,27 @@ def test_cli_exits_2_naming_the_parameter(argv, message, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: InvalidParameter: {message}\n"
 
 
+NOISE_CASES = [("-1", "positive"), ("0", "positive"), ("nan", "positive"),
+               ("inf", "finite, got inf")]
+
+
+@pytest.mark.parametrize("model", ["exact", "nystrom"])
+@pytest.mark.parametrize("value, message", NOISE_CASES, ids=[v for v, _ in NOISE_CASES])
+def test_fit_names_noise_var_when_the_ridge_is_linked(model, value, message, tmp_path,
+                                                      capsys):
+    # the linked ridge noise_var / n is derived from the flag the user set,
+    # so the error names that flag, not the ridge
+    write_csv(tmp_path / "t.csv", DATA)
+    argv = ["fit", model, "--data", str(tmp_path / "t.csv"), "--m", "4"]
+    assert main([*argv, "--noise-var", value]) == 2
+    assert capsys.readouterr().err == f"error: InvalidParameter: noise_var must be {message}\n"
+    # a set ridge unlinks it: the model reads no noise variance
+    assert main([*argv, "--noise-var", value, "--ridge", "0.01"]) == 0
+    unlinked = capsys.readouterr().out
+    assert main([*argv, "--ridge", "0.01"]) == 0
+    assert capsys.readouterr().out == unlinked
+
+
 @pytest.mark.parametrize("flags, message", [
     (("--ridge", "inf"), "ridge must be finite, got inf"),
     (("--noise-var", "inf"), "noise_var must be finite, got inf"),
