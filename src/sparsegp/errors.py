@@ -30,8 +30,8 @@ class InvalidCount(SparseGpError, ValueError):
 class InvalidParameter(SparseGpError, ValueError):
     """A model parameter is out of range (noise variance, ridge,
     lengthscale, polynomial degree or offset, input dimension d, selection
-    strategy) or does not fit the others (states on different inducing
-    sets)."""
+    strategy, report format) or does not fit the others (states on
+    different inducing sets)."""
 
 
 class NonFiniteValue(SparseGpError, ValueError):

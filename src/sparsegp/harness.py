@@ -19,7 +19,7 @@ import numpy as np
 
 from . import bounds as bnd
 from .data import Dataset, synth_prior_dataset
-from .errors import SparseGpError, UnsupportedKernel
+from .errors import InvalidParameter, SparseGpError, UnsupportedKernel
 from .kernels import Kernel, make_kernel
 from .linalg import noise_factor
 from .nystrom import select_inducing
@@ -310,4 +310,4 @@ def emit_report(report: VerificationReport, fmt: str = "json") -> str:
             lines.append(f"{c.name:40s} {status:8s} {c.detail}  [{c.wall_clock:.3f}s]")
         lines.append(f"overall: {'PASS' if report.overall_pass else 'FAIL'}")
         return "\n".join(lines)
-    raise ValueError(f"unknown format {fmt!r}")
+    raise InvalidParameter(f"unknown report format {fmt!r}; expected 'json' or 'text'")

@@ -8,13 +8,13 @@ Every function the library fits is a KernelExpansion over some centers.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (DimensionMismatch, InvalidParameter, NonFiniteValue,
                      UnsupportedKernel)
-from .linalg import _symmetrize
 
 
 def as_points(x, input_dim: int) -> np.ndarray:
@@ -60,14 +60,15 @@ class GaussianKernel:
 
     def gram(self, A, B=None) -> np.ndarray:
         A = as_points(A, self.input_dim)
-        same = B is None
-        B = A if same else as_points(B, self.input_dim)
+        B = A if B is None else as_points(B, self.input_dim)
         # The same operations, in the same order, as
         # exp(-max(|a|^2 + |b|^2 - 2 a.b, 0) / ls^2), but in the buffer of
         # A @ B.T and a few rows at a time, so that each row block stays in
         # cache through all six passes: a fresh n x n temporary costs more
         # in pages than in arithmetic. einsum takes the row norms without
-        # an (n, d) temporary.
+        # an (n, d) temporary. numpy computes A @ A.T by a symmetric
+        # rank-k update, which is exactly symmetric, and every later pass
+        # is elementwise, so a self-Gram is exactly symmetric as built.
         a2, b2 = np.einsum("ij,ij->i", A, A), np.einsum("ij,ij->i", B, B)
         K = A @ B.T
         rows = max(1, _BLOCK_ENTRIES // max(1, K.shape[1]))
@@ -79,8 +80,6 @@ class GaussianKernel:
             np.negative(block, out=block)
             block /= self.lengthscale**2
             np.exp(block, out=block)
-        if same:
-            _symmetrize(K)
         return K
 
     def diag(self, X) -> np.ndarray:
@@ -105,22 +104,19 @@ class PolynomialKernel:
 
     def __post_init__(self):
         _check_input_dim(self.input_dim)
-        if self.degree < 1:
-            raise InvalidParameter("degree must be >= 1")
-        if self.offset < 0:
-            raise InvalidParameter("offset must be nonnegative")
+        if not (isinstance(self.degree, numbers.Integral) and self.degree >= 1):
+            raise InvalidParameter(f"degree must be an integer >= 1, got {self.degree}")
+        if not 0 <= self.offset < np.inf:
+            raise InvalidParameter(f"offset must be finite and nonnegative, got {self.offset}")
 
     def gram(self, A, B=None) -> np.ndarray:
         A = as_points(A, self.input_dim)
-        same = B is None
-        B = A if same else as_points(B, self.input_dim)
+        B = A if B is None else as_points(B, self.input_dim)
         # An overflow is reported once, as a typed error, not as warnings.
         with np.errstate(over="ignore", invalid="ignore"):
             K = A @ B.T
             K += self.offset
             np.power(K, self.degree, out=K)
-            if same:
-                _symmetrize(K)
         return self._finite(K, A, B)
 
     def diag(self, X) -> np.ndarray:

@@ -12,8 +12,11 @@ blocked substitution, whose work is matrix products and small LU solves
 on numpy's BLAS. Nothing here sets a thread count: the caller's BLAS
 settings are left as they are.
 
-:func:`noise_factor` and :func:`operator_norm` read an exactly symmetric
-matrix in place and copy any other one, as :func:`factor_spd` copies all.
+Symmetry is tested once, where a matrix is factored or its norm taken:
+:func:`factor_spd`, :func:`noise_factor` and :func:`operator_norm` read
+a writeable, finite, exactly symmetric matrix in place (every self-Gram
+of :mod:`sparsegp.kernels` is one) and any other one from a validated
+(A + A.T)/2 copy.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ _LU_COLUMNS_PER_ROW = 4
 _SUBSTITUTION_BLOCK = 16
 _LU_BLOCK = 32
 
-# Symmetry is tested and imposed on tiles of this many rows and columns.
+# Symmetry is tested on tiles of this many rows and columns.
 _TILE = 128
 
 # operator_norm's start vector is drawn from this seed, and its Ritz
@@ -79,13 +82,26 @@ def _symmetric_copy(A) -> np.ndarray:
     return S
 
 
+def _symmetric(A) -> np.ndarray:
+    """A itself if it is writeable, finite and exactly symmetric, else
+    _symmetric_copy(A): the same values either way."""
+    A = np.asarray(A, dtype=float)
+    if A.flags.writeable and _is_exactly_symmetric(A):
+        return A
+    return _symmetric_copy(A)
+
+
 def factor_spd(A: np.ndarray, jitter_ladder=None) -> SpdFactor:
     """Cholesky-factor a symmetric matrix, escalating jitter until it works.
 
-    The input is symmetrized as (A + A.T)/2 first, so round-off asymmetry
-    from kernel evaluation is tolerated. The ladder entries are relative:
-    the actual shift is rung * mean(diag(A)) (or rung alone for a zero
-    diagonal).
+    The matrix factored is (A + A.T)/2, so round-off asymmetry is
+    tolerated. The ladder entries are relative: the actual shift is
+    rung * mean(diag(A)) (or rung alone for a zero diagonal).
+
+    A writeable, finite, exactly symmetric A is not copied: each rung's
+    shift is written to its own diagonal and the saved diagonal is put
+    back, also if every rung fails, so no other thread may read A
+    meanwhile. Any other A is factored from a private (A + A.T)/2 copy.
 
     Raises
     ------
@@ -96,7 +112,7 @@ def factor_spd(A: np.ndarray, jitter_ladder=None) -> SpdFactor:
     """
     if jitter_ladder is None:
         jitter_ladder = DEFAULT_JITTER_LADDER
-    return _factor_symmetric(_symmetric_copy(A), jitter_ladder)
+    return _factor_symmetric(_symmetric(A), jitter_ladder)
 
 
 def _check_positive(value: float, name: str) -> None:
@@ -112,43 +128,26 @@ def noise_factor(gram: np.ndarray, noise_var: float) -> SpdFactor:
     """Cholesky factor of gram + noise_var I, without jitter (k_XX + s2 I,
     q_XX + s2 I): bit for bit factor_spd(gram + noise_var * I, [0.0]).
 
-    A writeable, finite, exactly symmetric gram is not copied: noise_var
-    is added to its own diagonal and the saved diagonal is put back, also
-    if the factorization fails, so no other thread may read gram meanwhile.
-    Any other gram is shifted in factor_spd's private symmetric copy."""
+    gram is read as factor_spd reads A: a writeable, finite, exactly
+    symmetric gram gets noise_var on its own diagonal, which is put back
+    afterwards, also if the factorization fails, so no other thread may
+    read gram meanwhile; any other gram is shifted in a private copy."""
     _check_positive(noise_var, "noise_var")
-    A = np.asarray(gram, dtype=float)
-    if not (A.flags.writeable and _is_exactly_symmetric(A)):
-        A = _symmetric_copy(A)
-    return _factor_symmetric(A, (0.0,), shift=noise_var)
-
-
-def _tiles(n: int) -> list:
-    """(rows, cols) slices of the tiles on and above an n x n diagonal."""
-    return [(slice(i, i + _TILE), slice(j, j + _TILE))
-            for i in range(0, n, _TILE) for j in range(i, n, _TILE)]
+    return _factor_symmetric(_symmetric(gram), (0.0,), shift=noise_var)
 
 
 def _is_exactly_symmetric(A: np.ndarray) -> bool:
     """Whether A is square, finite and equal to A.T bit for bit, compared
-    tile by tile with no n x n temporary."""
+    tile by tile, on and above the diagonal, with no n x n temporary."""
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         return False
+    n = A.shape[0]
     bits = A.view(np.int64)
+    tiles = ((slice(i, i + _TILE), slice(j, j + _TILE))
+             for i in range(0, n, _TILE) for j in range(i, n, _TILE))
     return all(np.isfinite(A[rows, cols]).all()
                and np.array_equal(bits[rows, cols], bits[cols, rows].T)
-               for rows, cols in _tiles(A.shape[0]))
-
-
-def _symmetrize(K: np.ndarray) -> None:
-    """Overwrite the square K with (K + K.T) * 0.5 tile by tile, with no
-    n x n temporary; IEEE addition commutes, so both halves get the bits
-    of the whole-matrix formula."""
-    for rows, cols in _tiles(K.shape[0]):
-        mean = K[rows, cols] + K[cols, rows].T
-        mean *= 0.5
-        K[rows, cols] = mean
-        K[cols, rows] = mean.T
+               for rows, cols in tiles)
 
 
 def _factor_symmetric(A: np.ndarray, jitter_ladder, shift: float = 0.0) -> SpdFactor:
@@ -246,13 +245,11 @@ def operator_norm(A: np.ndarray) -> float:
     Krylov space is invariant) and at j = n, where T_n is similar to A.
     A matrix whose spectrum decays fast, such as k_XX - q_XX, takes few
     steps: 6 to 28 on the verify configurations up to n = 2000.
-    A matrix that is not exactly symmetric is read as (A + A.T)/2.
+    A is read as factor_spd reads it: in place if it is writeable, finite
+    and exactly symmetric, as (A + A.T)/2 from a copy otherwise.
     NoConvergence if a tridiagonal eigensolve fails.
     """
-    A = np.asarray(A, dtype=float)
-    # An exactly symmetric A is read in place; any other is copied.
-    if not _is_exactly_symmetric(A):
-        A = _symmetric_copy(A)
+    A = _symmetric(A)
     n = A.shape[0]
     if n == 0:
         return 0.0

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from sparsegp import linalg
+
 
 @pytest.fixture
 def dense_elbo():
@@ -25,3 +27,19 @@ def dense_elbo():
         return float(loglik - kl)
 
     return value
+
+
+@pytest.fixture
+def symmetric_copies(monkeypatch):
+    """The shapes of the matrices linalg copies as (A + A.T)/2, where it
+    cannot read one in place; a run that factors only exactly symmetric,
+    writeable matrices leaves the list empty."""
+    shapes = []
+    copy = linalg._symmetric_copy
+
+    def counting_copy(A):
+        shapes.append(np.shape(A))
+        return copy(A)
+
+    monkeypatch.setattr(linalg, "_symmetric_copy", counting_copy)
+    return shapes

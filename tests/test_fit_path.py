@@ -49,6 +49,18 @@ def test_fit_svgp_builds_no_n_by_n_gram(csv_path, gram_shapes, capsys):
     assert (N, N) not in gram_shapes
 
 
+def test_synth_and_fit_read_every_matrix_in_place(tmp_path, symmetric_copies, capsys):
+    # the prior draw and the exact fit factor k_XX + s2 I in place; greedy
+    # selection, nystrom and svgp factor k_ZZ and m x m matrices in place
+    path = str(tmp_path / "n3000.csv")
+    assert cli.main(["synth", "--n", "3000", "--d", "2", "--out", path]) == 0
+    capsys.readouterr()
+    for model in ("exact", "nystrom", "svgp"):
+        assert cli.main(["fit", model, "--data", path]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 3000
+    assert symmetric_copies == []
+
+
 def test_batched_means_match_nystrom(csv_path):
     data = load_csv(csv_path)
     kernel = GaussianKernel(lengthscale=1.0, input_dim=2)

@@ -132,6 +132,11 @@ def test_text_report_has_pass_lines_and_wall_clock(report):
     assert "overall" in text.lower()
 
 
+def test_unknown_report_format_is_a_typed_error(report):
+    with pytest.raises(InvalidParameter, match="unknown report format 'yaml'"):
+        emit_report(report, "yaml")
+
+
 def test_json_report_round_trips_config(report):
     parsed = json.loads(emit_report(report, "json"))
     assert parsed["config"]["n"] == SMALL["n"]
@@ -484,8 +489,11 @@ PINNED_STATUSES = [
 @pytest.mark.parametrize("over, expected", PINNED_STATUSES,
                          ids=["defaults", "polynomial", "n300", "n800", "noise1e-4",
                               "uniform800"])
-def test_check_statuses_are_pinned_on_the_regression_configs(over, expected):
+def test_check_statuses_are_pinned_on_the_regression_configs(over, expected,
+                                                            symmetric_copies):
     report = run_verification(ExperimentConfig(**over))
     statuses = {c.name: c.status for c in report.checks}
     assert len(statuses) == 17
     assert statuses == {name: expected.get(name, "pass") for name in statuses}
+    # every Gram, factor and norm input of a run is read in place
+    assert symmetric_copies == []

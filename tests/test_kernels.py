@@ -179,6 +179,16 @@ def test_kernel_parameters_raise_typed_error(make):
         make()
 
 
+@pytest.mark.parametrize("params, name", [
+    (dict(offset=np.nan), "offset"), (dict(offset=np.inf), "offset"), (dict(degree=2.5), "degree"),
+])
+def test_polynomial_parameters_are_named_in_the_error(params, name):
+    # a NaN offset or a fractional degree used to surface later, as an
+    # overflowing Gram
+    with pytest.raises(InvalidParameter, match=f"^{name} must be"):
+        PolynomialKernel(**params)
+
+
 def test_polynomial_gram_overflow_is_a_typed_error():
     # (2.9 * 2.8)^400 and 9^400 overflow: the Gram and the diagonal raise
     # instead of returning inf, and no RuntimeWarning escapes (pytest turns
@@ -196,8 +206,7 @@ def test_polynomial_gram_overflow_is_a_typed_error():
 
 
 def _reference_gaussian_gram(A, B, lengthscale):
-    """The Gaussian Gram as whole-matrix passes with fresh n x n buffers,
-    symmetrized as (K + K.T) * 0.5 when B is A."""
+    """The Gaussian Gram as whole-matrix passes with fresh n x n buffers."""
     K = (np.einsum("ij,ij->i", A, A)[:, None]
          + np.einsum("ij,ij->i", B, B)[None, :])
     AB = A @ B.T
@@ -207,36 +216,46 @@ def _reference_gaussian_gram(A, B, lengthscale):
     np.negative(K, out=K)
     K /= lengthscale**2
     np.exp(K, out=K)
-    if B is A:
-        K = K + K.T
-        K *= 0.5
     return K
 
 
 def _reference_polynomial_gram(A, B, degree, offset):
-    K = (A @ B.T + offset) ** degree
-    return 0.5 * (K + K.T) if B is A else K
+    return (A @ B.T + offset) ** degree
 
 
-@pytest.mark.parametrize("n", [1, 127, 128, 129, 700])
-@pytest.mark.parametrize("d", [1, 2, 3])
+def _assert_bit_symmetric(K):
+    bits = K.view(np.int64)
+    assert np.array_equal(bits, bits.T)
+
+
+@pytest.mark.parametrize("n", [1, 127, 128, 129, 181, 182, 700])
+@pytest.mark.parametrize("d", [1, 2, 3, 20])
 def test_grams_are_bit_identical_to_whole_matrix_formulas(n, d):
-    # n = 700 spans several row blocks of the Gaussian Gram and a 6 x 6
-    # grid of symmetrization tiles; 127-129 straddle one tile edge.
+    # A self-Gram is exactly symmetric as built, which lets linalg factor
+    # it in place: numpy's A @ A.T is a symmetric rank-k update and every
+    # later pass is elementwise, whatever the memory layout of the points.
+    # The Gaussian Gram is built in row blocks of 32768 // n rows: n = 181
+    # is one block, n = 182 two, n = 700 several.
     rng = np.random.default_rng(100 * n + d)
-    A = rng.uniform(-3, 3, size=(n, d))
+    rows = rng.uniform(-3, 3, size=(2 * n, d))
+    A = rows[:n].copy()
     B = rng.uniform(-3, 3, size=(n // 2 + 1, d))
+    layouts = (A, np.asfortranarray(A), rows[::2], A[rng.permutation(n)])
     gauss = GaussianKernel(lengthscale=0.9, input_dim=d)
-    K = gauss.gram(A)
-    assert np.array_equal(K, _reference_gaussian_gram(A, A, 0.9))
-    assert np.array_equal(K, K.T)
+    for X in layouts:
+        K = gauss.gram(X)
+        assert np.array_equal(K, _reference_gaussian_gram(X, X, 0.9))
+        _assert_bit_symmetric(K)
     assert np.array_equal(gauss.gram(A, B), _reference_gaussian_gram(A, B, 0.9))
     assert np.array_equal(gauss.gram(B, A), _reference_gaussian_gram(B, A, 0.9))
     for degree in (1, 2, 3, 4):
         for offset in (0.0, 1.0):
             poly = PolynomialKernel(degree=degree, offset=offset, input_dim=d)
-            P = poly.gram(A)
-            assert np.array_equal(P, _reference_polynomial_gram(A, A, degree, offset))
-            assert np.array_equal(P, P.T)
+            # a layout changes only A @ A.T, which the power reads
+            # elementwise; the slow powers 3 and 4 take the first layout
+            for X in layouts if degree <= 2 else layouts[:1]:
+                P = poly.gram(X)
+                assert np.array_equal(P, _reference_polynomial_gram(X, X, degree, offset))
+                _assert_bit_symmetric(P)
             assert np.array_equal(poly.gram(A, B),
                                   _reference_polynomial_gram(A, B, degree, offset))

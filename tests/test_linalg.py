@@ -66,19 +66,14 @@ def test_noise_factor_is_bit_identical_to_factoring_the_shifted_gram(n):
 
 
 @pytest.mark.parametrize("n", [2, 129, 300])
-def test_noise_factor_shifts_a_symmetric_gram_in_place_and_restores_it(n, monkeypatch):
+def test_noise_factor_shifts_a_symmetric_gram_in_place_and_restores_it(n, symmetric_copies):
     K = GaussianKernel(lengthscale=1.0).gram(
         np.random.default_rng(n).uniform(-3.0, 3.0, size=(n, 1)))
     assert np.array_equal(K, K.T)
     before = K.copy()
     expected = factor_spd(K + 0.1 * np.eye(n), jitter_ladder=[0.0])
-
-    def refuse(A):
-        raise AssertionError("copied an exactly symmetric, writeable Gram")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(linalg, "_symmetric_copy", refuse)
-        assert np.array_equal(noise_factor(K, 0.1).lower, expected.lower)
+    assert np.array_equal(noise_factor(K, 0.1).lower, expected.lower)
+    assert symmetric_copies == []
     assert np.array_equal(K.view(np.int64), before.view(np.int64))
     # a Gram with a NaN or an infinity goes to the validated copy, which raises
     for bad in (np.nan, np.inf):
@@ -89,6 +84,7 @@ def test_noise_factor_shifts_a_symmetric_gram_in_place_and_restores_it(n, monkey
     # a read-only Gram is copied, not shifted, and gives the same factor
     K.setflags(write=False)
     assert np.array_equal(noise_factor(K, 0.1).lower, expected.lower)
+    assert symmetric_copies == [(n, n)] * 3
     assert np.array_equal(K.view(np.int64), before.view(np.int64))
 
 
@@ -103,15 +99,51 @@ def test_noise_factor_restores_the_gram_when_the_factorization_fails():
 
 @pytest.mark.parametrize("n", [1, 127, 128, 129, 300])
 def test_tile_symmetrize_matches_the_whole_matrix_formula(n):
-    # numpy's A @ A.T is already exactly symmetric, so the Gram tests cannot
-    # tell a tile symmetrize from none: take an asymmetric matrix
+    # every self-Gram is exactly symmetric, so only an asymmetric matrix
+    # exercises the tiled test and the copy
     K = np.random.default_rng(n).standard_normal((n, n))
     expected = K + K.T
     expected *= 0.5
     assert linalg._is_exactly_symmetric(K) == (n == 1)
-    linalg._symmetrize(K)
-    assert np.array_equal(K.view(np.int64), expected.view(np.int64))
-    assert linalg._is_exactly_symmetric(K)
+    S = linalg._symmetric(K)
+    assert (S is K) == (n == 1)
+    assert np.array_equal(S.view(np.int64), expected.view(np.int64))
+    assert linalg._is_exactly_symmetric(S)
+    # one bit off in the last tile, below the diagonal, is seen
+    if n > 1:
+        S[-1, 0] = np.nextafter(S[-1, 0], np.inf)
+        assert not linalg._is_exactly_symmetric(S)
+
+
+def test_factor_spd_factors_an_exactly_symmetric_matrix_in_place(symmetric_copies):
+    A = random_spd(300, 8)
+    assert np.array_equal(A, A.T)
+    before = A.copy()
+    # the factor of the (A + A.T)/2 copy that factor_spd used to take
+    expected = np.linalg.cholesky(0.5 * (A + A.T))
+    assert np.array_equal(factor_spd(A).lower, expected)
+    # a rank-one matrix succeeds on a later rung, an indefinite one fails on every rung
+    rank_one = np.outer([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+    indefinite = np.diag([1.0, -5.0, 2.0])
+    indefinite[0, 2] = indefinite[2, 0] = 0.5
+    saved = [(M, M.copy()) for M in (A, rank_one, indefinite)]
+    assert factor_spd(rank_one).jitter_used > 0
+    with pytest.raises(FactorizationFailed):
+        factor_spd(indefinite)
+    for M, copy in saved:
+        assert np.array_equal(M.view(np.int64), copy.view(np.int64))
+    assert symmetric_copies == []
+    # a read-only matrix is copied and gives the same factor
+    A.setflags(write=False)
+    assert np.array_equal(factor_spd(A).lower, expected)
+    assert symmetric_copies == [A.shape]
+    # a matrix with round-off asymmetry is factored as (A + A.T)/2 from a copy
+    B = before + np.triu(np.full(A.shape, 1e-12), 1)
+    B_bits = B.copy()
+    assert np.array_equal(factor_spd(B).lower, np.linalg.cholesky(0.5 * (B + B.T)))
+    assert symmetric_copies == [A.shape, B.shape]
+    assert np.array_equal(B.view(np.int64), B_bits.view(np.int64))
+    assert np.array_equal(A.view(np.int64), before.view(np.int64))
 
 
 def test_factorization_failed():
@@ -244,17 +276,17 @@ def test_operator_norm_raises_no_convergence_when_the_eigensolve_fails(monkeypat
         assert check.detail.startswith("NoConvergence"), name
 
 
-def test_operator_norm_reads_an_exactly_symmetric_matrix_without_a_copy(monkeypatch):
+def test_operator_norm_reads_an_exactly_symmetric_matrix_without_a_copy(symmetric_copies):
     gap = make_problem(ExperimentConfig(n=400, m=24))[0].gap
     assert np.array_equal(gap, gap.T)
     expected = operator_norm(0.5 * (gap + gap.T))
-
-    def refuse(A):
-        raise AssertionError("copied an exactly symmetric matrix")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(linalg, "_symmetric_copy", refuse)
-        assert operator_norm(gap) == expected
+    assert operator_norm(gap) == expected
+    assert symmetric_copies == []
+    # a read-only matrix is copied, by the rule factor_spd follows
+    read_only = gap.copy()
+    read_only.setflags(write=False)
+    assert operator_norm(read_only) == expected
+    assert symmetric_copies == [gap.shape]
     # A matrix that is not exactly symmetric is still read as (A + A^T)/2.
     A = gap + np.triu(np.full(gap.shape, 1e-3), 1)
     assert operator_norm(A) == operator_norm(0.5 * (A + A.T))

@@ -62,6 +62,10 @@ CLI_CASES = [
     (("fit", "exact", "--ridge", "nan"), "ridge must be positive"),
     (("bounds", "burt", "--ridge", "inf"), "ridge must be finite, got inf"),
     (("bounds", "burt", "--noise-var", "inf"), "noise_var must be finite, got inf"),
+    (("bounds", "burt", "--kernel", "polynomial", "--offset", "nan"),
+     "offset must be finite and nonnegative, got nan"),
+    (("fit", "svgp", "--kernel", "polynomial", "--offset", "inf"),
+     "offset must be finite and nonnegative, got inf"),
 ]
 
 
