@@ -8,9 +8,8 @@ RKHS-distance and derivative bounds) that tie the two sides together.
 """
 
 from .bounds import (BoundRecord, SparseProblem, burt_upper_bound,
-                     derivative_gap_bounds, excess_risk,
-                     excess_risk_upper_bound, expected_excess_risk_lower_bound,
-                     expected_kl_sandwich, kl_to_exact_posterior,
+                     derivative_gap_bounds, excess_risk_upper_bound,
+                     expected_excess_risk_lower_bound, expected_kl_sandwich,
                      quadratic_form_gap_bound, rkhs_distance_bound,
                      rkhs_distance_sq, worst_case_decompositions)
 from .data import (Dataset, load_csv, synth_fixed_function_dataset,

@@ -24,6 +24,7 @@ from .nystrom import (InducingSet, NystromFactor, _check_kernel, fit_nystrom,
 from .svgp import SvgpState, optimal_parameters
 
 TOLERANCE = 1e-8  # the certified identities' tolerance; 1e-4 for finite differences
+FD_STEP = 1e-5  # the central-difference step of derivative_gap_bounds
 MIN_MC_SAMPLES = 100
 # SparseProblem.mc_quadratic_forms draws and reduces its sample this many
 # draws at a time, holding a few n x _MC_BLOCK arrays instead of n x S ones.
@@ -55,14 +56,15 @@ class SparseProblem:
 
     Each member but q_XX is built on first use and then kept, so a verify
     run forms k_XX, the gap k_XX - q_XX and the factors of k_XX + s2 I and
-    q_XX + s2 I once, and draws one Monte-Carlo sample of mc_samples
-    targets, seeded with mc_seed, for both expected-value bounds. The
-    sample is drawn and reduced in blocks of draws, so it takes O(n
-    _MC_BLOCK) memory at any mc_samples, and only its two quadratic forms
-    per draw are kept. A caller that drew the targets through the factor
-    of k_XX + s2 I passes it and k_XX as prior_kxx and prior_k_factor, and
-    they are kept as they are. A build that raises is not kept: every
-    reader gets the same typed error.
+    q_XX + s2 I once, takes the log-det gap and the trace of the gap once
+    for the KL and both expected-value bounds, and draws one Monte-Carlo
+    sample of mc_samples targets, seeded with mc_seed, for both
+    expected-value bounds. The sample is drawn and reduced in blocks of
+    draws, so it takes O(n _MC_BLOCK) memory at any mc_samples, and only
+    its two quadratic forms per draw are kept. A caller that drew the
+    targets through the factor of k_XX + s2 I passes it and k_XX as
+    prior_kxx and prior_k_factor, and they are kept as they are. A build
+    that raises is not kept: every reader gets the same typed error.
     """
 
     kernel: Kernel
@@ -148,10 +150,32 @@ class SparseProblem:
         return optimal_parameters(self.nystrom)
 
     @cached_property
+    def logdet_gap(self) -> float:
+        """log det(k_XX + s2 I) - log det(q_XX + s2 I), on the kept factors."""
+        return logdet(self.k_factor) - logdet(self.q_factor)
+
+    @cached_property
+    def gap_trace(self) -> float:
+        """tr(k_XX - q_XX) from the kept n x n gap."""
+        return float(np.trace(self.gap))
+
+    @cached_property
     def kl(self) -> float:
         """KL(optimized variational GP || exact posterior), evaluated once
-        by `kl_to_exact_posterior` for every bound that reads it."""
-        return kl_to_exact_posterior(self)
+        for every bound that reads it.
+
+        Computed as evidence minus optimal ELBO, then cross-checked against
+        the explicit log-det / quadratic-form / trace expansion on the n x n
+        factors; the two paths must agree to 1e-8 relative.
+        """
+        kl = self.evidence - self.nystrom.elbo
+        explicit = 0.5 * (-self.logdet_gap + self.quadratic_form_gap
+                          + self.gap_trace / self.noise_var)
+        if abs(kl - explicit) > 1e-8 * max(1.0, abs(kl)):
+            raise InternalInconsistency(
+                f"KL paths disagree: evidence-ELBO {kl!r} vs explicit {explicit!r}"
+            )
+        return float(kl)
 
     @cached_property
     def ridge_fit(self) -> KernelExpansion:
@@ -160,8 +184,16 @@ class SparseProblem:
 
     @cached_property
     def excess_risk(self) -> float:
-        """The excess risk of `ridge_fit`, evaluated once by `excess_risk`."""
-        return excess_risk(self)
+        """R_n(nystrom; y) - R_n(exact KRR; y) at ridge s2 / n, both by
+        `regularized_risk`: the excess risk of `ridge_fit`. The exact side
+        reads its values and norm off the kept k_XX."""
+        alpha = self.exact.mean.coef
+        exact_at_X = self.kxx @ alpha
+        sparse = self.ridge_fit
+        r_exact = regularized_risk(exact_at_X, float(alpha @ exact_at_X), self.data, self.ridge)
+        r_sparse = regularized_risk(sparse.predict_many(self.data.inputs),
+                                    sparse.rkhs_norm_sq(), self.data, self.ridge)
+        return r_sparse - r_exact
 
     @cached_property
     def ridge_fit_via_q(self) -> KernelExpansion:
@@ -217,31 +249,6 @@ class SparseProblem:
         return np.concatenate(quad_k), quad_q
 
 
-def _explicit_trace_gap(prob: SparseProblem) -> float:
-    """tr(k_XX - q_XX) from the kept n x n gap."""
-    return float(np.trace(prob.gap))
-
-
-def kl_to_exact_posterior(prob: SparseProblem) -> float:
-    """KL(optimized variational GP || exact posterior).
-
-    Computed as evidence minus optimal ELBO, then cross-checked against
-    the explicit log-det / quadratic-form / trace expansion on the n x n
-    factors; the two paths must agree to 1e-8 relative.
-    """
-    kl = prob.evidence - prob.nystrom.elbo
-    explicit = 0.5 * (
-        -logdet(prob.k_factor) + logdet(prob.q_factor)
-        + prob.quadratic_form_gap
-        + _explicit_trace_gap(prob) / prob.noise_var
-    )
-    if abs(kl - explicit) > 1e-8 * max(1.0, abs(kl)):
-        raise InternalInconsistency(
-            f"KL paths disagree: evidence-ELBO {kl!r} vs explicit {explicit!r}"
-        )
-    return float(kl)
-
-
 def burt_upper_bound(prob: SparseProblem) -> tuple[BoundRecord, BoundRecord]:
     """Bounds on 2*KL: the loose (t/s2)(||y||^2/s2 + 1) and the tighter
     intermediate with ||y||^2/(t + s2)."""
@@ -266,32 +273,13 @@ def quadratic_form_gap_bound(prob: SparseProblem) -> BoundRecord:
     return BoundRecord(prob.quadratic_form_gap, rhs)
 
 
-def excess_risk(prob: SparseProblem) -> float:
-    """R_n(nystrom; y) - R_n(exact KRR; y) at ridge s2 / n, both by
-    `regularized_risk`; `SparseProblem.excess_risk` keeps the value. The
-    exact side reads its values and norm off the kept k_XX."""
-    alpha = prob.exact.mean.coef
-    exact_at_X = prob.kxx @ alpha
-    sparse = prob.ridge_fit
-    r_exact = regularized_risk(exact_at_X, float(alpha @ exact_at_X), prob.data, prob.ridge)
-    r_sparse = regularized_risk(sparse.predict_many(prob.data.inputs),
-                                sparse.rkhs_norm_sq(), prob.data, prob.ridge)
-    return r_sparse - r_exact
-
-
-def excess_risk_upper_bound(prob: SparseProblem) -> tuple[BoundRecord, BoundRecord]:
-    """Trace and opnorm variants of the excess-risk upper bound."""
-    lhs = prob.excess_risk
+def excess_risk_upper_bound(prob: SparseProblem) -> BoundRecord:
+    """Excess risk vs its trace upper bound
+    ||y||^2 t / (n^2 ridge (t + n ridge))."""
     n, ridge = prob.n, prob.ridge
     y_sq = float(prob.data.targets @ prob.data.targets)
     t = prob.nystrom.trace_gap
-    op = prob.opnorm_gap
-    rhs_trace = y_sq * t / (n**2 * ridge * (t + n * ridge))
-    rhs_op = y_sq * op / (n**2 * ridge * (op + n * ridge))
-    return (
-        BoundRecord(lhs, rhs_trace),
-        BoundRecord(lhs, rhs_op),
-    )
+    return BoundRecord(prob.excess_risk, y_sq * t / (n**2 * ridge * (t + n * ridge)))
 
 
 def rkhs_distance_sq(prob: SparseProblem) -> float:
@@ -312,13 +300,12 @@ def rkhs_distance_bound(prob: SparseProblem) -> BoundRecord:
     return BoundRecord(lhs, rhs)
 
 
-def derivative_gap_bounds(prob: SparseProblem, X, js,
-                          fd_step: float = 1e-5) -> tuple[np.ndarray, np.ndarray]:
+def derivative_gap_bounds(prob: SparseProblem, X, js) -> tuple[np.ndarray, np.ndarray]:
     """Squared gap of the js[i]-th partial derivatives of the sparse and
     exact posterior means at each row X[i] (lhs), against
     2 t ||y||^2 d_j d'_j k(x,x) / s2^2 (rhs).
 
-    The derivatives are central finite differences with step `fd_step`, so
+    The derivatives are central finite differences with step FD_STEP, so
     callers compare lhs and rhs at a looser 1e-4 tolerance. The sparse mean
     (an expansion over Z) and the exact mean (over X) are evaluated on all
     2 P shifted points at once. A kernel without d_j d'_j k(x,x) raises
@@ -330,7 +317,7 @@ def derivative_gap_bounds(prob: SparseProblem, X, js,
         raise DimensionMismatch(f"{js.shape[0]} coordinates for {X.shape[0]} points")
     dd = np.array([kernel.mixed_second_derivative(int(j), x) for x, j in zip(X, js)])
     shift = np.zeros_like(X)
-    shift[np.arange(X.shape[0]), js] = fd_step
+    shift[np.arange(X.shape[0]), js] = FD_STEP
     shifted = np.vstack([X + shift, X - shift])
     p = X.shape[0]
 
@@ -338,9 +325,9 @@ def derivative_gap_bounds(prob: SparseProblem, X, js,
         # One Gram build for all 2 P points, then one dot product per row:
         # each value then does not depend on P, which a matrix-vector
         # product does not promise (it may sum in another order, and the
-        # difference quotient divides that round-off by fd_step).
+        # difference quotient divides that round-off by FD_STEP).
         values = np.array([row @ f.coef for row in kernel.gram(shifted, f.centers)])
-        return (values[:p] - values[p:]) / (2.0 * fd_step)
+        return (values[:p] - values[p:]) / (2.0 * FD_STEP)
 
     lhs = (partial(prob.nystrom.mean) - partial(prob.exact.mean)) ** 2
     y_sq = float(prob.data.targets @ prob.data.targets)
@@ -375,13 +362,6 @@ def worst_case_decompositions(prob: SparseProblem, X) -> tuple[np.ndarray, np.nd
     return total, split
 
 
-def worst_case_residuals(prob: SparseProblem, X) -> np.ndarray:
-    """|total - split| of the decomposition at each row of X; NaN where the
-    row collides with a training input."""
-    total, split = worst_case_decompositions(prob, X)
-    return np.abs(total - split)
-
-
 def expected_kl_sandwich(prob: SparseProblem):
     """Monte-Carlo estimate of E_y[KL] under y ~ N(0, k_XX + s2 I) (the
     problem's targets are not used) on the problem's kept sample, returned
@@ -390,14 +370,14 @@ def expected_kl_sandwich(prob: SparseProblem):
     A trace gap below -1e-10 * tr(k_XX) is not round-off: the band would be
     inverted, so InternalInconsistency is raised instead."""
     s2 = prob.noise_var
-    t = _explicit_trace_gap(prob)
+    t = prob.gap_trace
     if t < -1e-10 * float(np.sum(np.diag(prob.kxx))):
         raise InternalInconsistency(
             f"negative trace gap t = {t!r} inverts the KL band; reduce m or "
             "check the inducing set for near-duplicate points")
     # Per-draw KL from the explicit expansion.
     quad_k, quad_q = prob.mc_quadratic_forms
-    kls = 0.5 * (logdet(prob.q_factor) - logdet(prob.k_factor) - quad_k + quad_q + t / s2)
+    kls = 0.5 * (-prob.logdet_gap - quad_k + quad_q + t / s2)
     stderr = float(np.std(kls, ddof=1) / np.sqrt(prob.mc_samples))
     return float(np.mean(kls)), stderr, t / (2.0 * s2), t / s2
 
@@ -408,7 +388,7 @@ def expected_excess_risk_lower_bound(prob: SparseProblem) -> tuple[BoundRecord, 
     problem's kept sample, with its standard error. The caller should allow
     3 stderr of slack on top of the record's rhs."""
     n = prob.n
-    lhs = (logdet(prob.k_factor) - logdet(prob.q_factor)) / n
+    lhs = prob.logdet_gap / n
     # n * excess risk = y^T (q+s2 I)^{-1} y - y^T (k+s2 I)^{-1} y
     quad_k, quad_q = prob.mc_quadratic_forms
     excess = (quad_q - quad_k) / n

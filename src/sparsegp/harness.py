@@ -237,7 +237,8 @@ def _worst_case(prob, ridge_prob, grid, config):
     X = probe_rng.uniform(-3.5, 3.5, size=(100, prob.data.d))
     # Probes that collide with a training input are skipped; if all of them
     # are, nothing was checked and the check fails.
-    resid = bnd.worst_case_residuals(prob, X)[~bnd.training_collisions(prob, X)]
+    total, split = bnd.worst_case_decompositions(prob, X)
+    resid = np.abs(total - split)[~bnd.training_collisions(prob, X)]
     worst = float(np.max(resid, initial=0.0))
     detail = (f"max decomposition residual = {worst:.3g} "
               f"over {resid.size} probes, {len(X) - resid.size} skipped")
@@ -270,7 +271,7 @@ CHECKS = (
     ("burt_bound_intermediate", lambda p, r, *_: bnd.burt_upper_bound(p)[1]),
     ("quadratic_form_gap", lambda p, r, *_: bnd.quadratic_form_gap_bound(p)),
     ("excess_risk_identity", _excess_risk_identity),
-    ("excess_risk_bound", lambda p, r, *_: bnd.excess_risk_upper_bound(r)[0]),
+    ("excess_risk_bound", lambda p, r, *_: bnd.excess_risk_upper_bound(r)),
     ("rkhs_distance_bound", lambda p, r, *_: bnd.rkhs_distance_bound(r)),
     ("derivative_bound", _derivative),
     ("worst_case_decomposition", _worst_case),

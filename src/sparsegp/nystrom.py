@@ -218,10 +218,10 @@ def select_inducing(kernel: Kernel, data: Dataset, m: int, strategy: str = "gree
             # argmax returns the lowest index among ties.
             pivot = int(np.argmax(resid))
             if resid[pivot] <= 0:
-                # Residual exhausted: matrix rank reached; pad with any
-                # not-yet-chosen indices (lowest first) to honor the count.
-                remaining = [i for i in range(n) if i not in idx]
-                idx.extend(remaining[: m - step])
+                # Residual exhausted: matrix rank reached; pad with the
+                # not-yet-chosen indices (those whose residual is not the
+                # -inf mark of a pivot), lowest first, to honor the count.
+                idx.extend(np.flatnonzero(resid > -np.inf)[: m - step])
                 break
             idx.append(pivot)
             k_pivot = kernel.gram(X, X[pivot:pivot + 1])[:, 0]

@@ -13,11 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from sparsegp.bounds import (SparseProblem, burt_upper_bound, derivative_gap_bounds,
-                             excess_risk, excess_risk_upper_bound,
-                             expected_excess_risk_lower_bound,
-                             expected_kl_sandwich, kl_to_exact_posterior,
-                             rkhs_distance_bound, rkhs_distance_sq,
-                             worst_case_residuals)
+                             excess_risk_upper_bound, expected_excess_risk_lower_bound,
+                             expected_kl_sandwich, rkhs_distance_bound,
+                             rkhs_distance_sq, worst_case_decompositions)
 from sparsegp.data import Dataset, synth_prior_dataset
 from sparsegp.exact import fit_krr
 from sparsegp.harness import ExperimentConfig, emit_report, run_verification
@@ -151,12 +149,11 @@ def test_kl_two_evaluation_paths_agree():
     ok = True
     for seed in range(20):
         inst = make_instance(seed)
-        kl = kl_to_exact_posterior(inst.problem())
+        kl = inst.problem().kl
         ok = ok and kl >= -1e-10
     inst = make_instance(0)
     full = make_inducing(inst.kernel, inst.data.inputs)
-    kl0 = kl_to_exact_posterior(SparseProblem(inst.kernel, inst.data, full,
-                                              inst.noise_var))
+    kl0 = SparseProblem(inst.kernel, inst.data, full, inst.noise_var).kl
     ok = ok and abs(kl0) <= 1e-8
     emit("kl_two_path", ok)
 
@@ -182,11 +179,10 @@ def test_excess_risk_identity_and_bound():
         Ck = inst.kernel.gram(inst.data.inputs) + inst.noise_var * np.eye(n)
         Cq = q_gram(inst.ind, inst.data.inputs) + inst.noise_var * np.eye(n)
         quad = y @ np.linalg.solve(Cq, y) - y @ np.linalg.solve(Ck, y)
-        lhs = n * excess_risk(inst.problem())
+        lhs = n * inst.problem().excess_risk
         rhs = inst.noise_var * quad
         ok = ok and abs(lhs - rhs) <= 1e-8 * max(1.0, abs(rhs))
-        rec_trace, _ = excess_risk_upper_bound(inst.problem())
-        ok = ok and rec_trace.holds
+        ok = ok and excess_risk_upper_bound(inst.problem()).holds
     emit("excess_risk", ok)
 
 
@@ -229,7 +225,8 @@ def test_worst_case_variance_decomposition():
     residuals = []
     for seed in range(10):
         inst = make_instance(seed)
-        residuals.append(worst_case_residuals(inst.problem(), grid(inst, 100, 6000 + seed)))
+        total, split = worst_case_decompositions(inst.problem(), grid(inst, 100, 6000 + seed))
+        residuals.append(np.abs(total - split))
     # a probe on a training input has a NaN residual, which fails
     emit("worst_case_decomposition", bool(np.max(np.concatenate(residuals)) <= 1e-8))
 

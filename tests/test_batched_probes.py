@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from sparsegp.bounds import (SparseProblem, derivative_gap_bounds,
-                             training_collisions, worst_case_decompositions,
-                             worst_case_residuals)
+                             training_collisions, worst_case_decompositions)
 from sparsegp.data import Dataset
 from sparsegp.errors import DimensionMismatch, InvalidParameter
 from sparsegp.kernels import GaussianKernel, PolynomialKernel
@@ -97,7 +96,7 @@ def test_worst_case_decompositions_match_dense_q_posterior():
                + dense_q_posterior_var(ind, data, 0.3, x) + 0.3)
         assert total[i] == pytest.approx(ref, abs=1e-8)
         assert split[i] == pytest.approx(ref, abs=1e-8)
-    assert np.all(worst_case_residuals(prob, X[:9]) <= 1e-8)
+    assert np.all(np.abs(total[:9] - split[:9]) <= 1e-8)
 
 
 def test_worst_case_residuals_skip_every_training_input():
@@ -105,7 +104,8 @@ def test_worst_case_residuals_skip_every_training_input():
     data, ind, _ = instance(kernel, n=15, m=4)
     prob = SparseProblem(kernel, data, ind, 0.3)
     assert np.all(training_collisions(prob, data.inputs))
-    assert np.all(np.isnan(worst_case_residuals(prob, data.inputs)))
+    total, split = worst_case_decompositions(prob, data.inputs)
+    assert np.all(np.isnan(np.abs(total - split)))
 
 
 @pytest.mark.parametrize("n", [1, 7, 64, 300])

@@ -468,6 +468,8 @@ def test_overflowed_gram_is_a_typed_error():
 # pin and say so in CHANGES.md.
 PINNED_STATUSES = [
     ({}, {}),
+    ({"d": 3}, {}),
+    ({"ridge": 0.01}, {}),
     ({"kernel_family": "polynomial"},
      {"psi_maps_mu_star_to_beta": "fail", "derivative_bound": "skipped"}),
     ({"n": 300, "m": 20}, {"psi_maps_mu_star_to_beta": "fail"}),
@@ -487,8 +489,8 @@ PINNED_STATUSES = [
 
 
 @pytest.mark.parametrize("over, expected", PINNED_STATUSES,
-                         ids=["defaults", "polynomial", "n300", "n800", "noise1e-4",
-                              "uniform800"])
+                         ids=["defaults", "d3", "ridge0.01", "polynomial", "n300", "n800",
+                              "noise1e-4", "uniform800"])
 def test_check_statuses_are_pinned_on_the_regression_configs(over, expected,
                                                             symmetric_copies):
     report = run_verification(ExperimentConfig(**over))

@@ -268,12 +268,13 @@ def test_operator_norm_raises_no_convergence_when_the_eigensolve_fails(monkeypat
     monkeypatch.setattr(np.linalg, "eigh", failing)
     with pytest.raises(NoConvergence, match="did not converge"):
         operator_norm(np.eye(3))
-    # the checks that read ||k - q||_2 report the typed error
+    # the one check that reads ||k - q||_2 reports the typed error; the
+    # excess-risk bound reads the trace gap alone and still passes
     report = run_verification(ExperimentConfig(n=30, m=5, mc_samples=500))
-    for name in ("quadratic_form_gap", "excess_risk_bound"):
-        check = next(c for c in report.checks if c.name == name)
-        assert check.status == "error", name
-        assert check.detail.startswith("NoConvergence"), name
+    checks = {c.name: c for c in report.checks}
+    assert checks["quadratic_form_gap"].status == "error"
+    assert checks["quadratic_form_gap"].detail.startswith("NoConvergence")
+    assert checks["excess_risk_bound"].status == "pass"
 
 
 def test_operator_norm_reads_an_exactly_symmetric_matrix_without_a_copy(symmetric_copies):

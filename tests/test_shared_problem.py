@@ -4,6 +4,7 @@ reported by every check that needs it without escaping the run."""
 
 import subprocess
 import sys
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -48,13 +49,22 @@ def patch_factors(monkeypatch, wrap):
                 monkeypatch.setattr(mod, fn, wrap(getattr(mod, fn)))
 
 
+def count_member(monkeypatch, name, calls):
+    """Replace the kept SparseProblem member `name` by one that appends its
+    problem to `calls` on each evaluation."""
+    fn = getattr(bounds.SparseProblem, name).func
+    member = cached_property(lambda self: calls.append(self) or fn(self))
+    member.__set_name__(bounds.SparseProblem, name)
+    monkeypatch.setattr(bounds.SparseProblem, name, member)
+
+
 def statuses(report):
     return {c.name: c.status for c in report.checks}
 
 
 def test_verify_run_builds_each_n_by_n_matrix_once(monkeypatch):
     n = 400
-    factor_dims, gram_shapes, eigen_shapes = [], [], []
+    factor_dims, gram_shapes, eigen_shapes, logdet_dims = [], [], [], []
 
     def recording(factor_spd):
         def factor(A, *args, **kwargs):
@@ -63,6 +73,10 @@ def test_verify_run_builds_each_n_by_n_matrix_once(monkeypatch):
         return factor
 
     patch_factors(monkeypatch, recording)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("sparsegp.") and hasattr(mod, "logdet"):
+            monkeypatch.setattr(mod, "logdet", lambda F, fn=mod.logdet:
+                                logdet_dims.append(F.lower.shape[0]) or fn(F))
     gram = GaussianKernel.gram
 
     def recording_gram(self, A, B=None):
@@ -83,6 +97,9 @@ def test_verify_run_builds_each_n_by_n_matrix_once(monkeypatch):
     # whose eigensolves are j x j for a few dozen steps j.
     assert factor_dims.count(n) <= 2
     assert gram_shapes.count((n, n)) <= 1
+    # The evidence reads log det(k_XX + s2 I); the KL and both expected-value
+    # bounds read the one kept log-det gap, which reads both factors once.
+    assert 0 < logdet_dims.count(n) <= 3
     assert eigen_shapes and all(shape[0] < 100 for shape in eigen_shapes)
 
 
@@ -149,9 +166,7 @@ def test_verify_run_shares_one_nystrom_factor_and_batches_its_probes(monkeypatch
             monkeypatch.setattr(
                 mod, "nystrom_factor",
                 lambda *args, fn=fn: factors.append(args) or fn(*args))
-    kl = bounds.kl_to_exact_posterior
-    monkeypatch.setattr(bounds, "kl_to_exact_posterior",
-                        lambda prob: kls.append(prob) or kl(prob))
+    count_member(monkeypatch, "kl", kls)
     gram = GaussianKernel.gram
 
     def recording_gram(self, A, B=None):
@@ -230,9 +245,9 @@ def test_ridge_side_shares_the_problem_only_when_linked(link):
 @pytest.mark.parametrize("link", [True, False])
 def test_verify_run_fits_the_sparse_ridge_once_per_problem(monkeypatch, link):
     fits, risks = [], []
-    fit, risk = bounds.fit_nystrom, bounds.excess_risk
+    fit = bounds.fit_nystrom
     monkeypatch.setattr(bounds, "fit_nystrom", lambda *args: fits.append(args) or fit(*args))
-    monkeypatch.setattr(bounds, "excess_risk", lambda prob: risks.append(prob) or risk(prob))
+    count_member(monkeypatch, "excess_risk", risks)
     config = ExperimentConfig(n=40, m=6, mc_samples=500, ridge=None if link else 0.003)
     report = run_verification(config)
     assert [c.name for c in report.checks] == CHECK_NAMES
