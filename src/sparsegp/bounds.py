@@ -50,21 +50,34 @@ class BoundRecord:
         return self.slack >= -TOLERANCE * max(1.0, abs(self.rhs))
 
 
+@dataclass(frozen=True)
+class _ExplicitQ:
+    """What SparseProblem keeps of the explicit n x n q side."""
+
+    solve: np.ndarray  # (q_XX + s2 I)^{-1} y
+    logdet: float  # log det(q_XX + s2 I)
+    trace: float  # tr(G), G = k_XX - q_XX
+    opnorm: float  # ||G||_2
+
+
 @dataclass(frozen=True, eq=False)
 class SparseProblem:
     """One (kernel, data, Z, s2) instance and the matrices its bounds read.
 
     Each member but q_XX is built on first use and then kept, so a verify
-    run forms k_XX, the gap k_XX - q_XX and the factors of k_XX + s2 I and
-    q_XX + s2 I once, takes the log-det gap and the trace of the gap once
-    for the KL and both expected-value bounds, and draws one Monte-Carlo
-    sample of mc_samples targets, seeded with mc_seed, for both
-    expected-value bounds. The sample is drawn and reduced in blocks of
-    draws, so it takes O(n _MC_BLOCK) memory at any mc_samples, and only
-    its two quadratic forms per draw are kept. A caller that drew the
-    targets through the factor of k_XX + s2 I passes it and k_XX as
-    prior_kxx and prior_k_factor, and they are kept as they are. A build
-    that raises is not kept: every reader gets the same typed error.
+    run forms k_XX and the factor of k_XX + s2 I once; they are the only
+    n x n matrices it keeps. q_XX is built once, by the explicit q pass
+    (_explicit_q), which keeps (q_XX + s2 I)^{-1} y, log det(q_XX + s2 I),
+    tr(G) and ||G||_2 of the gap G = k_XX - q_XX and drops the factor of
+    q_XX + s2 I and G. The log-det gap is taken once for the KL and both
+    expected-value bounds, which also read one Monte-Carlo sample of
+    mc_samples targets, seeded with mc_seed. The sample is drawn and
+    reduced in blocks of draws, so it takes O(n _MC_BLOCK) memory at any
+    mc_samples, and only its two quadratic forms per draw are kept. A
+    caller that drew the targets through the factor of k_XX + s2 I passes
+    it and k_XX as prior_kxx and prior_k_factor, and they are kept as they
+    are. A build that raises is not kept: every reader gets the same typed
+    error.
     """
 
     kernel: Kernel
@@ -111,16 +124,10 @@ class SparseProblem:
 
     @property
     def qxx(self) -> np.ndarray:
-        """q_XX, built on each read and not kept: its two readers, the gap
-        and the factor of q_XX + s2 I, are kept instead, so a verify run
-        builds it twice in O(n^2 m) and holds one n x n matrix fewer."""
+        """q_XX, built on each read and not kept. The explicit q pass reads
+        it once and turns it into the gap in its own buffer, so a verify run
+        builds it once per problem in O(n^2 m)."""
         return q_gram(self.ind, self.data.inputs)
-
-    @cached_property
-    def gap(self) -> np.ndarray:
-        """The Nystrom gap G = k_XX - q_XX; its trace and its operator norm
-        both read it."""
-        return self.kxx - self.qxx
 
     @cached_property
     def k_factor(self) -> SpdFactor:
@@ -130,15 +137,23 @@ class SparseProblem:
         return noise_factor(self.kxx, self.noise_var)
 
     @cached_property
-    def q_factor(self) -> SpdFactor:
-        """Cholesky factor of q_XX + s2 I, the explicit n x n side that the
-        O(n m^2) closed forms are checked against."""
-        return noise_factor(self.qxx, self.noise_var)
+    def _explicit_q(self) -> _ExplicitQ:
+        """The explicit n x n q side that the O(n m^2) closed forms are
+        checked against, in one pass over one q_XX: factor q_XX + s2 I,
+        keep (q_XX + s2 I)^{-1} y and its log-det and drop the factor, then
+        turn q_XX into the gap G = k_XX - q_XX in place, keep tr(G) and
+        ||G||_2 and drop G. Only these four are kept."""
+        qxx = self.qxx
+        factor = noise_factor(qxx, self.noise_var)
+        q_solve, q_logdet = solve(factor, self.data.targets), logdet(factor)
+        del factor
+        gap = np.subtract(self.kxx, qxx, out=qxx)
+        return _ExplicitQ(q_solve, q_logdet, float(np.trace(gap)), operator_norm(gap))
 
-    @cached_property
+    @property
     def q_solve(self) -> np.ndarray:
-        """(q_XX + s2 I)^{-1} y on the kept factor."""
-        return solve(self.q_factor, self.data.targets)
+        """(q_XX + s2 I)^{-1} y, from the explicit q pass."""
+        return self._explicit_q.solve
 
     @cached_property
     def nystrom(self) -> NystromFactor:
@@ -151,13 +166,14 @@ class SparseProblem:
 
     @cached_property
     def logdet_gap(self) -> float:
-        """log det(k_XX + s2 I) - log det(q_XX + s2 I), on the kept factors."""
-        return logdet(self.k_factor) - logdet(self.q_factor)
+        """log det(k_XX + s2 I) - log det(q_XX + s2 I): the kept factor's
+        log-det less the explicit q pass's."""
+        return logdet(self.k_factor) - self._explicit_q.logdet
 
-    @cached_property
+    @property
     def gap_trace(self) -> float:
-        """tr(k_XX - q_XX) from the kept n x n gap."""
-        return float(np.trace(self.gap))
+        """tr(k_XX - q_XX), from the explicit q pass."""
+        return self._explicit_q.trace
 
     @cached_property
     def kl(self) -> float:
@@ -223,10 +239,10 @@ class SparseProblem:
     def evidence(self) -> float:
         return self.exact.log_evidence(self.data.targets)
 
-    @cached_property
+    @property
     def opnorm_gap(self) -> float:
-        """||k_XX - q_XX||_2, by Lanczos on the kept gap."""
-        return operator_norm(self.gap)
+        """||k_XX - q_XX||_2, by Lanczos in the explicit q pass."""
+        return self._explicit_q.opnorm
 
     @cached_property
     def mc_quadratic_forms(self) -> tuple[np.ndarray, np.ndarray]:

@@ -38,6 +38,7 @@ from .nystrom import fit_nystrom, nystrom_factor, select_inducing
 # The checks of `run_verification` each `sparsegp bounds NAME` reports.
 BOUNDS = {
     "burt": ("burt_bound", "burt_bound_intermediate"),
+    "quadratic_form": ("quadratic_form_gap",),
     "excess_risk": ("excess_risk_bound",),
     "rkhs_distance": ("rkhs_distance_bound",),
     "derivative": ("derivative_bound",),

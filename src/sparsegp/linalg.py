@@ -49,6 +49,8 @@ _TILE = 128
 # residual is measured against this machine epsilon.
 _LANCZOS_SEED = 0
 _EPS = float(np.finfo(float).eps)
+# operator_norm's basis starts with room for this many Lanczos vectors.
+_LANCZOS_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -253,11 +255,15 @@ def operator_norm(A: np.ndarray) -> float:
     n = A.shape[0]
     if n == 0:
         return 0.0
-    Q = np.empty((n, n))  # the Lanczos vectors, one per row; rows fill as j grows
+    # The Lanczos vectors, one per row; the rows double when they fill, so
+    # the basis holds O(steps n) floats, not n x n.
+    Q = np.empty((min(n, _LANCZOS_ROWS), n))
     alpha, beta = np.empty(n), np.empty(n)
     q = np.random.default_rng(_LANCZOS_SEED).standard_normal(n)
     q /= np.linalg.norm(q)
     for j in range(n):
+        if j == len(Q):
+            Q = np.vstack([Q, np.empty((min(j, n - j), n))])
         Q[j] = q
         w = A @ q
         if j:

@@ -248,6 +248,7 @@ def test_cli_fit_missing_file_exits_2(tmp_path, capsys):
 
 BOUND_CHECKS = {
     "burt": ["burt_bound", "burt_bound_intermediate"],
+    "quadratic_form": ["quadratic_form_gap"],
     "excess_risk": ["excess_risk_bound"],
     "rkhs_distance": ["rkhs_distance_bound"],
     "derivative": ["derivative_bound"],

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,7 @@ from sparsegp.harness import ExperimentConfig, make_problem, run_verification
 from sparsegp.kernels import GaussianKernel
 from sparsegp.linalg import (factor_spd, logdet, lower_solve, noise_factor, operator_norm, solve,
                              upper_solve)
-from sparsegp.nystrom import select_inducing
+from sparsegp.nystrom import q_gram, select_inducing
 
 
 def random_spd(n, seed):
@@ -251,13 +252,14 @@ VERIFY_MID_POOL = [{"n": 400, "m": 24, "seed": int(s)}
 @pytest.mark.parametrize("over", ITEM1_CONFIGS + VERIFY_MID_POOL)
 def test_operator_norm_of_the_nystrom_gap_matches_the_dense_eigensolve(over):
     prob, _, _ = make_problem(ExperimentConfig(**over))
-    assert_matches_dense_eigensolve(prob.gap)
+    assert_matches_dense_eigensolve(prob.kxx - prob.qxx)
 
 
 def test_operator_norm_repeats_bit_for_bit():
     prob, _, _ = make_problem(ExperimentConfig(n=400, m=24))
-    first = operator_norm(prob.gap)
-    assert all(operator_norm(prob.gap) == first for _ in range(3))
+    gap = prob.kxx - prob.qxx
+    first = operator_norm(gap)
+    assert all(operator_norm(gap) == first for _ in range(3))
 
 
 def test_operator_norm_raises_no_convergence_when_the_eigensolve_fails(monkeypatch):
@@ -268,8 +270,9 @@ def test_operator_norm_raises_no_convergence_when_the_eigensolve_fails(monkeypat
     monkeypatch.setattr(np.linalg, "eigh", failing)
     with pytest.raises(NoConvergence, match="did not converge"):
         operator_norm(np.eye(3))
-    # the one check that reads ||k - q||_2 reports the typed error; the
-    # excess-risk bound reads the trace gap alone and still passes
+    # the explicit q pass takes ||k - q||_2, so each check that reads it
+    # reports the typed error; the excess-risk bound reads the whitened
+    # factor's trace gap alone and still passes
     report = run_verification(ExperimentConfig(n=30, m=5, mc_samples=500))
     checks = {c.name: c for c in report.checks}
     assert checks["quadratic_form_gap"].status == "error"
@@ -278,7 +281,8 @@ def test_operator_norm_raises_no_convergence_when_the_eigensolve_fails(monkeypat
 
 
 def test_operator_norm_reads_an_exactly_symmetric_matrix_without_a_copy(symmetric_copies):
-    gap = make_problem(ExperimentConfig(n=400, m=24))[0].gap
+    prob = make_problem(ExperimentConfig(n=400, m=24))[0]
+    gap = prob.kxx - prob.qxx
     assert np.array_equal(gap, gap.T)
     expected = operator_norm(0.5 * (gap + gap.T))
     assert operator_norm(gap) == expected
@@ -298,6 +302,23 @@ def test_operator_norm_reads_an_exactly_symmetric_matrix_without_a_copy(symmetri
             operator_norm(G)
     with pytest.raises(DimensionMismatch):
         operator_norm(gap[:, :-1])
+
+
+def test_operator_norm_basis_grows_with_the_steps_taken():
+    # A Nystrom gap takes a few dozen Lanczos steps, so the basis must not
+    # be n x n: the traced peak stays below a quarter of one n x n matrix.
+    n = 1000
+    kernel = GaussianKernel(lengthscale=1.0)
+    X = np.random.default_rng(7).uniform(-3.0, 3.0, size=(n, 1))
+    G = kernel.gram(X) - q_gram(select_inducing(kernel, Dataset(X, np.zeros(n)), 20), X)
+    expected = operator_norm(G)
+    tracemalloc.start()
+    try:
+        assert operator_norm(G) == expected
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 / 4
 
 
 @pytest.mark.parametrize("seed", range(5))

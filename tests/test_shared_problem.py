@@ -103,6 +103,48 @@ def test_verify_run_builds_each_n_by_n_matrix_once(monkeypatch):
     assert eigen_shapes and all(shape[0] < 100 for shape in eigen_shapes)
 
 
+def kept_arrays(obj, seen):
+    """Every array reachable from obj through instance attributes and
+    tuples, each object visited once."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, tuple):
+        for item in obj:
+            yield from kept_arrays(item, seen)
+    elif hasattr(obj, "__dict__"):
+        for value in vars(obj).values():
+            yield from kept_arrays(value, seen)
+
+
+@pytest.mark.parametrize("link", [True, False])
+def test_verify_run_builds_q_once_per_problem_and_keeps_two_n_by_n_arrays(monkeypatch, link):
+    n = 400
+    q_shapes, problems = [], []
+    q_gram = bounds.q_gram
+    monkeypatch.setattr(bounds, "q_gram",
+                        lambda ind, X: q_shapes.append(len(X)) or q_gram(ind, X))
+    make_problem = harness.make_problem
+    monkeypatch.setattr(harness, "make_problem",
+                        lambda config: problems.append(make_problem(config)) or problems[-1])
+    report = run_verification(ExperimentConfig(n=n, m=24, ridge=None if link else 0.01))
+    assert [c.name for c in report.checks] == CHECK_NAMES
+    # One explicit q pass per problem: one problem when the ridge is linked,
+    # two when it is not.
+    assert q_shapes == [n] * (1 if link else 2)
+    # Once every check has run, each problem keeps k_XX and the factor of
+    # k_XX + s2 I and no other n x n array: not q_XX, the gap or the factor
+    # of q_XX + s2 I.
+    (instance,) = problems
+    for prob in instance[:2]:
+        square = [A for A in kept_arrays(prob, set()) if A.shape == (n, n)]
+        assert len(square) == 2
+        assert any(A is prob.kxx for A in square)
+        assert any(A is prob.k_factor.lower for A in square)
+
+
 def test_verify_run_leaves_scipy_sparse_unimported():
     code = ("import sys\n"
             "from sparsegp.harness import ExperimentConfig, run_verification\n"
