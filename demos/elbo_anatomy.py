@@ -31,7 +31,7 @@ def main():
     state = make_state(ind, mu, A @ A.T + 0.1 * np.eye(8))
     fac = nystrom_factor(kernel, data, ind, s2)
     star = optimal_parameters(fac)
-    br, br_star = elbo_breakdown(state, data, s2), elbo_breakdown(star, data, s2)
+    br, br_star = elbo_breakdown(fac, state), elbo_breakdown(fac, star)
 
     print(f"{'pieces of -2 s2 * ELBO':37s}{'random state':>14s}  {'optimum':>10s}")
     for label, field in (("squared errors + s2 * fit norm  ", "fit_plus_norm"),
@@ -43,10 +43,10 @@ def main():
     print(f"  sum of pieces                     {br.term_sum():14.6f}  {br_star.term_sum():10.6f}")
     print(f"  -2 s2 * closed-form ELBO          {'':14s}  {-2 * s2 * fac.elbo:10.6f}")
 
-    evidence = fit_gpr(kernel, data, s2).log_evidence(data.targets)
-    best = elbo(star, data, s2)
+    evidence = fit_gpr(kernel, data, s2).log_evidence()
+    best = elbo(fac, star)
     print(f"\nevidence                 {evidence:12.6f}")
-    print(f"ELBO at random state     {elbo(state, data, s2):12.6f}")
+    print(f"ELBO at random state     {elbo(fac, state):12.6f}")
     print(f"ELBO at closed form      {best:12.6f}")
     print(f"closed-form expression   {fac.elbo:12.6f}")
     t = trace_gap(ind, data.inputs)

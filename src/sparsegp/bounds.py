@@ -233,11 +233,16 @@ class SparseProblem:
         """Exact GP posterior; its mean is also the KRR fit at ridge s2 / n."""
         alpha = solve(self.k_factor, self.data.targets)
         return GpPosterior(mean=KernelExpansion(self.kernel, self.data.inputs, alpha),
-                           noise_var=self.noise_var, factor=self.k_factor)
+                           targets=self.data.targets, factor=self.k_factor)
+
+    @cached_property
+    def y_sq(self) -> float:
+        """||y||^2 of the targets, read by every bound that scales with it."""
+        return float(self.data.targets @ self.data.targets)
 
     @cached_property
     def evidence(self) -> float:
-        return self.exact.log_evidence(self.data.targets)
+        return self.exact.log_evidence()
 
     @property
     def opnorm_gap(self) -> float:
@@ -271,9 +276,8 @@ def burt_upper_bound(prob: SparseProblem) -> tuple[BoundRecord, BoundRecord]:
     kl2 = 2.0 * prob.kl
     s2 = prob.noise_var
     t = prob.nystrom.trace_gap
-    y_sq = float(prob.data.targets @ prob.data.targets)
-    loose = (t / s2) * (y_sq / s2 + 1.0)
-    tight = (t / s2) * (y_sq / (t + s2) + 1.0)
+    loose = (t / s2) * (prob.y_sq / s2 + 1.0)
+    tight = (t / s2) * (prob.y_sq / (t + s2) + 1.0)
     return (
         BoundRecord(kl2, loose),
         BoundRecord(kl2, tight),
@@ -284,8 +288,7 @@ def quadratic_form_gap_bound(prob: SparseProblem) -> BoundRecord:
     """y^T (q+s2 I)^{-1} y - y^T (k+s2 I)^{-1} y vs the opnorm-gap bound."""
     s2 = prob.noise_var
     op = prob.opnorm_gap
-    y_sq = float(prob.data.targets @ prob.data.targets)
-    rhs = y_sq * op / (s2 * (op + s2))
+    rhs = prob.y_sq * op / (s2 * (op + s2))
     return BoundRecord(prob.quadratic_form_gap, rhs)
 
 
@@ -293,9 +296,8 @@ def excess_risk_upper_bound(prob: SparseProblem) -> BoundRecord:
     """Excess risk vs its trace upper bound
     ||y||^2 t / (n^2 ridge (t + n ridge))."""
     n, ridge = prob.n, prob.ridge
-    y_sq = float(prob.data.targets @ prob.data.targets)
     t = prob.nystrom.trace_gap
-    return BoundRecord(prob.excess_risk, y_sq * t / (n**2 * ridge * (t + n * ridge)))
+    return BoundRecord(prob.excess_risk, prob.y_sq * t / (n**2 * ridge * (t + n * ridge)))
 
 
 def rkhs_distance_sq(prob: SparseProblem) -> float:
@@ -311,8 +313,7 @@ def rkhs_distance_sq(prob: SparseProblem) -> float:
 def rkhs_distance_bound(prob: SparseProblem) -> BoundRecord:
     """||f_exact - f_nystrom||^2 <= 2 tr(k_XX - q_XX) ||y||^2 / (n ridge)^2."""
     lhs = rkhs_distance_sq(prob)
-    y_sq = float(prob.data.targets @ prob.data.targets)
-    rhs = 2.0 * prob.nystrom.trace_gap * y_sq / (prob.n * prob.ridge) ** 2
+    rhs = 2.0 * prob.nystrom.trace_gap * prob.y_sq / (prob.n * prob.ridge) ** 2
     return BoundRecord(lhs, rhs)
 
 
@@ -346,8 +347,7 @@ def derivative_gap_bounds(prob: SparseProblem, X, js) -> tuple[np.ndarray, np.nd
         return (values[:p] - values[p:]) / (2.0 * FD_STEP)
 
     lhs = (partial(prob.nystrom.mean) - partial(prob.exact.mean)) ** 2
-    y_sq = float(prob.data.targets @ prob.data.targets)
-    rhs = 2.0 * prob.nystrom.trace_gap * y_sq * dd / prob.noise_var**2
+    rhs = 2.0 * prob.nystrom.trace_gap * prob.y_sq * dd / prob.noise_var**2
     return lhs, rhs
 
 

@@ -22,7 +22,7 @@ from .linalg import SpdFactor, _check_positive, logdet, lower_solve, noise_facto
 @dataclass(frozen=True)
 class GpPosterior:
     mean: KernelExpansion  # over X, coef alpha = (k_XX + s2 I)^{-1} y
-    noise_var: float
+    targets: np.ndarray  # the y the posterior was fit to
     factor: SpdFactor  # Cholesky factor of k_XX + s2 I
 
     def cov(self, A, B=None) -> np.ndarray:
@@ -33,10 +33,10 @@ class GpPosterior:
         Wb = Wa if B is None else lower_solve(self.factor, kernel.gram(B, X).T)
         return kernel.gram(A, B) - Wa.T @ Wb
 
-    def log_evidence(self, y) -> float:
+    def log_evidence(self) -> float:
         """log N(y; 0, k_XX + s2 I) for the targets y the posterior was fit to."""
         n = self.mean.centers.shape[0]
-        return float(-0.5 * logdet(self.factor) - 0.5 * (y @ self.mean.coef)
+        return float(-0.5 * logdet(self.factor) - 0.5 * (self.targets @ self.mean.coef)
                      - 0.5 * n * np.log(2.0 * np.pi))
 
 
@@ -52,7 +52,7 @@ def fit_gpr(kernel: Kernel, data: Dataset, noise_var: float) -> GpPosterior:
     """Exact GP posterior with zero prior mean."""
     F = noise_factor(kernel.gram(data.inputs), noise_var)
     return GpPosterior(mean=KernelExpansion(kernel, data.inputs, solve(F, data.targets)),
-                       noise_var=noise_var, factor=F)
+                       targets=data.targets, factor=F)
 
 
 def regularized_risk(f_values_at_X: np.ndarray, rkhs_norm_sq: float,

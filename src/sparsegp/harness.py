@@ -166,8 +166,9 @@ def _nystrom_routes(prob, ridge_prob, grid, config):
 
 def _elbo_decomposition(prob, ridge_prob, grid, config):
     # The four-term expansion of -2 s2 ELBO at the optimum against the
-    # factor's determinant-lemma form of the same number.
-    total = elbo_breakdown(prob.optimal_state, prob.data, prob.noise_var).term_sum()
+    # factor's determinant-lemma form of the same number, both on the
+    # factor's V: a wrong V is left to the equivalence and KL checks.
+    total = elbo_breakdown(prob.nystrom, prob.optimal_state).term_sum()
     closed = -2.0 * prob.noise_var * prob.nystrom.elbo
     resid = abs(total - closed)
     ok = resid <= bnd.TOLERANCE * max(1.0, abs(closed))
@@ -189,7 +190,7 @@ def _optimality(prob, ridge_prob, grid, config):
         delta = probe_rng.standard_normal(m) * 0.1
         A = probe_rng.standard_normal((m, m)) * 0.05
         states.append(SvgpState(prob.ind, state.u + delta, state.R + np.triu(A)))
-    values = elbos(states, prob.data, prob.noise_var)
+    values = elbos(prob.nystrom, states)
     worst_gain = float(np.max(values[1:] - values[0]))
     return worst_gain <= bnd.TOLERANCE, f"best probe gain = {worst_gain:.3g}"
 
@@ -199,7 +200,7 @@ def _kl_two_path(prob, ridge_prob, grid, config):
 
 
 def _fixed_point(prob, ridge_prob, grid, config):
-    resid = stationarity_residual(prob.optimal_state, prob.data, prob.noise_var)
+    resid = stationarity_residual(prob.nystrom, prob.optimal_state)
     return resid <= 1e-6, f"max stationarity residual = {resid:.3g}"
 
 

@@ -86,12 +86,13 @@ class NystromFactor:
     and u = L_B^{-T} L_B^{-1} A y / s: k_ZZ + s2^{-1} k_ZX k_XZ =
     L_Z L_B L_B^T L_Z^T, and u = L_Z^{-1} mu* is the whitened optimal mean.
     I + A A^T has eigenvalues in [1, 1 + ||A||^2], so this stays accurate
-    where the raw system is nearly singular. V and A are not kept.
+    where the raw system is nearly singular. V is kept; A is not.
     """
 
     inducing: InducingSet
-    inputs: np.ndarray  # the training inputs X
+    data: Dataset
     noise_var: float
+    features: np.ndarray  # V = v(X), m x n: q_XX = V^T V
     b_factor: SpdFactor
     u: np.ndarray
     # m* = k_Z(.)^T L_Z^{-T} u over Z: the mean of both the DTC and
@@ -127,7 +128,7 @@ class NystromFactor:
         each block Y then costs three matrix products, e = U Y and
         r = Y - V^T e, and is reduced to ||r||^2 / s2 + ||e||^2 (see
         `_woodbury`) before the next is read."""
-        V = _features(self.inducing, self.inputs)
+        V = self.features
         U = upper_solve(self.b_factor, lower_solve(self.b_factor, V) / self.noise_var)
         out = []
         for Y in blocks:
@@ -166,7 +167,7 @@ def nystrom_factor(kernel: Kernel, data: Dataset, ind: InducingSet,
     fit_quad = float(r @ r / noise_var + u @ u)  # y^T (q_XX + s2 I)^{-1} y
     elbo = float(-0.5 * data.n * np.log(2.0 * np.pi * noise_var) - 0.5 * logdet(b_factor)
                  - 0.5 * fit_quad - t / (2.0 * noise_var))
-    return NystromFactor(inducing=ind, inputs=data.inputs, noise_var=noise_var,
+    return NystromFactor(inducing=ind, data=data, noise_var=noise_var, features=V,
                          b_factor=b_factor, u=u,
                          mean=KernelExpansion(kernel, ind.points, mean_coef),
                          trace_gap=t, elbo=elbo, fitted=Kxz @ mean_coef)

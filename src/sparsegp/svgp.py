@@ -8,9 +8,15 @@ the mean is m^nu(x) = v(x)^T u, the covariance is
 k(x, x') - q(x, x') + phi(x)^T phi(x') with phi(x) = R^T v(x), and
 2 KL(N(mu, Sigma) || N(0, k_ZZ)) = ||u||^2 + ||R||_F^2 - m - 2 sum log|R_ii|,
 with no log-det of k_ZZ or Sigma. The ELBO is computed fully in closed form
-(Gaussian likelihood) on V = v(X) as minus its four-term expansion of
--2*sigma^2*ELBO over 2*sigma^2, with the Gaussian normalization constant
+(Gaussian likelihood) as minus its four-term expansion of -2*sigma^2*ELBO
+over 2*sigma^2, with the Gaussian normalization constant
 n*sigma^2*log(2*pi*sigma^2) carried explicitly.
+
+Each function of a problem (`elbos`, `elbo`, `elbo_breakdown`,
+`stationarity_residual`, `optimal_parameters`) takes the problem's
+NystromFactor, so V = v(X) and the trace gap are built once, by
+`nystrom_factor`. All but `optimal_parameters` read only its V, trace gap,
+data and noise variance, and reject a state on another inducing set.
 
 The optimum is read from the whitened factorization NystromFactor: with
 A = V / s and L_B = chol(I + A A^T), u* = L_B^{-T} L_B^{-1} A y / s (so
@@ -27,10 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
 from .errors import DimensionMismatch, InvalidParameter
-from .linalg import _check_positive, factor_spd, lower_solve, solve, upper_solve
-from .nystrom import InducingSet, NystromFactor, _features, _trace_gap
+from .linalg import factor_spd, lower_solve, solve, upper_solve
+from .nystrom import InducingSet, NystromFactor, _features
 
 
 @dataclass(frozen=True)
@@ -114,45 +119,47 @@ class ElboBreakdown:
                 + self.kl_regularizer + self.residual_trace + self.normalization)
 
 
-def _breakdowns(states: list[SvgpState], data: Dataset,
-                noise_var: float) -> list[ElboBreakdown]:
-    """The breakdown of each state; V = v(X) and the trace gap, shared by
-    every state on the one inducing set, are built once."""
-    _check_positive(noise_var, "noise_var")
-    ind = states[0].inducing
-    if any(s.inducing is not ind for s in states):
-        raise InvalidParameter("elbos takes states on one inducing set")
-    V = _features(ind, data.inputs)
-    t = _trace_gap(ind.kernel.diag(data.inputs), V)
-    normalization = float(data.n * noise_var * np.log(2.0 * np.pi * noise_var))
+def _check_states(fac: NystromFactor, states: list[SvgpState]) -> None:
+    """InvalidParameter unless every state is on the factor's inducing set."""
+    if any(s.inducing is not fac.inducing for s in states):
+        raise InvalidParameter(
+            "a state is not on the factor's inducing set; build the factor "
+            "on the states' inducing set")
+
+
+def _breakdowns(fac: NystromFactor, states: list[SvgpState]) -> list[ElboBreakdown]:
+    """The breakdown of each state, on the factor's V = v(X) and trace gap."""
+    _check_states(fac, states)
+    V, y, s2 = fac.features, fac.data.targets, fac.noise_var
+    normalization = float(fac.data.n * s2 * np.log(2.0 * np.pi * s2))
     out = []
     for s in states:
-        resid = data.targets - V.T @ s.u
+        resid = y - V.T @ s.u
         RV = s.R.T @ V
         kl_sigma = (float(np.sum(s.R * s.R)) - s.m
                     - 2.0 * float(np.sum(np.log(np.abs(np.diag(s.R))))))
-        out.append(ElboBreakdown(fit_plus_norm=float(resid @ resid) + noise_var * float(s.u @ s.u),
+        out.append(ElboBreakdown(fit_plus_norm=float(resid @ resid) + s2 * float(s.u @ s.u),
                                  sigma_quadratic=float(np.sum(RV * RV)),
-                                 kl_regularizer=noise_var * kl_sigma,
-                                 residual_trace=t, normalization=normalization))
+                                 kl_regularizer=s2 * kl_sigma,
+                                 residual_trace=fac.trace_gap, normalization=normalization))
     return out
 
 
-def elbos(states: list[SvgpState], data: Dataset, noise_var: float) -> np.ndarray:
-    """Closed-form ELBO of each state, -term_sum / (2 sigma^2); all states
-    share one inducing set, and elbos(states)[i] is exactly elbo(states[i])."""
-    return np.array([-bd.term_sum() / (2.0 * noise_var)
-                     for bd in _breakdowns(states, data, noise_var)])
+def elbos(fac: NystromFactor, states: list[SvgpState]) -> np.ndarray:
+    """Closed-form ELBO of each state, -term_sum / (2 sigma^2), on the
+    factor's problem; elbos(fac, states)[i] is exactly elbo(fac, states[i])."""
+    return np.array([-bd.term_sum() / (2.0 * fac.noise_var)
+                     for bd in _breakdowns(fac, states)])
 
 
-def elbo(state: SvgpState, data: Dataset, noise_var: float) -> float:
+def elbo(fac: NystromFactor, state: SvgpState) -> float:
     """Closed-form ELBO: -KL(N(mu,Sigma) || N(0,k_ZZ)) + expected log-lik."""
-    return float(elbos([state], data, noise_var)[0])
+    return float(elbos(fac, [state])[0])
 
 
-def elbo_breakdown(state: SvgpState, data: Dataset, noise_var: float) -> ElboBreakdown:
+def elbo_breakdown(fac: NystromFactor, state: SvgpState) -> ElboBreakdown:
     """Split -2*sigma^2*ELBO into its parameter-wise pieces."""
-    return _breakdowns([state], data, noise_var)[0]
+    return _breakdowns(fac, [state])[0]
 
 
 def optimal_parameters(fac: NystromFactor) -> SvgpState:
@@ -165,15 +172,16 @@ def optimal_parameters(fac: NystromFactor) -> SvgpState:
     return SvgpState(fac.inducing, fac.u, upper_solve(fac.b_factor, np.eye(fac.inducing.m)))
 
 
-def stationarity_residual(state: SvgpState, data: Dataset, noise_var: float) -> float:
+def stationarity_residual(fac: NystromFactor, state: SvgpState) -> float:
     """Largest absolute entry of the ELBO's stationarity equations at
-    `state`, with V = v(X) and P = I + V V^T / s2: u - V (y - V^T u) / s2
-    (= -dELBO/du) and R^T P R - I (zero iff R R^T = P^{-1}). Past V, matrix
-    products only: P is neither factored nor solved with, so the residual
-    does not repeat the arithmetic of `optimal_parameters`."""
-    _check_positive(noise_var, "noise_var")
-    V = _features(state.inducing, data.inputs)
-    grad = state.u - V @ (data.targets - V.T @ state.u) / noise_var
+    `state`, with the factor's V = v(X) and P = I + V V^T / s2:
+    u - V (y - V^T u) / s2 (= -dELBO/du) and R^T P R - I (zero iff
+    R R^T = P^{-1}). Matrix products only: P is neither factored nor solved
+    with, and the factor's L_B and u are not read, so the residual does not
+    repeat the arithmetic of `optimal_parameters`."""
+    _check_states(fac, [state])
+    V, s2 = fac.features, fac.noise_var
+    grad = state.u - V @ (fac.data.targets - V.T @ state.u) / s2
     RV = state.R.T @ V
-    cov = state.R.T @ state.R + RV @ RV.T / noise_var - np.eye(state.m)
+    cov = state.R.T @ state.R + RV @ RV.T / s2 - np.eye(state.m)
     return max(float(np.max(np.abs(grad))), float(np.max(np.abs(cov))))

@@ -53,7 +53,8 @@ def test_elbos_equal_one_state_elbos():
     for _ in range(5):
         A = rng.standard_normal((ind.m, ind.m))
         states.append(make_state(ind, rng.standard_normal(ind.m), A @ A.T + 0.1 * np.eye(ind.m)))
-    assert elbos(states, data, 0.2).tolist() == [elbo(s, data, 0.2) for s in states]
+    fac = nystrom_factor(kernel, data, ind, 0.2)
+    assert elbos(fac, states).tolist() == [elbo(fac, s) for s in states]
 
 
 def test_elbos_reject_states_on_different_inducing_sets():
@@ -61,8 +62,10 @@ def test_elbos_reject_states_on_different_inducing_sets():
     data, ind, _ = instance(kernel)
     other = make_inducing(kernel, ind.points)
     states = [make_state(i, np.zeros(i.m), np.eye(i.m)) for i in (ind, other)]
-    with pytest.raises(InvalidParameter, match="^elbos takes states on one inducing set$"):
-        elbos(states, data, 0.2)
+    fac = nystrom_factor(kernel, data, ind, 0.2)
+    with pytest.raises(InvalidParameter, match="^a state is not on the factor's inducing set; "
+                       "build the factor on the states' inducing set$"):
+        elbos(fac, states)
 
 
 @pytest.mark.parametrize("d", [1, 2])

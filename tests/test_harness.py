@@ -1,7 +1,9 @@
+import importlib.util
 import json
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -500,3 +502,18 @@ def test_check_statuses_are_pinned_on_the_regression_configs(over, expected,
     assert statuses == {name: expected.get(name, "pass") for name in statuses}
     # every Gram, factor and norm input of a run is read in place
     assert symmetric_copies == []
+
+
+def test_check_names_match_the_benchmark_tracer(monkeypatch):
+    # The benchmark's verify workload fails every op whose report does not
+    # list exactly perfbench/tracer.py's CHECK_NAMES, in report order. The
+    # tracer is loaded by path and left as it is (no bytecode is written).
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec.loader.exec_module(tracer)
+    assert tuple(name for name, _ in CHECKS) == tracer.CHECK_NAMES, (
+        "harness.CHECKS no longer matches perfbench/tracer.py's CHECK_NAMES, so "
+        "the benchmark would fail every verify op; a [benchmark] PR must change "
+        "CHECK_NAMES first")

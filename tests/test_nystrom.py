@@ -10,8 +10,7 @@ from sparsegp.kernels import GaussianKernel, PolynomialKernel
 from sparsegp.linalg import noise_factor
 from sparsegp.nystrom import (fit_nystrom, make_inducing, nystrom_factor, q_diag,
                               q_gram, select_inducing, trace_gap)
-from sparsegp.svgp import (elbo, make_state, optimal_parameters, psi_forward,
-                           stationarity_residual)
+from sparsegp.svgp import psi_forward
 
 
 @pytest.fixture
@@ -243,9 +242,6 @@ def test_bad_noise_and_ridge_raise_typed_error(kernel, bad):
                  lambda: noise_factor(np.eye(20), bad),
                  lambda: fit_krr(kernel, data, bad),
                  lambda: fit_gpr(kernel, data, bad),
-                 lambda: elbo(make_state(ind, np.zeros(4), np.eye(4)), data, bad),
-                 lambda: stationarity_residual(
-                     optimal_parameters(nystrom_factor(kernel, data, ind, 0.1)), data, bad),
                  lambda: SparseProblem(kernel, data, ind, bad),
                  lambda: synth_prior_dataset(kernel, data.inputs, bad, seed=0)):
         # InvalidParameter is also a ValueError, for callers that catch that.

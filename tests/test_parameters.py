@@ -15,7 +15,6 @@ from sparsegp.exact import fit_krr
 from sparsegp.kernels import GaussianKernel
 from sparsegp.linalg import noise_factor
 from sparsegp.nystrom import fit_nystrom, nystrom_factor, select_inducing
-from sparsegp.svgp import elbo, stationarity_residual
 
 KERNEL = GaussianKernel(lengthscale=1.0)
 _rng = np.random.default_rng(0)
@@ -32,9 +31,6 @@ ENTRY_POINTS = {
     "fit_krr": ("ridge", "positive", lambda v: fit_krr(KERNEL, DATA, v)),
     "SparseProblem": ("noise_var", "positive", lambda v: SparseProblem(KERNEL, DATA, IND, v)),
     "at_ridge": ("ridge", "positive", PROB.at_ridge),
-    "elbo": ("noise_var", "positive", lambda v: elbo(PROB.optimal_state, DATA, v)),
-    "stationarity_residual": ("noise_var", "positive",
-                              lambda v: stationarity_residual(PROB.optimal_state, DATA, v)),
     "synth_fixed_function_dataset": ("noise_var", "nonnegative",
                                      lambda v: synth_fixed_function_dataset(
                                          np.sin, DATA.inputs, v, seed=0)),

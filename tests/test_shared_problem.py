@@ -9,7 +9,7 @@ from functools import cached_property
 import numpy as np
 import pytest
 
-from sparsegp import bounds, harness
+from sparsegp import bounds, harness, nystrom, svgp
 from sparsegp.data import Dataset
 from sparsegp.errors import FactorizationFailed
 from sparsegp.harness import ExperimentConfig, run_verification
@@ -324,3 +324,52 @@ def test_verify_run_draws_one_monte_carlo_sample_per_problem(monkeypatch, link):
     problems = 1 if link else 2
     assert reduced == [500] * problems
     assert seeds.count(config.seed + 4) == problems
+
+
+@pytest.mark.parametrize("ridge, builds", [(None, 1), (0.01, 2)], ids=["linked", "ridge0.01"])
+def test_verify_run_builds_the_training_features_once_per_q_pass(monkeypatch, ridge, builds):
+    # nystrom_factor builds V = v(X) by its own solve and keeps it; the SVGP
+    # functions and the Monte-Carlo quadratic forms read the factor's V. Only
+    # q_gram, the explicit q pass's independent side, builds V again: once
+    # per problem, and an unlinked ridge adds a problem.
+    config = ExperimentConfig(n=400, m=24, ridge=ridge)
+    X = harness.make_problem(config)[0].data.inputs
+    on_training_inputs = []
+    for mod in (nystrom, svgp):
+        monkeypatch.setattr(mod, "_features", lambda ind, A, f=mod._features: (
+            on_training_inputs.append(np.array_equal(A, X)) or f(ind, A)))
+    report = run_verification(config)
+    assert [c.name for c in report.checks] == CHECK_NAMES
+    assert sum(on_training_inputs) == builds
+
+
+def perturb_the_factors_features(monkeypatch, n):
+    """Scale the V that nystrom_factor solves for, and only that one, by
+    1 + 1e-6: the k_ZZ factor's solve with an n-column right-hand side,
+    called from nystrom_factor (q_gram's V is left as it is)."""
+    lower_solve = nystrom.lower_solve
+
+    def perturbed(F, B):
+        out = lower_solve(F, B)
+        if (sys._getframe(1).f_code.co_name == "nystrom_factor"
+                and np.ndim(B) == 2 and B.shape[1] == n):
+            out = out * (1 + 1e-6)
+        return out
+
+    monkeypatch.setattr(nystrom, "lower_solve", perturbed)
+
+
+@pytest.mark.parametrize("over", [{}, dict(n=400, m=24), dict(d=3, n=200, m=16)],
+                         ids=["defaults", "n400", "d3"])
+def test_a_wrong_factor_v_fails_the_checks_whose_other_side_never_reads_it(monkeypatch,
+                                                                          over):
+    # elbo_decomposition and fixed_point_solver read the factor's V on both
+    # sides, so they certify the algebra for that V. The evidence side of
+    # kl_two_path and the ridge fit of the equivalence check never read it.
+    names = ("svgp_nystrom_equivalence", "kl_two_path")
+    config = ExperimentConfig(**over)
+    assert statuses(run_verification(config, names)) == dict.fromkeys(names, "pass")
+    perturb_the_factors_features(monkeypatch, config.n)
+    report = run_verification(config, names)
+    assert [c.name for c in report.checks] == list(names)
+    assert all(c.status != "pass" for c in report.checks), statuses(report)
