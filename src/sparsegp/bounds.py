@@ -202,14 +202,21 @@ class SparseProblem:
     def excess_risk(self) -> float:
         """R_n(nystrom; y) - R_n(exact KRR; y) at ridge s2 / n, both by
         `regularized_risk`: the excess risk of `ridge_fit`. The exact side
-        reads its values and norm off the kept k_XX."""
-        alpha = self.exact.mean.coef
+        reads its values and norm off the kept k_XX, the sparse side off
+        `ridge_fit_grams`."""
+        alpha, beta = self.exact.mean.coef, self.ridge_fit.coef
         exact_at_X = self.kxx @ alpha
-        sparse = self.ridge_fit
+        kxz, kzz = self.ridge_fit_grams
         r_exact = regularized_risk(exact_at_X, float(alpha @ exact_at_X), self.data, self.ridge)
-        r_sparse = regularized_risk(sparse.predict_many(self.data.inputs),
-                                    sparse.rkhs_norm_sq(), self.data, self.ridge)
+        r_sparse = regularized_risk(kxz @ beta, float(beta @ kzz @ beta), self.data, self.ridge)
         return r_sparse - r_exact
+
+    @cached_property
+    def ridge_fit_grams(self) -> tuple[np.ndarray, np.ndarray]:
+        """K_XZ and k_ZZ over the ridge fit's centers Z, read by the excess
+        risk (its values at X and its RKHS norm) and the RKHS distance."""
+        return (self.kernel.gram(self.data.inputs, self.ind.points),
+                self.kernel.gram(self.ind.points))
 
     @cached_property
     def ridge_fit_via_q(self) -> KernelExpansion:
@@ -305,8 +312,7 @@ def rkhs_distance_sq(prob: SparseProblem) -> float:
     quadratic forms."""
     alpha = prob.exact.mean.coef
     beta = prob.ridge_fit.coef
-    Kxz = prob.kernel.gram(prob.data.inputs, prob.ind.points)
-    Kzz = prob.kernel.gram(prob.ind.points)
+    Kxz, Kzz = prob.ridge_fit_grams
     return float(alpha @ prob.kxx @ alpha - 2.0 * alpha @ Kxz @ beta + beta @ Kzz @ beta)
 
 

@@ -26,6 +26,10 @@ from .kernels import Kernel, KernelExpansion, as_points
 from .linalg import (SpdFactor, _check_positive, factor_spd, logdet, lower_solve, solve,
                      upper_solve)
 
+# Greedy selection stops once every residual k(x,x) - q(x,x) is at most
+# this share of max k(x,x): below it the residuals are round-off.
+PIVOT_RTOL = 1e-12
+
 
 @dataclass(frozen=True)
 class InducingSet:
@@ -202,7 +206,14 @@ def select_inducing(kernel: Kernel, data: Dataset, m: int, strategy: str = "gree
     "greedy_trace": pivoted-Cholesky greedy; at each step take the point
     with the largest residual diagonal k(x,x) - q_current(x,x), breaking
     ties in favor of the lowest index. Only the diagonal and the m pivot
-    columns of k_XX are evaluated: O(nm) memory and O(nm^2) time.
+    rows of k_XX are evaluated: O(nm) memory and O(nm^2) time. The
+    partial factor is kept row-major, m x n, with row j the j-th pivot
+    column, so each step reads and writes contiguous rows. Selection
+    stops once the largest residual is at most PIVOT_RTOL * max k(x,x)
+    (Harbrecht, Peters & Schneider 2012): past the kernel's numerical
+    rank the residuals are round-off, and a pivot taken there would
+    depend on the order of a sum. The rest of the m points are then the
+    lowest unchosen indices.
     """
     n = data.n
     if not 1 <= m <= n:
@@ -213,22 +224,24 @@ def select_inducing(kernel: Kernel, data: Dataset, m: int, strategy: str = "gree
         idx = np.sort(rng.choice(n, size=m, replace=False))
     elif strategy == "greedy_trace":
         resid = kernel.diag(X)
-        L = np.zeros((n, m))
+        floor = PIVOT_RTOL * np.max(resid)
+        Lt = np.empty((m, n))
         idx = []
         for step in range(m):
             # argmax returns the lowest index among ties.
             pivot = int(np.argmax(resid))
-            if resid[pivot] <= 0:
-                # Residual exhausted: matrix rank reached; pad with the
-                # not-yet-chosen indices (those whose residual is not the
-                # -inf mark of a pivot), lowest first, to honor the count.
+            if resid[pivot] <= floor:
+                # Numerical rank reached: pad with the not-yet-chosen
+                # indices (those whose residual is not the -inf mark of a
+                # pivot), lowest first, to honor the count.
                 idx.extend(np.flatnonzero(resid > -np.inf)[: m - step])
                 break
             idx.append(pivot)
-            k_pivot = kernel.gram(X, X[pivot:pivot + 1])[:, 0]
-            col = (k_pivot - L[:, :step] @ L[pivot, :step]) / np.sqrt(resid[pivot])
-            L[:, step] = col
-            resid = resid - col**2
+            row = Lt[step]
+            np.subtract(kernel.gram(X[pivot:pivot + 1], X)[0], Lt[:step, pivot] @ Lt[:step],
+                        out=row)
+            row /= np.sqrt(resid[pivot])
+            resid -= np.square(row)
             resid[pivot] = -np.inf
         idx = np.array(idx[:m])
     else:

@@ -476,14 +476,10 @@ PINNED_STATUSES = [
     ({"kernel_family": "polynomial"},
      {"psi_maps_mu_star_to_beta": "fail", "derivative_bound": "skipped"}),
     ({"n": 300, "m": 20}, {"psi_maps_mu_star_to_beta": "fail"}),
-    ({"n": 800, "m": 40},
-     {"psi_maps_mu_star_to_beta": "fail",
-      "rkhs_distance_bound": "fail", "derivative_bound": "fail",
-      "expected_kl_sandwich": "fail"}),
+    ({"n": 800, "m": 40}, {"psi_maps_mu_star_to_beta": "fail"}),
     ({"n": 60, "m": 30, "noise_var": 1e-4},
      {"svgp_nystrom_equivalence": "fail", "nystrom_two_routes": "fail",
-      "psi_maps_mu_star_to_beta": "fail",
-      "excess_risk_identity": "fail", "rkhs_distance_bound": "fail"}),
+      "psi_maps_mu_star_to_beta": "fail", "excess_risk_identity": "fail"}),
     ({"select": "uniform", "n": 800, "m": 40},
      {"svgp_nystrom_equivalence": "fail", "nystrom_two_routes": "fail",
       "psi_maps_mu_star_to_beta": "fail",
@@ -498,7 +494,7 @@ def test_check_statuses_are_pinned_on_the_regression_configs(over, expected,
                                                             symmetric_copies):
     report = run_verification(ExperimentConfig(**over))
     statuses = {c.name: c.status for c in report.checks}
-    assert len(statuses) == 17
+    assert len(statuses) == len(CHECKS)
     assert statuses == {name: expected.get(name, "pass") for name in statuses}
     # every Gram, factor and norm input of a run is read in place
     assert symmetric_copies == []

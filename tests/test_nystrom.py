@@ -8,8 +8,8 @@ from sparsegp.errors import InvalidCount, InvalidParameter
 from sparsegp.exact import fit_gpr, fit_krr
 from sparsegp.kernels import GaussianKernel, PolynomialKernel
 from sparsegp.linalg import noise_factor
-from sparsegp.nystrom import (fit_nystrom, make_inducing, nystrom_factor, q_diag,
-                              q_gram, select_inducing, trace_gap)
+from sparsegp.nystrom import (PIVOT_RTOL, fit_nystrom, make_inducing, nystrom_factor,
+                              q_diag, q_gram, select_inducing, trace_gap)
 from sparsegp.svgp import psi_forward
 
 
@@ -166,8 +166,20 @@ def test_select_inducing_greedy_avoids_cluster(kernel):
     assert picked[1] in (10.0, 10.001)
 
 
-def full_gram_greedy(kernel, X, m):
-    """Reference greedy selection over the full n x n Gram matrix.
+def column_major_update(L, pivot, step):
+    """The pivot column's correction L[:, :step] L[pivot, :step], by BLAS
+    over the column-major n x m factor."""
+    return L[:, :step] @ L[pivot, :step]
+
+
+def einsum_update(L, pivot, step):
+    """The same correction summed by einsum, in another order."""
+    return np.einsum("ij,j->i", L[:, :step], L[pivot, :step])
+
+
+def full_gram_greedy(kernel, X, m, update=column_major_update):
+    """Reference greedy selection over the full n x n Gram matrix, stopping
+    at the same relative floor as select_inducing.
 
     Returns the chosen indices and whether the rank-exhausted padding
     branch ran.
@@ -175,20 +187,27 @@ def full_gram_greedy(kernel, X, m):
     n = X.shape[0]
     K = kernel.gram(X)
     resid = np.diag(K).copy()
+    floor = PIVOT_RTOL * np.max(resid)
     L = np.zeros((n, m))
     idx = []
     for step in range(m):
         pivot = int(np.argmax(resid))
-        if resid[pivot] <= 0:
+        if resid[pivot] <= floor:
             remaining = [i for i in range(n) if i not in idx]
             idx.extend(remaining[: m - step])
             return np.array(idx[:m]), True
         idx.append(pivot)
-        col = (K[:, pivot] - L[:, :step] @ L[pivot, :step]) / np.sqrt(resid[pivot])
+        col = (K[:, pivot] - update(L, pivot, step)) / np.sqrt(resid[pivot])
         L[:, step] = col
         resid = resid - col**2
         resid[pivot] = -np.inf
     return np.array(idx), False
+
+
+def selected_indices(data, ind):
+    """The row of data.inputs that each inducing point is."""
+    return np.array([int(np.flatnonzero((data.inputs == z).all(axis=1))[0])
+                     for z in ind.points])
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -208,6 +227,32 @@ def test_select_inducing_greedy_pads_past_rank_like_reference():
     ref, padded = full_gram_greedy(kernel, data.inputs, 5)
     assert padded
     ind = select_inducing(kernel, data, 5, strategy="greedy_trace")
+    assert np.array_equal(ind.points, data.inputs[ref])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_select_inducing_takes_no_pivot_past_the_numerical_rank(seed):
+    # (x x' + 1)^2 in d=1 has rank 3: after three pivots every residual is
+    # round-off (a few 1e-15 at most, with k(x,x) up to 100), and none of it
+    # may be taken as a fourth pivot
+    kernel = PolynomialKernel(degree=2, offset=1.0)
+    X = np.random.default_rng(seed).uniform(-3, 3, size=(20, 1))
+    data = Dataset(X, np.zeros(20))
+    idx = selected_indices(data, select_inducing(kernel, data, 5, strategy="greedy_trace"))
+    pivots, padding = idx[:3], idx[3:]
+    assert np.array_equal(padding, np.setdiff1d(np.arange(20), pivots)[:2])
+    assert np.array_equal(idx, full_gram_greedy(kernel, X, 5)[0])
+
+
+@pytest.mark.parametrize("update", [column_major_update, einsum_update])
+def test_select_inducing_pivots_do_not_depend_on_the_order_of_a_sum(kernel, update):
+    # At n=800 the Gaussian kernel reaches its numerical rank well before
+    # m=40; past it, residuals summed in another order would pick other
+    # pivots unless selection stops at the relative floor and pads
+    data = random_dataset(800, 7)
+    ref, padded = full_gram_greedy(kernel, data.inputs, 40, update)
+    assert padded
+    ind = select_inducing(kernel, data, 40, strategy="greedy_trace")
     assert np.array_equal(ind.points, data.inputs[ref])
 
 
