@@ -4,7 +4,9 @@ Every bound reads one SparseProblem, which builds each matrix of a
 (kernel, data, Z, s2) instance once. Each bound is returned as a
 BoundRecord pairing the measured quantity with its certified upper (or
 lower) bound; `holds` uses the relative slack tolerance TOLERANCE.
-Ridge-side bounds use lambda = s2 / n.
+Ridge-side bounds use lambda = s2 / n. The explicit n x n q side that the
+closed forms are checked against is one ExplicitQ record per problem,
+`SparseProblem.explicit_q`.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from .data import Dataset
 from .errors import DimensionMismatch, InternalInconsistency, InvalidCount
 from .exact import GpPosterior, regularized_risk
 from .kernels import Kernel, KernelExpansion, as_points
-from .linalg import SpdFactor, _check_positive, logdet, noise_factor, operator_norm, solve
+from .linalg import (SpdFactor, _check_positive, logdet, lower_solve, noise_factor,
+                     operator_norm, solve, upper_solve)
 from .nystrom import (InducingSet, NystromFactor, _check_kernel, fit_nystrom,
                       nystrom_factor, q_diag, q_gram)
 from .svgp import SvgpState, optimal_parameters
@@ -51,7 +54,7 @@ class BoundRecord:
 
 
 @dataclass(frozen=True)
-class _ExplicitQ:
+class ExplicitQ:
     """What SparseProblem keeps of the explicit n x n q side."""
 
     solve: np.ndarray  # (q_XX + s2 I)^{-1} y
@@ -64,12 +67,13 @@ class _ExplicitQ:
 class SparseProblem:
     """One (kernel, data, Z, s2) instance and the matrices its bounds read.
 
-    Each member but q_XX is built on first use and then kept, so a verify
-    run forms k_XX and the factor of k_XX + s2 I once; they are the only
-    n x n matrices it keeps. q_XX is built once, by the explicit q pass
-    (_explicit_q), which keeps (q_XX + s2 I)^{-1} y, log det(q_XX + s2 I),
-    tr(G) and ||G||_2 of the gap G = k_XX - q_XX and drops the factor of
-    q_XX + s2 I and G. The log-det gap is taken once for the KL and both
+    Each member is built on first use and then kept, so a verify run forms
+    k_XX and the factor of k_XX + s2 I once; they are the only n x n
+    matrices it keeps. q_XX is built once, by the explicit q pass
+    (explicit_q), whose ExplicitQ record keeps (q_XX + s2 I)^{-1} y,
+    log det(q_XX + s2 I), tr(G) and ||G||_2 of the gap G = k_XX - q_XX and
+    drops the factor of q_XX + s2 I and G; every explicit-q read goes
+    through that record. The log-det gap is taken once for the KL and both
     expected-value bounds, which also read one Monte-Carlo sample of
     mc_samples targets, seeded with mc_seed. The sample is drawn and
     reduced in blocks of draws, so it takes O(n _MC_BLOCK) memory at any
@@ -122,13 +126,6 @@ class SparseProblem:
             return self.prior_kxx
         return self.kernel.gram(self.data.inputs)
 
-    @property
-    def qxx(self) -> np.ndarray:
-        """q_XX, built on each read and not kept. The explicit q pass reads
-        it once and turns it into the gap in its own buffer, so a verify run
-        builds it once per problem in O(n^2 m)."""
-        return q_gram(self.ind, self.data.inputs)
-
     @cached_property
     def k_factor(self) -> SpdFactor:
         """Cholesky factor of k_XX + s2 I."""
@@ -137,23 +134,18 @@ class SparseProblem:
         return noise_factor(self.kxx, self.noise_var)
 
     @cached_property
-    def _explicit_q(self) -> _ExplicitQ:
+    def explicit_q(self) -> ExplicitQ:
         """The explicit n x n q side that the O(n m^2) closed forms are
-        checked against, in one pass over one q_XX: factor q_XX + s2 I,
-        keep (q_XX + s2 I)^{-1} y and its log-det and drop the factor, then
-        turn q_XX into the gap G = k_XX - q_XX in place, keep tr(G) and
-        ||G||_2 and drop G. Only these four are kept."""
-        qxx = self.qxx
+        checked against, in one pass over one q_XX, built in O(n^2 m):
+        factor q_XX + s2 I, keep (q_XX + s2 I)^{-1} y and its log-det and
+        drop the factor, then turn q_XX into the gap G = k_XX - q_XX in
+        place, keep tr(G) and ||G||_2 and drop G. Only these four are kept."""
+        qxx = q_gram(self.ind, self.data.inputs)
         factor = noise_factor(qxx, self.noise_var)
         q_solve, q_logdet = solve(factor, self.data.targets), logdet(factor)
         del factor
         gap = np.subtract(self.kxx, qxx, out=qxx)
-        return _ExplicitQ(q_solve, q_logdet, float(np.trace(gap)), operator_norm(gap))
-
-    @property
-    def q_solve(self) -> np.ndarray:
-        """(q_XX + s2 I)^{-1} y, from the explicit q pass."""
-        return self._explicit_q.solve
+        return ExplicitQ(q_solve, q_logdet, float(np.trace(gap)), operator_norm(gap))
 
     @cached_property
     def nystrom(self) -> NystromFactor:
@@ -168,12 +160,7 @@ class SparseProblem:
     def logdet_gap(self) -> float:
         """log det(k_XX + s2 I) - log det(q_XX + s2 I): the kept factor's
         log-det less the explicit q pass's."""
-        return logdet(self.k_factor) - self._explicit_q.logdet
-
-    @property
-    def gap_trace(self) -> float:
-        """tr(k_XX - q_XX), from the explicit q pass."""
-        return self._explicit_q.trace
+        return logdet(self.k_factor) - self.explicit_q.logdet
 
     @cached_property
     def kl(self) -> float:
@@ -184,9 +171,9 @@ class SparseProblem:
         the explicit log-det / quadratic-form / trace expansion on the n x n
         factors; the two paths must agree to 1e-8 relative.
         """
-        kl = self.evidence - self.nystrom.elbo
+        kl = self.exact.log_evidence() - self.nystrom.elbo
         explicit = 0.5 * (-self.logdet_gap + self.quadratic_form_gap
-                          + self.gap_trace / self.noise_var)
+                          + self.explicit_q.trace / self.noise_var)
         if abs(kl - explicit) > 1e-8 * max(1.0, abs(kl)):
             raise InternalInconsistency(
                 f"KL paths disagree: evidence-ELBO {kl!r} vs explicit {explicit!r}"
@@ -227,13 +214,13 @@ class SparseProblem:
         n x n q side, never `fit_nystrom`'s normal equations."""
         Kzx = self.kernel.gram(self.ind.points, self.data.inputs)
         return KernelExpansion(self.kernel, self.ind.points,
-                               solve(self.ind.kzz_factor, Kzx @ self.q_solve))
+                               solve(self.ind.kzz_factor, Kzx @ self.explicit_q.solve))
 
     @cached_property
     def quadratic_form_gap(self) -> float:
         """y^T (q+s2 I)^{-1} y - y^T (k+s2 I)^{-1} y."""
         y = self.data.targets
-        return float(y @ self.q_solve - y @ self.exact.mean.coef)
+        return float(y @ self.explicit_q.solve - y @ self.exact.mean.coef)
 
     @cached_property
     def exact(self) -> GpPosterior:
@@ -248,33 +235,30 @@ class SparseProblem:
         return float(self.data.targets @ self.data.targets)
 
     @cached_property
-    def evidence(self) -> float:
-        return self.exact.log_evidence()
-
-    @property
-    def opnorm_gap(self) -> float:
-        """||k_XX - q_XX||_2, by Lanczos in the explicit q pass."""
-        return self._explicit_q.opnorm
-
-    @cached_property
     def mc_quadratic_forms(self) -> tuple[np.ndarray, np.ndarray]:
         """y^T (k+s2 I)^{-1} y and y^T (q+s2 I)^{-1} y for the mc_samples
         draws y = L_k z ~ N(0, k_XX + s2 I) seeded with mc_seed. The z are
         the rows of rng.standard_normal((mc_samples, n)), drawn _MC_BLOCK
         rows at a time, so the sample does not depend on the block width,
-        and each block is reduced before the next is drawn: the k side is
-        ||z||^2, the q side is `NystromFactor.quad_forms` in O(n m S)."""
+        and each block is reduced before the next is drawn. The k side is
+        ||z||^2. The q side is Woodbury on the whitened factor in O(n m S):
+        U = L_B^{-T} L_B^{-1} V / s2 is solved for once, then each block
+        Y = L_k z^T costs three matrix products, e = U Y and r = Y - V^T e,
+        and is reduced to ||r||^2 / s2 + ||e||^2 (see `nystrom._woodbury`)."""
         rng = np.random.default_rng(self.mc_seed)
-        quad_k = []
-
-        def draws():
-            for start in range(0, self.mc_samples, _MC_BLOCK):
-                z = rng.standard_normal((min(_MC_BLOCK, self.mc_samples - start), self.n))
-                quad_k.append(np.einsum("ij,ij->i", z, z))
-                yield self.k_factor.lower @ z.T
-
-        quad_q = self.nystrom.quad_forms(draws())
-        return np.concatenate(quad_k), quad_q
+        fac, s2 = self.nystrom, self.noise_var
+        V = fac.features
+        U = upper_solve(fac.b_factor, lower_solve(fac.b_factor, V) / s2)
+        quad_k, quad_q = [], []
+        for start in range(0, self.mc_samples, _MC_BLOCK):
+            z = rng.standard_normal((min(_MC_BLOCK, self.mc_samples - start), self.n))
+            quad_k.append(np.einsum("ij,ij->i", z, z))
+            Y = self.k_factor.lower @ z.T
+            e = U @ Y
+            r = V.T @ e
+            np.subtract(Y, r, out=r)
+            quad_q.append(np.einsum("ij,ij->j", r, r) / s2 + np.einsum("ij,ij->j", e, e))
+        return np.concatenate(quad_k), np.concatenate(quad_q)
 
 
 def burt_upper_bound(prob: SparseProblem) -> tuple[BoundRecord, BoundRecord]:
@@ -294,7 +278,7 @@ def burt_upper_bound(prob: SparseProblem) -> tuple[BoundRecord, BoundRecord]:
 def quadratic_form_gap_bound(prob: SparseProblem) -> BoundRecord:
     """y^T (q+s2 I)^{-1} y - y^T (k+s2 I)^{-1} y vs the opnorm-gap bound."""
     s2 = prob.noise_var
-    op = prob.opnorm_gap
+    op = prob.explicit_q.opnorm
     rhs = prob.y_sq * op / (s2 * (op + s2))
     return BoundRecord(prob.quadratic_form_gap, rhs)
 
@@ -392,7 +376,7 @@ def expected_kl_sandwich(prob: SparseProblem):
     A trace gap below -1e-10 * tr(k_XX) is not round-off: the band would be
     inverted, so InternalInconsistency is raised instead."""
     s2 = prob.noise_var
-    t = prob.gap_trace
+    t = prob.explicit_q.trace
     if t < -1e-10 * float(np.sum(np.diag(prob.kxx))):
         raise InternalInconsistency(
             f"negative trace gap t = {t!r} inverts the KL band; reduce m or "

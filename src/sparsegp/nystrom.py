@@ -10,8 +10,8 @@ the posterior mean are KernelExpansions over Z.
 q(x, x') = v(x)^T v(x') with the feature map v(x) = L_Z^{-1} k_Z(x),
 L_Z = chol(k_ZZ). `fit_nystrom` stays in raw beta coordinates as a
 reference; the second route to the same fit, KRR with the kernel q, is
-`SparseProblem.ridge_fit_via_q`, which reads its problem's factor of
-q_XX + s2 I.
+`SparseProblem.ridge_fit_via_q`, which reads (q_XX + s2 I)^{-1} y from
+its problem's explicit q pass.
 """
 
 from __future__ import annotations
@@ -125,23 +125,6 @@ class NystromFactor:
         return (self.inducing.kernel.diag(X) - np.einsum("ij,ij->j", V, V)
                 + np.einsum("ij,ij->j", W, W))
 
-    def quad_forms(self, blocks) -> np.ndarray:
-        """y^T (q_XX + s2 I)^{-1} y for each column y of each n x w block
-        of the iterable `blocks`, in order, by Woodbury in O(n m S) for S
-        columns in all. U = L_B^{-T} L_B^{-1} V / s2 is solved for once;
-        each block Y then costs three matrix products, e = U Y and
-        r = Y - V^T e, and is reduced to ||r||^2 / s2 + ||e||^2 (see
-        `_woodbury`) before the next is read."""
-        V = self.features
-        U = upper_solve(self.b_factor, lower_solve(self.b_factor, V) / self.noise_var)
-        out = []
-        for Y in blocks:
-            e = U @ Y
-            r = V.T @ e
-            np.subtract(Y, r, out=r)
-            out.append(np.einsum("ij,ij->j", r, r) / self.noise_var + np.einsum("ij,ij->j", e, e))
-        return np.concatenate(out)
-
 
 def _trace_gap(diag_k: np.ndarray, V: np.ndarray) -> float:
     return float(np.sum(diag_k - np.einsum("ij,ij->j", V, V)))
@@ -198,6 +181,16 @@ def trace_gap(ind: InducingSet, X) -> float:
     return _trace_gap(ind.kernel.diag(X), _features(ind, X))
 
 
+def _distinct_rows(X: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first row of each distinct input of X and each row's input, by
+    the same np.unique as make_inducing; InvalidCount if fewer than m."""
+    _, first, group = np.unique(X, axis=0, return_index=True, return_inverse=True)
+    if first.shape[0] < m:
+        raise InvalidCount(f"the data have {first.shape[0]} distinct inputs, fewer than "
+                           f"--m {m}; lower --m")
+    return first, group
+
+
 def select_inducing(kernel: Kernel, data: Dataset, m: int, strategy: str = "greedy_trace",
                     seed: int = 0) -> InducingSet:
     """Pick m training inputs as inducing points.
@@ -214,6 +207,12 @@ def select_inducing(kernel: Kernel, data: Dataset, m: int, strategy: str = "gree
     rank the residuals are round-off, and a pivot taken there would
     depend on the order of a sum. The rest of the m points are then the
     lowest unchosen indices.
+
+    Both strategies take each distinct input once, at its first row, so a
+    repeated input never yields duplicated inducing points: uniform draws
+    from those first rows, and greedy pads from the first rows of the
+    inputs no pivot has taken. InvalidCount when m exceeds the number of
+    distinct inputs.
     """
     n = data.n
     if not 1 <= m <= n:
@@ -221,7 +220,7 @@ def select_inducing(kernel: Kernel, data: Dataset, m: int, strategy: str = "gree
     X = data.inputs
     if strategy == "uniform":
         rng = np.random.default_rng(seed)
-        idx = np.sort(rng.choice(n, size=m, replace=False))
+        idx = np.sort(rng.choice(np.sort(_distinct_rows(X, m)[0]), size=m, replace=False))
     elif strategy == "greedy_trace":
         resid = kernel.diag(X)
         floor = PIVOT_RTOL * np.max(resid)
@@ -231,10 +230,10 @@ def select_inducing(kernel: Kernel, data: Dataset, m: int, strategy: str = "gree
             # argmax returns the lowest index among ties.
             pivot = int(np.argmax(resid))
             if resid[pivot] <= floor:
-                # Numerical rank reached: pad with the not-yet-chosen
-                # indices (those whose residual is not the -inf mark of a
-                # pivot), lowest first, to honor the count.
-                idx.extend(np.flatnonzero(resid > -np.inf)[: m - step])
+                # Numerical rank reached: pad with the first rows of the
+                # inputs no pivot has taken, lowest first, to honor the count.
+                first, group = _distinct_rows(X, m)
+                idx.extend(np.sort(np.delete(first, group[idx]))[: m - step])
                 break
             idx.append(pivot)
             row = Lt[step]

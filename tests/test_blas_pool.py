@@ -6,6 +6,8 @@ test-time reference only."""
 import subprocess
 import sys
 
+from sparsegp.harness import CHECKS
+
 # While sys.modules["scipy"] is None, every scipy import raises
 # ModuleNotFoundError. The last line printed lists the scipy modules loaded.
 PRELUDE = """
@@ -41,7 +43,7 @@ def run_without_scipy(body, *args):
 
 def test_verify_runs_without_scipy_level3_calls():
     run_without_scipy('assert len(json.loads(run("verify", "--format", "json"))'
-                      '["checks"]) == 17\n')
+                      f'["checks"]) == {len(CHECKS)}\n')
 
 
 def test_fit_svgp_runs_without_scipy_level3_calls(tmp_path):

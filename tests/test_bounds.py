@@ -48,15 +48,15 @@ def test_gap_diagnostics_orderings(kernel):
     data = random_dataset(25, 0)
     ind = random_inducing(kernel, 4, 1)
     prob = SparseProblem(kernel, data, ind, 0.3)
-    G = prob.kxx - prob.qxx
-    q_factor = noise_factor(prob.qxx, prob.noise_var)
+    G = prob.kxx - q_gram(prob.ind, prob.data.inputs)
+    q_factor = noise_factor(q_gram(prob.ind, prob.data.inputs), prob.noise_var)
     t = float(np.trace(G))
-    assert t >= prob.opnorm_gap >= 0
+    assert t >= prob.explicit_q.opnorm >= 0
     assert logdet(prob.k_factor) >= logdet(q_factor)
     # the kept log-det gap and trace are the explicit sums, bit for bit
     assert prob.logdet_gap == logdet(prob.k_factor) - logdet(q_factor)
     assert -prob.logdet_gap == logdet(q_factor) - logdet(prob.k_factor)
-    assert prob.gap_trace == float(np.trace(G))
+    assert prob.explicit_q.trace == float(np.trace(G))
     assert t == pytest.approx(trace_gap(ind, data.inputs), rel=1e-10)
     assert prob.nystrom.trace_gap == pytest.approx(t, rel=1e-10)
 
@@ -271,7 +271,8 @@ def test_monte_carlo_sample_matches_the_whole_sample_reference(kernel):
     z = np.random.default_rng(prob.mc_seed).standard_normal((700, 30))
     assert np.array_equal(quad_k, np.einsum("ij,ij->i", z, z))
     Y = prob.k_factor.lower @ z.T
-    reference = np.einsum("ij,ij->j", Y, solve(noise_factor(prob.qxx, prob.noise_var), Y))
+    q_factor = noise_factor(q_gram(prob.ind, prob.data.inputs), prob.noise_var)
+    reference = np.einsum("ij,ij->j", Y, solve(q_factor, Y))
     assert np.max(np.abs(quad_q - reference) / reference) <= 1e-12
 
 

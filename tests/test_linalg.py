@@ -252,12 +252,12 @@ VERIFY_MID_POOL = [{"n": 400, "m": 24, "seed": int(s)}
 @pytest.mark.parametrize("over", ITEM1_CONFIGS + VERIFY_MID_POOL)
 def test_operator_norm_of_the_nystrom_gap_matches_the_dense_eigensolve(over):
     prob, _, _ = make_problem(ExperimentConfig(**over))
-    assert_matches_dense_eigensolve(prob.kxx - prob.qxx)
+    assert_matches_dense_eigensolve(prob.kxx - q_gram(prob.ind, prob.data.inputs))
 
 
 def test_operator_norm_repeats_bit_for_bit():
     prob, _, _ = make_problem(ExperimentConfig(n=400, m=24))
-    gap = prob.kxx - prob.qxx
+    gap = prob.kxx - q_gram(prob.ind, prob.data.inputs)
     first = operator_norm(gap)
     assert all(operator_norm(gap) == first for _ in range(3))
 
@@ -282,7 +282,7 @@ def test_operator_norm_raises_no_convergence_when_the_eigensolve_fails(monkeypat
 
 def test_operator_norm_reads_an_exactly_symmetric_matrix_without_a_copy(symmetric_copies):
     prob = make_problem(ExperimentConfig(n=400, m=24))[0]
-    gap = prob.kxx - prob.qxx
+    gap = prob.kxx - q_gram(prob.ind, prob.data.inputs)
     assert np.array_equal(gap, gap.T)
     expected = operator_norm(0.5 * (gap + gap.T))
     assert operator_norm(gap) == expected

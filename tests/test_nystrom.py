@@ -265,6 +265,40 @@ def test_select_inducing_uniform_is_seeded_subset(kernel):
     assert all(tuple(p) in rows for p in a.points)
 
 
+def test_select_inducing_greedy_pads_past_a_repeated_input(kernel):
+    # Row 1 repeats row 0's input. The Gaussian kernel at n=800 reaches its
+    # numerical rank before m=40, and the padding takes each input once, at
+    # its first row.
+    X = random_dataset(800, 7).inputs.copy()
+    X[1] = X[0]
+    data = Dataset(X, np.zeros(800))
+    idx = selected_indices(data, select_inducing(kernel, data, 40, strategy="greedy_trace"))
+    assert np.unique(data.inputs[idx], axis=0).shape[0] == 40
+    pivots, padding = idx[:27], idx[27:]
+    rest = np.setdiff1d(np.delete(np.arange(800), 1), pivots)
+    assert np.array_equal(padding, rest[:13])
+
+
+def test_select_inducing_uniform_draws_each_input_once(kernel):
+    # Ten inputs, each on three rows: the draw is over the first rows, and
+    # with no input repeated it is the draw over all rows.
+    X = np.repeat(np.linspace(-3, 3, 10), 3)[:, None]
+    data = Dataset(X, np.zeros(30))
+    ind = select_inducing(kernel, data, 10, strategy="uniform", seed=3)
+    assert np.array_equal(ind.points, X[::3])
+    data = random_dataset(20, 8)
+    idx = np.sort(np.random.default_rng(3).choice(20, size=5, replace=False))
+    ind = select_inducing(kernel, data, 5, strategy="uniform", seed=3)
+    assert np.array_equal(ind.points, data.inputs[idx])
+
+
+@pytest.mark.parametrize("strategy", ["uniform", "greedy_trace"])
+def test_select_inducing_needs_m_distinct_inputs(kernel, strategy):
+    data = Dataset(np.repeat(np.linspace(-3, 3, 10), 3)[:, None], np.zeros(30))
+    with pytest.raises(InvalidCount, match="10 distinct inputs, fewer than --m 11"):
+        select_inducing(kernel, data, 11, strategy=strategy)
+
+
 def test_select_inducing_invalid_count(kernel):
     data = random_dataset(5, 9)
     with pytest.raises(InvalidCount):

@@ -146,7 +146,7 @@ def test_verify_run_leaves_scipy_sparse_unimported():
     code = ("import sys\n"
             "from sparsegp.harness import ExperimentConfig, run_verification\n"
             "report = run_verification(ExperimentConfig(n=60, m=8, mc_samples=200))\n"
-            "assert len(report.checks) == 17\n"
+            f"assert len(report.checks) == {len(harness.CHECKS)}\n"
             "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True)
@@ -302,24 +302,33 @@ def test_verify_run_draws_one_monte_carlo_sample_per_problem(monkeypatch, link):
     # problem reduces exactly mc_samples draws of n targets, from one
     # generator seeded with mc_seed; one problem when the ridge is linked,
     # two when it is not.
-    seeds, reduced = [], []
+    seeds, generators = [], []
     default_rng = np.random.default_rng
-    monkeypatch.setattr(np.random, "default_rng",
-                        lambda seed=None: seeds.append(seed) or default_rng(seed))
-    quad_forms = NystromFactor.quad_forms
 
-    def counting(self, blocks):
-        blocks = list(blocks)
-        assert all(Y.shape[0] == 40 for Y in blocks)
-        reduced.append(sum(Y.shape[1] for Y in blocks))
-        return quad_forms(self, blocks)
+    class CountingRng:
+        """A generator that records the shape of each standard-normal draw."""
 
-    monkeypatch.setattr(NystromFactor, "quad_forms", counting)
+        def __init__(self, seed=None):
+            seeds.append(seed)
+            generators.append(self)
+            self.seed, self.rng, self.draws = seed, default_rng(seed), []
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+        def standard_normal(self, size=None, *args, **kwargs):
+            z = self.rng.standard_normal(size, *args, **kwargs)
+            self.draws.append(z.shape)
+            return z
+
+    monkeypatch.setattr(np.random, "default_rng", CountingRng)
     config = ExperimentConfig(n=40, m=6, mc_samples=500, ridge=None if link else 0.01)
     report = run_verification(config)
     assert [c.name for c in report.checks] == CHECK_NAMES
     problems = 1 if link else 2
-    assert reduced == [500] * problems
+    samples = [g.draws for g in generators if g.seed == config.seed + 4]
+    assert all(shape[1] == 40 for draws in samples for shape in draws)
+    assert [sum(shape[0] for shape in draws) for draws in samples] == [500] * problems
     assert seeds.count(config.seed + 4) == problems
 
 
