@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -80,12 +80,22 @@ def synth_fixed_function_dataset(f0, X, noise_var: float, seed: int,
 def load_csv(path) -> Dataset:
     """Read a dataset from CSV with header x1,...,xd,y.
 
+    The file is UTF-8, with or without a byte-order mark. Fields may be
+    quoted or padded with whitespace, blank lines are skipped, and lines
+    may end in LF, CRLF or CR. Each value is parsed exactly as Python's
+    float() parses it.
+
     Raises ParseError with the 1-based line number on any malformed row or
     NaN / infinite field, EmptyFile when there are no data rows. Field
     counts are checked for the whole file before any value is converted, so
     a short row is reported ahead of an earlier value that does not parse.
+
+    The data rows are parsed by numpy's C reader, which converts through
+    the routine behind float(). Its result is kept only when it is a
+    finite table of d + 1 columns; any other file, valid or not, is parsed
+    again row by row, which returns the same dataset or names the error.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -98,34 +108,51 @@ def load_csv(path) -> Dataset:
         expected = [f"x{i + 1}" for i in range(d)]
         if header[:-1] != expected:
             raise ParseError(1, f"expected columns {expected + ['y']}, got {header}")
-        rows, linenos = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != d + 1:
-                raise ParseError(lineno, f"expected {d + 1} fields, got {len(row)}")
-            rows.append(row)
-            linenos.append(lineno)
+        body = fh.read()
+    arr = _read_table(body, d)
+    if arr is not None:
+        return Dataset(inputs=arr[:, :d], targets=arr[:, d], provenance=f"csv({path})")
+    rows, linenos = [], []
+    for lineno, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
+        if not row:
+            continue
+        if len(row) != d + 1:
+            raise ParseError(lineno, f"expected {d + 1} fields, got {len(row)}")
+        rows.append(row)
+        linenos.append(lineno)
     if not rows:
         raise EmptyFile(f"{path} has a header but no data rows")
-    try:
-        # float() on every field in one pass with no per-row Python code.
-        arr = np.fromiter(map(float, chain.from_iterable(rows)), dtype=float,
-                          count=len(rows) * (d + 1)).reshape(len(rows), d + 1)
-    except ValueError:
-        # Convert row by row only now, to name the first bad line.
-        for lineno, row in zip(linenos, rows):
-            try:
-                [float(v) for v in row]
-            except ValueError as exc:
-                raise ParseError(lineno, str(exc)) from None
-        raise
+    table = []
+    for lineno, row in zip(linenos, rows):
+        try:
+            table.append([float(v) for v in row])
+        except ValueError as exc:
+            raise ParseError(lineno, str(exc)) from None
+    arr = np.array(table)
     bad = np.argwhere(~np.isfinite(arr))
     if bad.size:
         i, j = bad[0]  # row-major: the first non-finite field in the file
         raise ParseError(linenos[i], f"dataset contains NaN or Inf: "
                                      f"{header[j]} = {rows[i][j]!r}")
     return Dataset(inputs=arr[:, :d], targets=arr[:, d], provenance=f"csv({path})")
+
+
+def _read_table(body: str, d: int) -> np.ndarray | None:
+    """The data rows below the header as a finite table of d + 1 columns,
+    read by numpy's C reader; None when the row-by-row path must decide."""
+    # numpy warns when it reads no row: a body of blank lines has none.
+    # float() strips only ASCII space, \t, \n, \r, \v and \f from the ends
+    # of a field, numpy's reader also the ASCII separators \x1c-\x1f.
+    if not body.strip() or any(c in body for c in "\x1c\x1d\x1e\x1f"):
+        return None
+    try:
+        arr = np.loadtxt(io.StringIO(body, newline=""), delimiter=",", comments=None,
+                         quotechar='"', dtype=float, ndmin=2)
+    except ValueError:
+        return None
+    if arr.shape[1] != d + 1 or not np.isfinite(arr).all():
+        return None
+    return arr
 
 
 def write_csv(path, data: Dataset) -> None:

@@ -3,6 +3,9 @@
 Two families are provided: the Gaussian (squared-exponential) kernel
 exp(-||x - x'||^2 / gamma^2) and the polynomial kernel (x.x' + c)^m.
 Points are row-major (n, d) arrays; d = 1 is the common case in tests.
+Each kernel's pivot_rows(X) returns p -> k(x_p, X), the rows greedy
+inducing selection evaluates; the Gaussian kernel takes the row norms of
+X once for all of them.
 Every function the library fits is a KernelExpansion over some centers.
 """
 
@@ -61,15 +64,27 @@ class GaussianKernel:
     def gram(self, A, B=None) -> np.ndarray:
         A = as_points(A, self.input_dim)
         B = A if B is None else as_points(B, self.input_dim)
-        # The same operations, in the same order, as
-        # exp(-max(|a|^2 + |b|^2 - 2 a.b, 0) / ls^2), but in the buffer of
-        # A @ B.T and a few rows at a time, so that each row block stays in
-        # cache through all six passes: a fresh n x n temporary costs more
-        # in pages than in arithmetic. einsum takes the row norms without
-        # an (n, d) temporary. numpy computes A @ A.T by a symmetric
-        # rank-k update, which is exactly symmetric, and every later pass
-        # is elementwise, so a self-Gram is exactly symmetric as built.
-        a2, b2 = np.einsum("ij,ij->i", A, A), np.einsum("ij,ij->i", B, B)
+        return self._gram(A, B, np.einsum("ij,ij->i", B, B))
+
+    def pivot_rows(self, X):
+        """p -> k(x_p, X), bit for bit gram(X[p:p+1], X)[0], with the row
+        norms of X taken once for all pivots rather than once per row."""
+        X = as_points(X, self.input_dim)
+        x2 = np.einsum("ij,ij->i", X, X)
+        return lambda p: self._gram(X[p:p + 1], X, x2)[0]
+
+    def _gram(self, A: np.ndarray, B: np.ndarray, b2: np.ndarray) -> np.ndarray:
+        """k(A, B) given b2, the row norms of B.
+
+        The same operations, in the same order, as
+        exp(-max(|a|^2 + |b|^2 - 2 a.b, 0) / ls^2), but in the buffer of
+        A @ B.T and a few rows at a time, so that each row block stays in
+        cache through all six passes: a fresh n x n temporary costs more
+        in pages than in arithmetic. einsum takes the row norms without an
+        (n, d) temporary. numpy computes A @ A.T by a symmetric rank-k
+        update, which is exactly symmetric, and every later pass is
+        elementwise, so a self-Gram is exactly symmetric as built."""
+        a2 = np.einsum("ij,ij->i", A, A)
         K = A @ B.T
         rows = max(1, _BLOCK_ENTRIES // max(1, K.shape[1]))
         for start in range(0, K.shape[0], rows):
@@ -108,6 +123,11 @@ class PolynomialKernel:
             raise InvalidParameter(f"degree must be an integer >= 1, got {self.degree}")
         if not 0 <= self.offset < np.inf:
             raise InvalidParameter(f"offset must be finite and nonnegative, got {self.offset}")
+
+    def pivot_rows(self, X):
+        """p -> k(x_p, X), through gram."""
+        X = as_points(X, self.input_dim)
+        return lambda p: self.gram(X[p:p + 1], X)[0]
 
     def gram(self, A, B=None) -> np.ndarray:
         A = as_points(A, self.input_dim)

@@ -199,7 +199,8 @@ def select_inducing(kernel: Kernel, data: Dataset, m: int, strategy: str = "gree
     "greedy_trace": pivoted-Cholesky greedy; at each step take the point
     with the largest residual diagonal k(x,x) - q_current(x,x), breaking
     ties in favor of the lowest index. Only the diagonal and the m pivot
-    rows of k_XX are evaluated: O(nm) memory and O(nm^2) time. The
+    rows of k_XX are evaluated, by kernel.pivot_rows, which takes the row
+    norms of X once per selection: O(nm) memory and O(nm^2) time. The
     partial factor is kept row-major, m x n, with row j the j-th pivot
     column, so each step reads and writes contiguous rows. Selection
     stops once the largest residual is at most PIVOT_RTOL * max k(x,x)
@@ -223,6 +224,7 @@ def select_inducing(kernel: Kernel, data: Dataset, m: int, strategy: str = "gree
         idx = np.sort(rng.choice(np.sort(_distinct_rows(X, m)[0]), size=m, replace=False))
     elif strategy == "greedy_trace":
         resid = kernel.diag(X)
+        pivot_row = kernel.pivot_rows(X)
         floor = PIVOT_RTOL * np.max(resid)
         Lt = np.empty((m, n))
         idx = []
@@ -237,8 +239,7 @@ def select_inducing(kernel: Kernel, data: Dataset, m: int, strategy: str = "gree
                 break
             idx.append(pivot)
             row = Lt[step]
-            np.subtract(kernel.gram(X[pivot:pivot + 1], X)[0], Lt[:step, pivot] @ Lt[:step],
-                        out=row)
+            np.subtract(pivot_row(pivot), Lt[:step, pivot] @ Lt[:step], out=row)
             row /= np.sqrt(resid[pivot])
             resid -= np.square(row)
             resid[pivot] = -np.inf

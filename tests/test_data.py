@@ -1,8 +1,12 @@
 import csv
+import io
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sparsegp.data import (Dataset, load_csv, synth_fixed_function_dataset,
                            synth_prior_dataset, write_csv)
@@ -214,3 +218,122 @@ def test_load_csv_reports_the_first_non_finite_field(tmp_path):
     with pytest.raises(ParseError, match="x2 = 'inf'") as err:
         load_csv(path)
     assert err.value.line == 4
+
+
+def test_load_csv_accepts_a_utf8_byte_order_mark(tmp_path):
+    # spreadsheet "CSV UTF-8" exports start with the mark; the file loads
+    # bit for bit as the same bytes without it, on both parse paths
+    for body in (b"1,2\r\n3,4\r\n", b"1,2\r\n1_0,4\r\n"):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_bytes(b"x1,y\r\n" + body)
+        marked.write_bytes(b"\xef\xbb\xbfx1,y\r\n" + body)
+        a, b = load_csv(plain), load_csv(marked)
+        assert np.array_equal(a.inputs.view(np.int64), b.inputs.view(np.int64))
+        assert np.array_equal(a.targets.view(np.int64), b.targets.view(np.int64))
+
+
+def _reference_load(text, path):
+    """The dataset of a CSV text by csv.reader and float() on each field,
+    with load_csv's rules: field counts first, then the first value that
+    does not parse, then the first non-finite value in row-major order."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = [h.strip() for h in next(reader)]
+    d = len(header) - 1
+    rows, linenos = [], []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != d + 1:
+            raise ParseError(lineno, f"expected {d + 1} fields, got {len(row)}")
+        rows.append(row)
+        linenos.append(lineno)
+    if not rows:
+        raise EmptyFile(f"{path} has a header but no data rows")
+    table = []
+    for lineno, row in zip(linenos, rows):
+        try:
+            table.append([float(v) for v in row])
+        except ValueError as exc:
+            raise ParseError(lineno, str(exc)) from None
+    for lineno, row, values in zip(linenos, rows, table):
+        for name, field, value in zip(header, row, values):
+            if not np.isfinite(value):
+                raise ParseError(lineno, f"dataset contains NaN or Inf: {name} = {field!r}")
+    return np.array(table)
+
+
+def _outcome(load):
+    try:
+        return load()
+    except (ParseError, EmptyFile) as exc:
+        return type(exc).__name__, getattr(exc, "line", None), getattr(exc, "reason", str(exc))
+
+
+_PADDING = st.text(st.sampled_from(" \t\v\f\x1c\xa0"), max_size=2)
+_NUMBER = st.builds(lambda fmt, v: fmt(v), st.sampled_from([repr, "%.17g".__mod__, "%.3e".__mod__]),
+                    st.floats(width=64))
+_TOKEN = st.one_of(_NUMBER, st.sampled_from(
+    ["1_0", "nan", "inf", "-inf", "Infinity", "1e400", "-0", "١", "", "1.2.3", "oops", '1"2"']))
+
+
+@st.composite
+def _field(draw):
+    text = draw(_PADDING) + draw(_TOKEN) + draw(_PADDING)
+    return f'"{text}"' if draw(st.booleans()) else text
+
+
+@st.composite
+def _csv_text(draw):
+    d = draw(st.integers(1, 3))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    lines = [",".join([f"x{i + 1}" for i in range(d)] + ["y"])]
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append("")
+            continue
+        width = d + 1 + draw(st.sampled_from([0, 0, 0, 0, -1, 1]))
+        lines.append(",".join(draw(_field()) for _ in range(width)))
+    return eol.join(lines) + draw(st.sampled_from(["", eol]))
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_csv_text())
+def test_load_csv_matches_a_float_per_field_reference(tmp_path, text):
+    # load_csv reads most files with numpy's C reader and the rest row by
+    # row; either way it returns the reference's bits or raises its error,
+    # and it prints no warning
+    path = tmp_path / "data.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _outcome(lambda: load_csv(path))
+    want = _outcome(lambda: _reference_load(text, path))
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert not isinstance(got, tuple), got
+        table = np.column_stack((got.inputs, got.targets))
+        assert np.array_equal(table.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("body, expected", [
+    ("1_0,2\n", [[10.0, 2.0]]),  # numpy's reader rejects the underscore
+    ("١,2\n", [[1.0, 2.0]]),  # and non-ASCII digits
+    ("\x1c1,2\n", ("ParseError", 2, "could not convert string to float: '\\x1c1'")),
+    ("1,2\n   \n", ("ParseError", 3, "expected 2 fields, got 1")),
+    ("\n\r\n\n", ("EmptyFile", None, None)),
+    ("", ("EmptyFile", None, None)),
+])
+def test_load_csv_row_path_decides_where_numpy_differs_from_float(tmp_path, body, expected):
+    path = tmp_path / "data.csv"
+    path.write_text("x1,y\n" + body, encoding="utf-8", newline="")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _outcome(lambda: load_csv(path))
+    if isinstance(expected, tuple):
+        assert got[:2] == expected[:2]
+        if expected[2] is not None:
+            assert got[2] == expected[2]
+    else:
+        assert np.array_equal(np.column_stack((got.inputs, got.targets)), expected)

@@ -259,3 +259,23 @@ def test_grams_are_bit_identical_to_whole_matrix_formulas(n, d):
                 _assert_bit_symmetric(P)
             assert np.array_equal(poly.gram(A, B),
                                   _reference_polynomial_gram(A, B, degree, offset))
+
+
+@pytest.mark.parametrize("kernel", [
+    lambda d: GaussianKernel(lengthscale=0.9, input_dim=d),
+    lambda d: PolynomialKernel(degree=3, offset=1.0, input_dim=d),
+], ids=["gaussian", "polynomial"])
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_pivot_rows_are_bit_identical_to_one_row_grams(kernel, d):
+    # greedy selection reads its pivot rows through pivot_rows, which takes
+    # the row norms of X once; each row must be the one-row Gram's bits,
+    # whatever the memory layout of the points
+    k = kernel(d)
+    rng = np.random.default_rng(d)
+    rows = rng.uniform(-3, 3, size=(2 * 300, d))
+    for X in (rows[:300].copy(), np.asfortranarray(rows[:300]), rows[::2]):
+        pivot_row = k.pivot_rows(X)
+        for p in (0, 1, 150, 299):
+            row = pivot_row(p)
+            assert row.shape == (300,)
+            assert np.array_equal(row.view(np.int64), k.gram(X[p:p + 1], X)[0].view(np.int64))
