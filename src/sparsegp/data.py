@@ -94,6 +94,11 @@ def load_csv(path) -> Dataset:
     the routine behind float(). Its result is kept only when it is a
     finite table of d + 1 columns; any other file, valid or not, is parsed
     again row by row, which returns the same dataset or names the error.
+
+    A field longer than csv.field_size_limit() (131072 characters by
+    default) is a ParseError naming the line and the limit when it is in
+    the header or in a file that takes the row-by-row path. numpy's reader
+    has no such limit and reads the field as float() reads it.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -101,6 +106,8 @@ def load_csv(path) -> Dataset:
             header = next(reader)
         except StopIteration:
             raise EmptyFile(f"{path} has no header row") from None
+        except csv.Error as exc:  # a field longer than csv.field_size_limit()
+            raise ParseError(reader.line_num, str(exc)) from None
         header = [h.strip() for h in header]
         if len(header) < 2 or header[-1] != "y":
             raise ParseError(1, f"expected header x1,...,xd,y, got {header}")
@@ -113,13 +120,17 @@ def load_csv(path) -> Dataset:
     if arr is not None:
         return Dataset(inputs=arr[:, :d], targets=arr[:, d], provenance=f"csv({path})")
     rows, linenos = [], []
-    for lineno, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
-        if not row:
-            continue
-        if len(row) != d + 1:
-            raise ParseError(lineno, f"expected {d + 1} fields, got {len(row)}")
-        rows.append(row)
-        linenos.append(lineno)
+    reader = csv.reader(io.StringIO(body, newline=""))
+    try:
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != d + 1:
+                raise ParseError(lineno, f"expected {d + 1} fields, got {len(row)}")
+            rows.append(row)
+            linenos.append(lineno)
+    except csv.Error as exc:
+        raise ParseError(1 + reader.line_num, str(exc)) from None
     if not rows:
         raise EmptyFile(f"{path} has a header but no data rows")
     table = []

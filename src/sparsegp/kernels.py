@@ -3,9 +3,12 @@
 Two families are provided: the Gaussian (squared-exponential) kernel
 exp(-||x - x'||^2 / gamma^2) and the polynomial kernel (x.x' + c)^m.
 Points are row-major (n, d) arrays; d = 1 is the common case in tests.
-Each kernel's pivot_rows(X) returns p -> k(x_p, X), the rows greedy
-inducing selection evaluates; the Gaussian kernel takes the row norms of
-X once for all of them.
+Each kernel's pivot_rows(X, Z) returns p -> k(z_p, X) (Z = X by
+default), the one-row body behind every row of the K_ZX that
+nystrom_factor solves its features from: greedy inducing selection
+evaluates its pivot rows with it, and nystrom_factor builds the rows over
+Z with it when there are none. The Gaussian kernel takes the row norms of
+X once for all rows.
 Every function the library fits is a KernelExpansion over some centers.
 """
 
@@ -66,12 +69,14 @@ class GaussianKernel:
         B = A if B is None else as_points(B, self.input_dim)
         return self._gram(A, B, np.einsum("ij,ij->i", B, B))
 
-    def pivot_rows(self, X):
-        """p -> k(x_p, X), bit for bit gram(X[p:p+1], X)[0], with the row
-        norms of X taken once for all pivots rather than once per row."""
+    def pivot_rows(self, X, Z=None):
+        """p -> k(z_p, X) for the rows z_p of Z (default X), bit for bit
+        gram(Z[p:p+1], X)[0], with the row norms of X taken once for all
+        rows rather than once per row."""
         X = as_points(X, self.input_dim)
+        Z = X if Z is None else as_points(Z, self.input_dim)
         x2 = np.einsum("ij,ij->i", X, X)
-        return lambda p: self._gram(X[p:p + 1], X, x2)[0]
+        return lambda p: self._gram(Z[p:p + 1], X, x2)[0]
 
     def _gram(self, A: np.ndarray, B: np.ndarray, b2: np.ndarray) -> np.ndarray:
         """k(A, B) given b2, the row norms of B.
@@ -124,10 +129,11 @@ class PolynomialKernel:
         if not 0 <= self.offset < np.inf:
             raise InvalidParameter(f"offset must be finite and nonnegative, got {self.offset}")
 
-    def pivot_rows(self, X):
-        """p -> k(x_p, X), through gram."""
+    def pivot_rows(self, X, Z=None):
+        """p -> k(z_p, X) for the rows z_p of Z (default X), through gram."""
         X = as_points(X, self.input_dim)
-        return lambda p: self.gram(X[p:p + 1], X)[0]
+        Z = X if Z is None else as_points(Z, self.input_dim)
+        return lambda p: self.gram(Z[p:p + 1], X)[0]
 
     def gram(self, A, B=None) -> np.ndarray:
         A = as_points(A, self.input_dim)

@@ -12,11 +12,19 @@ L_Z = chol(k_ZZ). `fit_nystrom` stays in raw beta coordinates as a
 reference; the second route to the same fit, KRR with the kernel q, is
 `SparseProblem.ridge_fit_via_q`, which reads (q_XX + s2 I)^{-1} y from
 its problem's explicit q pass.
+
+Row j of K_ZX is defined once, as k(z_j, X) by the kernel's one-row body
+(`pivot_rows`). Greedy selection evaluates those rows and its set keeps
+them; `nystrom_factor` solves its V from them, or from the same rows
+built over Z. The independent sides of the cross-checks (`q_gram` and
+`_features`, `fit_nystrom`, and the ridge fit's own Grams in bounds)
+build their cross Grams with `gram` and never read these rows or V.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -33,17 +41,38 @@ PIVOT_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class InducingSet:
+    """Inducing points Z and the factor of k_ZZ.
+
+    A set picked by greedy selection also carries `selection`: a copy of
+    the inputs X it was picked from and K_ZX over them, m x n, row j
+    k(z_j, X) by the kernel's one-row body (`pivot_rows`): the rows the
+    selection evaluated for its pivots and its padded points. A copy, so
+    that inputs changed in place later are not taken for the ones the
+    rows were built over. `nystrom_factor` on
+    those inputs solves its V from these rows, once per set, and every
+    factor on the set shares that V. A set made from Z alone (uniform
+    selection, `make_inducing`) carries None, and `nystrom_factor` builds
+    the same rows over Z.
+    """
+
     kernel: Kernel
     points: np.ndarray
     kzz_factor: SpdFactor
+    selection: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     @property
     def m(self) -> int:
         return self.points.shape[0]
 
+    @cached_property
+    def selection_features(self) -> np.ndarray:
+        """V = L_Z^{-1} K_ZX over the selection's inputs, solved on first read."""
+        return lower_solve(self.kzz_factor, self.selection[1])
+
 
 def make_inducing(kernel: Kernel, Z) -> InducingSet:
-    """Validate Z and factor k_ZZ (with the jitter ladder as a safety net)."""
+    """Validate Z and factor k_ZZ (with the jitter ladder as a safety net).
+    The set carries no selection rows."""
     Z = as_points(Z, kernel.input_dim)
     if Z.shape[0] < 1:
         raise InvalidCount("need at least one inducing point")
@@ -68,6 +97,17 @@ def _features(ind: InducingSet, X) -> np.ndarray:
     return lower_solve(ind.kzz_factor, ind.kernel.gram(X, ind.points).T)
 
 
+def _factor_features(ind: InducingSet, X: np.ndarray) -> np.ndarray:
+    """The V = L_Z^{-1} K_ZX that `nystrom_factor` reads, with row j of
+    K_ZX k(z_j, X) by the kernel's one-row body: the set's selection
+    features on the inputs it was selected from, else solved from the
+    same rows built over Z. Both give V bit for bit."""
+    if ind.selection is not None and np.array_equal(ind.selection[0], X):
+        return ind.selection_features
+    row = ind.kernel.pivot_rows(X, ind.points)
+    return lower_solve(ind.kzz_factor, np.array([row(j) for j in range(ind.m)]))
+
+
 def q_diag(ind: InducingSet, X) -> np.ndarray:
     """q(x, x) = ||v(x)||^2 at each row of X."""
     V = _features(ind, X)
@@ -90,13 +130,15 @@ class NystromFactor:
     and u = L_B^{-T} L_B^{-1} A y / s: k_ZZ + s2^{-1} k_ZX k_XZ =
     L_Z L_B L_B^T L_Z^T, and u = L_Z^{-1} mu* is the whitened optimal mean.
     I + A A^T has eigenvalues in [1, 1 + ||A||^2], so this stays accurate
-    where the raw system is nearly singular. V is kept; A is not.
+    where the raw system is nearly singular. V is kept; A is not. V is
+    solved from K_ZX built row by row by the kernel's one-row body (the
+    selection's rows when there are any), never from an n x m Gram.
     """
 
     inducing: InducingSet
     data: Dataset
     noise_var: float
-    features: np.ndarray  # V = v(X), m x n: q_XX = V^T V
+    features: np.ndarray  # V = v(X), m x n: q_XX = V^T V; shared with the inducing set
     b_factor: SpdFactor
     u: np.ndarray
     # m* = k_Z(.)^T L_Z^{-T} u over Z: the mean of both the DTC and
@@ -107,7 +149,9 @@ class NystromFactor:
     # - 1/2 y^T (q_XX + s2 I)^{-1} y - tr(k_XX - q_XX) / (2 s2): the q-model
     # evidence (determinant lemma) minus the trace penalty, in O(n m^2).
     elbo: float
-    fitted: np.ndarray  # m*(X) at the training inputs, bit-identical to mean.predict_many(X)
+    # m*(X) = V^T u at the training inputs: y - fitted is bit for bit the
+    # Woodbury residual. It equals mean.predict_many(X) up to round-off.
+    fitted: np.ndarray
 
     def dtc_var(self, X) -> np.ndarray:
         """DTC posterior variance
@@ -131,24 +175,26 @@ def _trace_gap(diag_k: np.ndarray, V: np.ndarray) -> float:
 
 
 def _woodbury(b_factor: SpdFactor, V: np.ndarray, Y: np.ndarray, noise_var: float):
-    """e = L_B^{-T} c for c = L_B^{-1} V Y / s2, and the residual r = Y - V^T e.
+    """e = L_B^{-T} c for c = L_B^{-1} V Y / s2, and V^T e.
 
-    (q_XX + s2 I)^{-1} Y = r / s2, so y^T (q_XX + s2 I)^{-1} y is
-    ||r||^2 / s2 + ||e||^2, not ||y||^2 / s2 - ||c||^2 (which cancels).
+    With the residual r = Y - V^T e, (q_XX + s2 I)^{-1} Y = r / s2, so
+    y^T (q_XX + s2 I)^{-1} y is ||r||^2 / s2 + ||e||^2, not
+    ||y||^2 / s2 - ||c||^2 (which cancels).
     """
     e = upper_solve(b_factor, lower_solve(b_factor, V @ Y) / noise_var)
-    return e, Y - V.T @ e
+    return e, V.T @ e
 
 
 def nystrom_factor(kernel: Kernel, data: Dataset, ind: InducingSet,
                    noise_var: float) -> NystromFactor:
-    """Build the whitened factorization in O(n m^2)."""
+    """Build the whitened factorization in O(n m^2), reading V from
+    `_factor_features`: no n x m Gram is built."""
     _check_positive(noise_var, "noise_var")
     _check_kernel(kernel, ind)
-    Kxz = kernel.gram(data.inputs, ind.points)
-    V = lower_solve(ind.kzz_factor, Kxz.T)
+    V = _factor_features(ind, data.inputs)
     b_factor = factor_spd(np.eye(ind.m) + V @ V.T / noise_var)
-    u, r = _woodbury(b_factor, V, data.targets, noise_var)
+    u, fitted = _woodbury(b_factor, V, data.targets, noise_var)
+    r = data.targets - fitted
     mean_coef = upper_solve(ind.kzz_factor, u)
     t = _trace_gap(kernel.diag(data.inputs), V)
     fit_quad = float(r @ r / noise_var + u @ u)  # y^T (q_XX + s2 I)^{-1} y
@@ -157,7 +203,7 @@ def nystrom_factor(kernel: Kernel, data: Dataset, ind: InducingSet,
     return NystromFactor(inducing=ind, data=data, noise_var=noise_var, features=V,
                          b_factor=b_factor, u=u,
                          mean=KernelExpansion(kernel, ind.points, mean_coef),
-                         trace_gap=t, elbo=elbo, fitted=Kxz @ mean_coef)
+                         trace_gap=t, elbo=elbo, fitted=fitted)
 
 
 def fit_nystrom(kernel: Kernel, data: Dataset, ind: InducingSet,
@@ -200,7 +246,10 @@ def select_inducing(kernel: Kernel, data: Dataset, m: int, strategy: str = "gree
     with the largest residual diagonal k(x,x) - q_current(x,x), breaking
     ties in favor of the lowest index. Only the diagonal and the m pivot
     rows of k_XX are evaluated, by kernel.pivot_rows, which takes the row
-    norms of X once per selection: O(nm) memory and O(nm^2) time. The
+    norms of X once per selection: O(nm) memory and O(nm^2) time. Each
+    pivot row, and the row of each padded point, is kept in one m x n
+    K_ZX that the returned set carries as its `selection`, so
+    `nystrom_factor` on the data evaluates no kernel value again. The
     partial factor is kept row-major, m x n, with row j the j-th pivot
     column, so each step reads and writes contiguous rows. Selection
     stops once the largest residual is at most PIVOT_RTOL * max k(x,x)
@@ -222,28 +271,31 @@ def select_inducing(kernel: Kernel, data: Dataset, m: int, strategy: str = "gree
     if strategy == "uniform":
         rng = np.random.default_rng(seed)
         idx = np.sort(rng.choice(np.sort(_distinct_rows(X, m)[0]), size=m, replace=False))
-    elif strategy == "greedy_trace":
-        resid = kernel.diag(X)
-        pivot_row = kernel.pivot_rows(X)
-        floor = PIVOT_RTOL * np.max(resid)
-        Lt = np.empty((m, n))
-        idx = []
-        for step in range(m):
-            # argmax returns the lowest index among ties.
-            pivot = int(np.argmax(resid))
-            if resid[pivot] <= floor:
-                # Numerical rank reached: pad with the first rows of the
-                # inputs no pivot has taken, lowest first, to honor the count.
-                first, group = _distinct_rows(X, m)
-                idx.extend(np.sort(np.delete(first, group[idx]))[: m - step])
-                break
-            idx.append(pivot)
-            row = Lt[step]
-            np.subtract(pivot_row(pivot), Lt[:step, pivot] @ Lt[:step], out=row)
-            row /= np.sqrt(resid[pivot])
-            resid -= np.square(row)
-            resid[pivot] = -np.inf
-        idx = np.array(idx[:m])
-    else:
+        return make_inducing(kernel, X[idx])
+    if strategy != "greedy_trace":
         raise InvalidParameter(f"unknown selection strategy {strategy!r}")
-    return make_inducing(kernel, X[idx])
+    resid = kernel.diag(X)
+    pivot_row = kernel.pivot_rows(X)
+    floor = PIVOT_RTOL * np.max(resid)
+    Kzx = np.empty((m, n))  # row j: k(z_j, X), kept with the set
+    Lt = np.empty((m, n))
+    idx = []
+    for step in range(m):
+        # argmax returns the lowest index among ties.
+        pivot = int(np.argmax(resid))
+        if resid[pivot] <= floor:
+            # Numerical rank reached: pad with the first rows of the
+            # inputs no pivot has taken, lowest first, to honor the count.
+            first, group = _distinct_rows(X, m)
+            idx.extend(np.sort(np.delete(first, group[idx]))[: m - step])
+            for j in range(step, m):
+                Kzx[j] = pivot_row(idx[j])
+            break
+        idx.append(pivot)
+        Kzx[step] = pivot_row(pivot)
+        row = Lt[step]
+        np.subtract(Kzx[step], Lt[:step, pivot] @ Lt[:step], out=row)
+        row /= np.sqrt(resid[pivot])
+        resid -= np.square(row)
+        resid[pivot] = -np.inf
+    return replace(make_inducing(kernel, X[idx]), selection=(X.copy(), Kzx))

@@ -337,3 +337,31 @@ def test_load_csv_row_path_decides_where_numpy_differs_from_float(tmp_path, body
             assert got[2] == expected[2]
     else:
         assert np.array_equal(np.column_stack((got.inputs, got.targets)), expected)
+
+
+# A field of 200 001 characters, past csv.field_size_limit() (131072 by
+# default); its value is 1e-199999, which float() reads as 0.0.
+_LONG_FIELD = "0." + "0" * 199998 + "1"
+
+
+@pytest.mark.parametrize("text, line", [
+    ("x1,y\n1_0," + _LONG_FIELD + "\n", 2),  # the 1_0 field sends the file row by row
+    ("x1,y\n1,2\n\n3_0," + _LONG_FIELD + "\n", 4),
+    ("x" * 200000 + ",y\n1,2\n", 1),
+], ids=["row", "row-after-blank", "header"])
+def test_load_csv_reports_a_field_past_the_csv_limit_with_its_line(tmp_path, text, line):
+    path = tmp_path / "data.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    with pytest.raises(ParseError) as exc:
+        load_csv(path)
+    assert exc.value.line == line
+    assert exc.value.reason == f"field larger than field limit ({csv.field_size_limit()})"
+
+
+def test_load_csv_reads_a_field_past_the_csv_limit_as_float_does(tmp_path):
+    # numpy's reader has no field limit: a file it takes reads the field
+    path = tmp_path / "data.csv"
+    path.write_text("x1,y\n1," + _LONG_FIELD + "\n", encoding="utf-8", newline="")
+    data = load_csv(path)
+    assert data.inputs.tolist() == [[1.0]]
+    assert data.targets.view(np.int64).tolist() == [np.float64(float(_LONG_FIELD)).view(np.int64)]

@@ -268,14 +268,19 @@ def test_grams_are_bit_identical_to_whole_matrix_formulas(n, d):
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
 def test_pivot_rows_are_bit_identical_to_one_row_grams(kernel, d):
     # greedy selection reads its pivot rows through pivot_rows, which takes
-    # the row norms of X once; each row must be the one-row Gram's bits,
-    # whatever the memory layout of the points
+    # the row norms of X once, and nystrom_factor builds K_ZX over points Z
+    # by it; each row must be the one-row Gram's bits, whatever the memory
+    # layout of the points
     k = kernel(d)
     rng = np.random.default_rng(d)
     rows = rng.uniform(-3, 3, size=(2 * 300, d))
+    Z = rng.uniform(-3, 3, size=(5, d))
     for X in (rows[:300].copy(), np.asfortranarray(rows[:300]), rows[::2]):
         pivot_row = k.pivot_rows(X)
         for p in (0, 1, 150, 299):
             row = pivot_row(p)
             assert row.shape == (300,)
             assert np.array_equal(row.view(np.int64), k.gram(X[p:p + 1], X)[0].view(np.int64))
+        z_row = k.pivot_rows(X, Z)
+        for j in range(5):
+            assert np.array_equal(z_row(j).view(np.int64), k.gram(Z[j:j + 1], X)[0].view(np.int64))

@@ -7,7 +7,8 @@ from sparsegp.data import synth_prior_dataset
 from sparsegp.errors import InvalidCount, InvalidParameter
 from sparsegp.exact import fit_gpr, fit_krr
 from sparsegp.kernels import GaussianKernel, PolynomialKernel
-from sparsegp.linalg import noise_factor
+from sparsegp import nystrom
+from sparsegp.linalg import lower_solve, noise_factor, upper_solve
 from sparsegp.nystrom import (PIVOT_RTOL, fit_nystrom, make_inducing, nystrom_factor,
                               q_diag, q_gram, select_inducing, trace_gap)
 from sparsegp.svgp import psi_forward
@@ -337,3 +338,78 @@ def test_kernel_other_than_the_inducing_sets_raises(kernel, entry):
         entry(GaussianKernel(lengthscale=2.0), data, ind, 0.1)
     # equal kernels are accepted, whether or not they are one object
     entry(GaussianKernel(lengthscale=1.0), data, ind, 0.1)
+
+
+KERNELS = {"gaussian": lambda d: GaussianKernel(lengthscale=1.0, input_dim=d),
+           "polynomial": lambda d: PolynomialKernel(degree=3, offset=1.0, input_dim=d)}
+# (d, n, m, seed, strategy): greedy and uniform at each d, and greedy at
+# n=800, m=40, d=1, past the numerical rank of either kernel, so it pads
+# (the cubic kernel's rank, 4 at d=1 and 10 at d=2, is below m=12 too).
+SELECTIONS = ([(d, 300, 12, d, s) for d in (1, 2, 3, 5) for s in ("greedy_trace", "uniform")]
+              + [(1, 800, 40, 7, "greedy_trace")])
+
+
+def selection_case(family, d, n, m, seed, strategy, monkeypatch):
+    """The kernel, data and selected set of a SELECTIONS case, and whether
+    greedy selection padded."""
+    padded = []
+    monkeypatch.setattr(nystrom, "_distinct_rows", lambda X, m, f=nystrom._distinct_rows: (
+        padded.append(True) or f(X, m)))
+    kernel = KERNELS[family](d)
+    data = random_dataset(n, seed, d)
+    return kernel, data, select_inducing(kernel, data, m, strategy=strategy, seed=3), bool(padded)
+
+
+@pytest.mark.parametrize("family", sorted(KERNELS))
+@pytest.mark.parametrize("d, n, m, seed, strategy", SELECTIONS)
+def test_factor_v_of_a_selected_set_is_the_v_built_over_its_points(family, d, n, m, seed,
+                                                                   strategy, monkeypatch):
+    # a greedy set's V is solved from the rows selection kept, a uniform
+    # set's from rows built over Z; both are the V of a set made from Z
+    kernel, data, ind, padded = selection_case(family, d, n, m, seed, strategy, monkeypatch)
+    assert (ind.selection is None) == (strategy == "uniform")
+    assert padded or n < 800
+    V = nystrom_factor(kernel, data, ind, 0.1).features
+    ref = nystrom_factor(kernel, data, make_inducing(kernel, ind.points), 0.1).features
+    assert V.shape == (m, n)
+    assert np.array_equal(V.view(np.int64), ref.view(np.int64))
+
+
+@pytest.mark.parametrize("family", sorted(KERNELS))
+@pytest.mark.parametrize("d, n, m, seed, strategy",
+                         [case for case in SELECTIONS if case[-1] == "greedy_trace"])
+def test_selection_rows_are_the_one_row_grams_at_the_points(family, d, n, m, seed, strategy,
+                                                           monkeypatch):
+    # every row of the kept K_ZX, a padded point's included
+    kernel, data, ind, _ = selection_case(family, d, n, m, seed, strategy, monkeypatch)
+    X, kzx = ind.selection
+    Z = ind.points
+    assert np.array_equal(X, data.inputs)
+    ref = np.array([kernel.gram(Z[j:j + 1], X)[0] for j in range(m)])
+    assert kzx.shape == (m, n)
+    assert np.array_equal(kzx.view(np.int64), ref.view(np.int64))
+
+
+@pytest.mark.parametrize("strategy", ["greedy_trace", "uniform"])
+def test_training_residual_is_the_woodbury_residual(kernel, strategy):
+    # fitted is V^T u, so y - fitted is the residual behind the ELBO's
+    # y^T (q_XX + s2 I)^{-1} y
+    data = random_dataset(300, 2)
+    fac = nystrom_factor(kernel, data, select_inducing(kernel, data, 12, strategy, seed=3), 0.1)
+    V, y, F = fac.features, data.targets, fac.b_factor
+    e = upper_solve(F, lower_solve(F, V @ y) / 0.1)
+    assert np.array_equal(e.view(np.int64), fac.u.view(np.int64))
+    assert np.array_equal((y - fac.fitted).view(np.int64), (y - V.T @ e).view(np.int64))
+
+
+def test_factor_solves_the_selection_v_once_per_set(kernel):
+    data = random_dataset(300, 5)
+    ind = select_inducing(kernel, data, 12)
+    a, b = nystrom_factor(kernel, data, ind, 0.1), nystrom_factor(kernel, data, ind, 0.5)
+    assert a.features is b.features is ind.selection_features
+    # on other inputs than the selection's, the rows are built over Z
+    part = Dataset(data.inputs[:100], data.targets[:100])
+    V = nystrom_factor(kernel, part, ind, 0.1).features
+    ref = nystrom_factor(kernel, part, make_inducing(kernel, ind.points), 0.1).features
+    assert V is not ind.selection_features
+    assert np.array_equal(V.view(np.int64), ref.view(np.int64))

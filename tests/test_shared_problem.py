@@ -90,10 +90,10 @@ def test_verify_run_builds_each_n_by_n_matrix_once(monkeypatch):
     # whose eigensolves are j x j for a few dozen steps j.
     assert factor_dims.count(n) <= 2
     assert gram_shapes.count((n, n)) <= 1
-    # K_XZ by nystrom_factor, fit_nystrom, the q route's k_ZX, the explicit
-    # q pass, and once for the excess risk and the RKHS distance, which read
-    # the same ridge fit at X.
-    assert gram_shapes.count((n, 24)) + gram_shapes.count((24, n)) == 5
+    # K_XZ by fit_nystrom, the q route's k_ZX, the explicit q pass, and once
+    # for the excess risk and the RKHS distance, which read the same ridge
+    # fit at X; nystrom_factor reads the rows greedy selection evaluated.
+    assert gram_shapes.count((n, 24)) + gram_shapes.count((24, n)) == 4
     # The evidence reads log det(k_XX + s2 I); the KL and both expected-value
     # bounds read the one kept log-det gap, which reads both factors once.
     assert 0 < logdet_dims.count(n) <= 3
@@ -334,10 +334,11 @@ def test_verify_run_draws_one_monte_carlo_sample_per_problem(monkeypatch, link):
 
 @pytest.mark.parametrize("ridge, builds", [(None, 1), (0.01, 2)], ids=["linked", "ridge0.01"])
 def test_verify_run_builds_the_training_features_once_per_q_pass(monkeypatch, ridge, builds):
-    # nystrom_factor builds V = v(X) by its own solve and keeps it; the SVGP
-    # functions and the Monte-Carlo quadratic forms read the factor's V. Only
-    # q_gram, the explicit q pass's independent side, builds V again: once
-    # per problem, and an unlinked ridge adds a problem.
+    # nystrom_factor solves V = v(X) from the rows greedy selection kept, once
+    # per inducing set; the SVGP functions and the Monte-Carlo quadratic
+    # forms read the factor's V. Only q_gram, the explicit q pass's
+    # independent side, builds V again: once per problem, and an unlinked
+    # ridge adds a problem.
     config = ExperimentConfig(n=400, m=24, ridge=ridge)
     X = harness.make_problem(config)[0].data.inputs
     on_training_inputs = []
@@ -350,14 +351,15 @@ def test_verify_run_builds_the_training_features_once_per_q_pass(monkeypatch, ri
 
 
 def perturb_the_factors_features(monkeypatch, n):
-    """Scale the V that nystrom_factor solves for, and only that one, by
+    """Scale the V that nystrom_factor reads, and only that one, by
     1 + 1e-6: the k_ZZ factor's solve with an n-column right-hand side,
-    called from nystrom_factor (q_gram's V is left as it is)."""
+    called where that V is solved, from the selection's rows or from rows
+    built over Z (q_gram's V is left as it is)."""
     lower_solve = nystrom.lower_solve
 
     def perturbed(F, B):
         out = lower_solve(F, B)
-        if (sys._getframe(1).f_code.co_name == "nystrom_factor"
+        if (sys._getframe(1).f_code.co_name in ("selection_features", "_factor_features")
                 and np.ndim(B) == 2 and B.shape[1] == n):
             out = out * (1 + 1e-6)
         return out
