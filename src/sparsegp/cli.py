@@ -28,7 +28,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from .data import load_csv, synth_prior_dataset, write_csv
+from .data import format_rows, load_csv, synth_prior_dataset, write_csv
 from .errors import SparseGpError
 from .exact import fit_krr
 from .harness import ExperimentConfig, emit_report, run_verification
@@ -122,11 +122,7 @@ def cmd_fit(args) -> int:
             preds = fit_nystrom(kernel, data, ind, config.ridge_value()).predict_many(data.inputs)
         else:  # svgp
             preds = nystrom_factor(kernel, data, ind, config.noise_var).fitted
-    # One %-format and one write for the whole table; 17 significant
-    # digits round-trip every float64.
-    row = ",".join(["%.17g"] * (data.d + 1)) + "\n"
-    table = np.column_stack((data.inputs, preds))
-    sys.stdout.write((row * data.n) % tuple(table.ravel().tolist()))
+    sys.stdout.write(format_rows(data.inputs, preds))
     return 0
 
 

@@ -20,7 +20,6 @@ class Dataset:
 
     inputs: np.ndarray
     targets: np.ndarray
-    provenance: str = "unknown"
 
     def __post_init__(self):
         X = np.asarray(self.inputs, dtype=float)
@@ -58,7 +57,7 @@ def synth_prior_dataset(kernel: Kernel, X, noise_var: float, seed: int,
         factor = noise_factor(kernel.gram(X), noise_var)
     rng = np.random.default_rng(seed)
     y = factor.lower @ rng.standard_normal(X.shape[0])
-    return Dataset(inputs=X, targets=y, provenance=f"synthetic(seed={seed}, generator=prior)")
+    return Dataset(inputs=X, targets=y)
 
 
 def synth_fixed_function_dataset(f0, X, noise_var: float, seed: int,
@@ -73,8 +72,7 @@ def synth_fixed_function_dataset(f0, X, noise_var: float, seed: int,
     rng = np.random.default_rng(seed)
     if noise_var > 0:
         values = values + np.sqrt(noise_var) * rng.standard_normal(X.shape[0])
-    return Dataset(inputs=X, targets=values,
-                   provenance=f"synthetic(seed={seed}, generator=fixed_function)")
+    return Dataset(inputs=X, targets=values)
 
 
 def load_csv(path) -> Dataset:
@@ -118,7 +116,7 @@ def load_csv(path) -> Dataset:
         body = fh.read()
     arr = _read_table(body, d)
     if arr is not None:
-        return Dataset(inputs=arr[:, :d], targets=arr[:, d], provenance=f"csv({path})")
+        return Dataset(inputs=arr[:, :d], targets=arr[:, d])
     rows, linenos = [], []
     reader = csv.reader(io.StringIO(body, newline=""))
     try:
@@ -145,7 +143,7 @@ def load_csv(path) -> Dataset:
         i, j = bad[0]  # row-major: the first non-finite field in the file
         raise ParseError(linenos[i], f"dataset contains NaN or Inf: "
                                      f"{header[j]} = {rows[i][j]!r}")
-    return Dataset(inputs=arr[:, :d], targets=arr[:, d], provenance=f"csv({path})")
+    return Dataset(inputs=arr[:, :d], targets=arr[:, d])
 
 
 def _read_table(body: str, d: int) -> np.ndarray | None:
@@ -166,12 +164,18 @@ def _read_table(body: str, d: int) -> np.ndarray | None:
     return arr
 
 
+def format_rows(inputs: np.ndarray, values: np.ndarray, newline: str = "\n") -> str:
+    """The rows x_1,...,x_d,value of a table, each number to 17 significant
+    digits, which round-trip every float64; one %-format over the whole
+    table."""
+    row = ",".join(["%.17g"] * (inputs.shape[1] + 1)) + newline
+    table = np.column_stack((inputs, values))
+    return (row * len(table)) % tuple(table.ravel().tolist())
+
+
 def write_csv(path, data: Dataset) -> None:
-    """Write a dataset in the load_csv format, 17 significant digits: the
-    bytes of csv.writer (CRLF line ends; no field needs quoting), from one
-    %-format over the whole table."""
+    """Write a dataset in the load_csv format: the bytes of csv.writer (CRLF
+    line ends; no field needs quoting) on format_rows' fields."""
     header = ",".join([f"x{i + 1}" for i in range(data.d)] + ["y"]) + "\r\n"
-    row = ",".join(["%.17g"] * (data.d + 1)) + "\r\n"
-    table = np.column_stack((data.inputs, data.targets))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(header + (row * data.n) % tuple(table.ravel().tolist()))
+        fh.write(header + format_rows(data.inputs, data.targets, "\r\n"))

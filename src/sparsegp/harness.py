@@ -137,8 +137,7 @@ def make_problem(config: ExperimentConfig) -> tuple[bnd.SparseProblem, bnd.Spars
                                factor=k_factor)
     scale = float(np.linalg.norm(data.targets))
     if scale > 10.0:
-        data = Dataset(data.inputs, data.targets * (10.0 / scale),
-                       provenance=data.provenance)
+        data = Dataset(data.inputs, data.targets * (10.0 / scale))
     ind = select_inducing(kernel, data, config.m, strategy=config.select,
                           seed=config.seed)
     prob = bnd.SparseProblem(kernel, data, ind, config.noise_var,

@@ -42,7 +42,6 @@ def test_synth_prior_is_seeded_and_scales_with_kernel():
     c = synth_prior_dataset(kernel, X, noise_var=0.1, seed=6)
     assert np.array_equal(a.targets, b.targets)
     assert not np.array_equal(a.targets, c.targets)
-    assert a.provenance.startswith("synthetic")
 
 
 def test_synth_prior_marginal_statistics():

@@ -264,10 +264,13 @@ def json_checks(capsys, *argv):
     return code, json.loads(capsys.readouterr().out)["checks"]
 
 
-def test_cli_bounds_commands(capsys):
+@pytest.mark.parametrize("flags", [("--n", "30", "--m", "5", "--mc-samples", "500"),
+                                   (), ("--ridge", "0.01")],
+                         ids=["small", "defaults", "ridge0.01"])
+def test_cli_bounds_commands(flags, capsys):
     # each `bounds NAME` reports exactly NAME's checks of `verify`, dict for
-    # dict, and exits 0 when they pass
-    flags = ("--n", "30", "--m", "5", "--mc-samples", "500")
+    # dict, and exits 0 when they pass; an unlinked ridge problem draws its
+    # own Monte-Carlo sample
     code, verify_checks = json_checks(capsys, "verify", *flags)
     assert code == 0
     by_name = {c["name"]: c for c in verify_checks}
@@ -328,7 +331,9 @@ def test_subcommands_reject_flags_they_do_not_read(command, flag, tmp_path, caps
     with pytest.raises(SystemExit) as exc:
         main([*command, str(tmp_path / "t.csv"), flag, value])
     assert exc.value.code == 2
-    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: sparsegp {command[0]} ")
+    assert f"unrecognized arguments: {flag} {value}" in err
 
 
 @pytest.mark.parametrize("command", [("fit", "svgp", "--data", "t.csv"), ("verify",),
@@ -441,12 +446,24 @@ def test_derivative_check_fails_on_a_negative_certified_bound(monkeypatch):
     assert check.detail.endswith("rhs < 0 at 1 probes")
 
 
-def test_cli_fit_non_finite_csv_exits_2(tmp_path, capsys):
-    path = tmp_path / "nan.csv"
-    path.write_text("x1,y\n1.0,2.0\nnan,3.0\n")
-    assert run_cli("fit", "svgp", "--data", str(path)) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ParseError: line 3: dataset contains NaN or Inf")
+# A field of 200 001 characters, past csv.field_size_limit() (131072 by default)
+LONG_FIELD = "0." + "0" * 199998 + "1"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x1,y\n1.0,2.0\nnan,3.0\n",
+     "ParseError: line 3: dataset contains NaN or Inf: x1 = 'nan'"),
+    ("x1,y\r\n", "EmptyFile: {path} has a header but no data rows"),
+    ("x1,y\n1_0," + LONG_FIELD + "\n",  # the 1_0 field sends the file row by row
+     "ParseError: line 2: field larger than field limit (131072)"),
+    ("x" * 200000 + ",y\n1,2\n", "ParseError: line 1: field larger than field limit (131072)"),
+], ids=["nan", "header-only", "long-field", "long-header"])
+def test_cli_fit_bad_csv_exits_2_with_one_line(text, message, tmp_path, capsys):
+    # a typed error, not a traceback (exit 1)
+    path = tmp_path / "bad.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert run_cli("fit", "svgp", "--data", str(path), "--m", "1") == 2
+    assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
 
 
 def test_overflowed_gram_is_a_typed_error():
@@ -466,17 +483,21 @@ def test_overflowed_gram_is_a_typed_error():
         "name": "setup", "status": "error", "detail": message}]
 
 
-# The check statuses of the regression configs of ROADMAP item 1 (n <= 800),
-# every other check passing. A change that moves a status must update this
-# pin and say so in CHANGES.md.
+# The check statuses of the regression configs of ROADMAP item 1 and of
+# the n=400 unlinked-ridge and n=2000 runs, every other check passing. This
+# is the one status pin: a change that moves a status must update it and
+# say so in CHANGES.md.
 PINNED_STATUSES = [
     ({}, {}),
     ({"d": 3}, {}),
+    ({"select": "uniform"}, {}),
     ({"ridge": 0.01}, {}),
+    ({"ridge": 0.01, "n": 400, "m": 24}, {"psi_maps_mu_star_to_beta": "fail"}),
     ({"kernel_family": "polynomial"},
      {"psi_maps_mu_star_to_beta": "fail", "derivative_bound": "skipped"}),
     ({"n": 300, "m": 20}, {"psi_maps_mu_star_to_beta": "fail"}),
     ({"n": 800, "m": 40}, {"psi_maps_mu_star_to_beta": "fail"}),
+    ({"n": 2000, "m": 60}, {"psi_maps_mu_star_to_beta": "fail"}),
     ({"n": 60, "m": 30, "noise_var": 1e-4},
      {"svgp_nystrom_equivalence": "fail", "nystrom_two_routes": "fail",
       "psi_maps_mu_star_to_beta": "fail", "excess_risk_identity": "fail"}),
@@ -488,8 +509,9 @@ PINNED_STATUSES = [
 
 
 @pytest.mark.parametrize("over, expected", PINNED_STATUSES,
-                         ids=["defaults", "d3", "ridge0.01", "polynomial", "n300", "n800",
-                              "noise1e-4", "uniform800"])
+                         ids=["defaults", "d3", "uniform", "ridge0.01", "ridge0.01-n400",
+                              "polynomial", "n300", "n800", "n2000", "noise1e-4",
+                              "uniform800"])
 def test_check_statuses_are_pinned_on_the_regression_configs(over, expected,
                                                             symmetric_copies):
     report = run_verification(ExperimentConfig(**over))
