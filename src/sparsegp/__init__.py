@@ -16,7 +16,7 @@ from .data import (Dataset, load_csv, synth_fixed_function_dataset,
                    synth_prior_dataset, write_csv)
 from .exact import GpPosterior, fit_gpr, fit_krr, regularized_risk
 from .harness import (ExperimentConfig, VerificationReport, emit_report,
-                      run_verification)
+                      run_verification, verify_problem)
 from .kernels import (GaussianKernel, Kernel, KernelExpansion, PolynomialKernel,
                       make_kernel)
 from .linalg import SpdFactor, factor_spd, logdet, operator_norm, solve

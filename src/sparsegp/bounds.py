@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .data import Dataset
-from .errors import DimensionMismatch, InternalInconsistency, InvalidCount
+from .errors import DimensionMismatch, InternalInconsistency, InvalidCount, InvalidParameter
 from .exact import GpPosterior, regularized_risk
 from .kernels import Kernel, KernelExpansion, as_points
 from .linalg import (SpdFactor, _check_positive, logdet, lower_solve, noise_factor,
@@ -302,9 +302,10 @@ def rkhs_distance_sq(prob: SparseProblem) -> float:
 
 def rkhs_distance_bound(prob: SparseProblem) -> BoundRecord:
     """||f_exact - f_nystrom||^2 <= 2 tr(k_XX - q_XX) ||y||^2 / (n ridge)^2."""
-    lhs = rkhs_distance_sq(prob)
-    rhs = 2.0 * prob.nystrom.trace_gap * prob.y_sq / (prob.n * prob.ridge) ** 2
-    return BoundRecord(lhs, rhs)
+    scale = (prob.n * prob.ridge) ** 2
+    if scale == 0.0:  # a +inf rhs would not serialize as JSON
+        raise InvalidParameter(f"ridge {prob.ridge:g} is too small: (n ridge)^2 underflows to 0")
+    return BoundRecord(rkhs_distance_sq(prob), 2.0 * prob.nystrom.trace_gap * prob.y_sq / scale)
 
 
 def derivative_gap_bounds(prob: SparseProblem, X, js) -> tuple[np.ndarray, np.ndarray]:

@@ -29,9 +29,10 @@ from dataclasses import fields, replace
 import numpy as np
 
 from .data import format_rows, load_csv, synth_prior_dataset, write_csv
-from .errors import SparseGpError
+from .errors import InvalidParameter, SparseGpError
 from .exact import fit_krr
 from .harness import ExperimentConfig, emit_report, run_verification
+from .kernels import _check_lengthscale
 from .linalg import _check_positive
 from .nystrom import fit_nystrom, nystrom_factor, select_inducing
 
@@ -70,11 +71,12 @@ def seed(text: str) -> int:
 
 
 def lengthscale(text: str) -> float:
-    """The value of --gamma: a Gaussian length-scale, finite and greater than 0."""
+    """The value of --gamma: a Gaussian length-scale, by the kernel's rule."""
     value = float(text)
-    if not 0 < value < np.inf:
-        raise argparse.ArgumentTypeError(
-            f"length-scale gamma must be finite and > 0, got {value:g}")
+    try:
+        _check_lengthscale(value)
+    except InvalidParameter as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return value
 
 

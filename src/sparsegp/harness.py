@@ -2,9 +2,11 @@
 
 `make_problem` builds the seeded synthetic instance of a configuration.
 CHECKS is the one table of the suite's checks, (name, run) in report
-order; `run_verification` runs all of them, or a named subset, on that
-instance and assembles a VerificationReport. `sparsegp verify` prints the
-whole report, `sparsegp bounds NAME` the report of NAME's checks. Wall-clock
+order; `verify_problem` runs all of them, or a named subset, on any
+instance handed to it, and is the one place a check is called and
+recorded. `run_verification` is `make_problem` then `verify_problem`,
+assembled into a VerificationReport. `sparsegp verify` prints the whole
+report, `sparsegp bounds NAME` the report of NAME's checks. Wall-clock
 times are recorded per check but kept out of the JSON serialization so
 identical configs produce byte-identical reports.
 """
@@ -148,22 +150,22 @@ def make_problem(config: ExperimentConfig) -> tuple[bnd.SparseProblem, bnd.Spars
 
 
 # The checks. Each reads (problem at noise_var, problem at the ridge, grid,
-# config) and returns a BoundRecord or an (ok, detail) pair. Of the config
-# they read only the seed of their probes; the rest comes from the problem.
+# seed) and returns a BoundRecord or an (ok, detail) pair. Only the probe
+# checks read the seed; everything else comes from the problems.
 
-def _equivalence(prob, ridge_prob, grid, config):
+def _equivalence(prob, ridge_prob, grid, seed):
     gap = float(np.max(np.abs(prob.nystrom.mean.predict_many(grid)
                               - prob.ridge_fit.predict_many(grid))))
     return gap <= bnd.TOLERANCE, f"max |m*(x) - nystrom(x)| = {gap:.3g}"
 
 
-def _nystrom_routes(prob, ridge_prob, grid, config):
+def _nystrom_routes(prob, ridge_prob, grid, seed):
     a, b = ridge_prob.ridge_fit, ridge_prob.ridge_fit_via_q
     gap = float(np.max(np.abs(a.predict_many(grid) - b.predict_many(grid))))
     return gap <= bnd.TOLERANCE, f"max route disagreement = {gap:.3g}"
 
 
-def _elbo_decomposition(prob, ridge_prob, grid, config):
+def _elbo_decomposition(prob, ridge_prob, grid, seed):
     # The four-term expansion of -2 s2 ELBO at the optimum against the
     # factor's determinant-lemma form of the same number, both on the
     # factor's V: a wrong V is left to the equivalence and KL checks.
@@ -174,16 +176,16 @@ def _elbo_decomposition(prob, ridge_prob, grid, config):
     return ok, f"decomposition residual = {resid:.3g}"
 
 
-def _psi_coefficients(prob, ridge_prob, grid, config):
+def _psi_coefficients(prob, ridge_prob, grid, seed):
     gap = float(np.max(np.abs(psi_forward(prob.ind, prob.optimal_state.mu)
                               - prob.ridge_fit.coef)))
     return gap <= bnd.TOLERANCE, f"max |k_ZZ^-1 mu* - beta| = {gap:.3g}"
 
 
-def _optimality(prob, ridge_prob, grid, config):
+def _optimality(prob, ridge_prob, grid, seed):
     # Probes perturb (u*, R*) itself; R* and each probe's R are upper triangular.
     state, m = prob.optimal_state, prob.ind.m
-    probe_rng = np.random.default_rng(config.seed + 2)
+    probe_rng = np.random.default_rng(seed + 2)
     states = [state]
     for _ in range(20):
         delta = probe_rng.standard_normal(m) * 0.1
@@ -194,25 +196,25 @@ def _optimality(prob, ridge_prob, grid, config):
     return worst_gain <= bnd.TOLERANCE, f"best probe gain = {worst_gain:.3g}"
 
 
-def _kl_two_path(prob, ridge_prob, grid, config):
+def _kl_two_path(prob, ridge_prob, grid, seed):
     return prob.kl >= -1e-10, f"KL = {prob.kl:.6g}"
 
 
-def _fixed_point(prob, ridge_prob, grid, config):
+def _fixed_point(prob, ridge_prob, grid, seed):
     resid = stationarity_residual(prob.nystrom, prob.optimal_state)
     return resid <= 1e-6, f"max stationarity residual = {resid:.3g}"
 
 
-def _excess_risk_identity(prob, ridge_prob, grid, config):
+def _excess_risk_identity(prob, ridge_prob, grid, seed):
     # n * excess = s2 * (quad_q - quad_k) with s2 = n * ridge
     direct = ridge_prob.noise_var * ridge_prob.quadratic_form_gap
     resid = abs(prob.n * ridge_prob.excess_risk - direct)
     return resid <= bnd.TOLERANCE * max(1.0, abs(direct)), f"identity residual = {resid:.3g}"
 
 
-def _derivative(prob, ridge_prob, grid, config):
+def _derivative(prob, ridge_prob, grid, seed):
     d = prob.data.d
-    probe_rng = np.random.default_rng(config.seed + 6)
+    probe_rng = np.random.default_rng(seed + 6)
     X = np.empty((20, d))
     js = np.empty(20, dtype=int)
     for i in range(20):
@@ -232,8 +234,8 @@ def _derivative(prob, ridge_prob, grid, config):
     return ok, f"worst lhs={lhs[i]:.3g} rhs={rhs[i]:.3g} over 20 probes, 0 skipped{note}"
 
 
-def _worst_case(prob, ridge_prob, grid, config):
-    probe_rng = np.random.default_rng(config.seed + 3)
+def _worst_case(prob, ridge_prob, grid, seed):
+    probe_rng = np.random.default_rng(seed + 3)
     X = probe_rng.uniform(-3.5, 3.5, size=(100, prob.data.d))
     # Probes that collide with a training input are skipped; if all of them
     # are, nothing was checked and the check fails.
@@ -245,14 +247,14 @@ def _worst_case(prob, ridge_prob, grid, config):
     return resid.size > 0 and worst <= bnd.TOLERANCE, detail
 
 
-def _expected_kl(prob, ridge_prob, grid, config):
+def _expected_kl(prob, ridge_prob, grid, seed):
     mc, stderr, lo, hi = bnd.expected_kl_sandwich(prob)
     stderr3 = 3.0 * stderr
     ok = lo <= hi and mc + stderr3 >= lo - 1e-10 and mc - stderr3 <= hi + 1e-10
     return ok, f"mc={mc:.6g} band=[{lo:.6g},{hi:.6g}] 3se={stderr3:.3g}"
 
 
-def _expected_excess(prob, ridge_prob, grid, config):
+def _expected_excess(prob, ridge_prob, grid, seed):
     rec, stderr = bnd.expected_excess_risk_lower_bound(ridge_prob)
     ok = rec.lhs <= rec.rhs + 3.0 * stderr + 1e-10
     return ok, f"lhs={rec.lhs:.6g} mc={rec.rhs:.6g} 3se={3 * stderr:.3g}"
@@ -280,24 +282,31 @@ CHECKS = (
 )
 
 
-def run_verification(config: ExperimentConfig, names=None) -> VerificationReport:
+def verify_problem(prob, ridge_prob, grid, seed: int, names=None) -> list[CheckResult]:
     """Run the checks of CHECKS named in `names` (all of them when None), in
-    report order, on the instance `make_problem` builds from `config`.
+    report order, on the problem at noise_var, the problem at the ridge
+    (`prob` itself when the ridge is linked) and the grid; the probe checks
+    draw their probes from seed + 2, + 3 and + 6.
 
-    The checks share one SparseProblem, so its matrices and its
-    Monte-Carlo sample are built once per run, and only those the run's
-    checks read; a second problem is built only when the ridge is not
-    linked to the noise. A set-up that fails is reported as one "setup"
-    error, a check that raises as that check's error."""
-    report = VerificationReport(config=config.to_dict())
+    The checks share the two problems, so their matrices and Monte-Carlo
+    samples are built once, and only those the checks read. A check that
+    raises a library error is reported as that check's error."""
+    return [_record(name, run, prob, ridge_prob, grid, seed) for name, run in CHECKS
+            if names is None or name in names]
+
+
+def run_verification(config: ExperimentConfig, names=None) -> VerificationReport:
+    """`verify_problem` on the instance `make_problem` builds from
+    `config`, with config.seed, as a report. A second problem is built only
+    when the ridge is not linked to the noise. A set-up that fails is
+    reported as one "setup" error."""
     try:
         instance = make_problem(config)
     except (SparseGpError, ValueError) as exc:
-        report.checks.append(CheckResult("setup", "error", f"{type(exc).__name__}: {exc}"))
-        return report
-    report.checks = [_record(name, run, *instance, config) for name, run in CHECKS
-                     if names is None or name in names]
-    return report
+        checks = [CheckResult("setup", "error", f"{type(exc).__name__}: {exc}")]
+    else:
+        checks = verify_problem(*instance, config.seed, names)
+    return VerificationReport(config.to_dict(), checks)
 
 
 def emit_report(report: VerificationReport, fmt: str = "json") -> str:

@@ -52,6 +52,15 @@ def _check_input_dim(input_dim: int) -> None:
         raise InvalidParameter(f"input dimension d must be >= 1, got {input_dim}")
 
 
+def _check_lengthscale(gamma: float) -> None:
+    """InvalidParameter unless gamma > 0 and 0 < gamma^2 < inf: every Gram
+    entry and derivative divides by gamma^2."""
+    if not 0 < gamma < np.inf:
+        raise InvalidParameter(f"length-scale gamma must be finite and > 0, got {gamma:g}")
+    if not 0 < float(gamma) * float(gamma) < np.inf:
+        raise InvalidParameter(f"length-scale gamma needs gamma^2 finite and > 0, got {gamma:g}")
+
+
 @dataclass(frozen=True)
 class GaussianKernel:
     """k(x, x') = exp(-||x - x'||^2 / gamma^2), so k(x, x) = 1."""
@@ -61,8 +70,7 @@ class GaussianKernel:
 
     def __post_init__(self):
         _check_input_dim(self.input_dim)
-        if not 0 < self.lengthscale < np.inf:
-            raise InvalidParameter("lengthscale must be finite and positive")
+        _check_lengthscale(self.lengthscale)
 
     def gram(self, A, B=None) -> np.ndarray:
         A = as_points(A, self.input_dim)

@@ -2,6 +2,28 @@ import numpy as np
 import pytest
 
 from sparsegp import linalg
+from sparsegp.data import Dataset
+from sparsegp.kernels import GaussianKernel
+
+
+@pytest.fixture
+def kernel():
+    return GaussianKernel(lengthscale=1.0)
+
+
+def _random_dataset(n, seed, d=1):
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-3, 3, size=(n, d))
+    y = rng.standard_normal(n)
+    y *= min(1.0, 10.0 / np.linalg.norm(y))
+    return Dataset(X, y)
+
+
+@pytest.fixture
+def random_dataset():
+    """random_dataset(n, seed, d=1): X ~ U[-3, 3]^(n x d) and standard
+    normal targets scaled to norm at most 10, from one seeded generator."""
+    return _random_dataset
 
 
 @pytest.fixture

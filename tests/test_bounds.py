@@ -12,22 +12,9 @@ from sparsegp.data import Dataset
 from sparsegp import bounds
 from sparsegp.errors import InternalInconsistency, UnsupportedKernel
 from sparsegp.exact import fit_krr
-from sparsegp.kernels import GaussianKernel, PolynomialKernel
+from sparsegp.kernels import PolynomialKernel
 from sparsegp.linalg import logdet, noise_factor, solve
 from sparsegp.nystrom import fit_nystrom, make_inducing, q_gram, select_inducing, trace_gap
-
-
-@pytest.fixture
-def kernel():
-    return GaussianKernel(lengthscale=1.0)
-
-
-def random_dataset(n, seed, d=1):
-    rng = np.random.default_rng(seed)
-    X = rng.uniform(-3, 3, size=(n, d))
-    y = rng.standard_normal(n)
-    y *= min(1.0, 10.0 / np.linalg.norm(y))
-    return Dataset(X, y)
 
 
 def random_inducing(kernel, m, seed):
@@ -44,7 +31,7 @@ def test_bound_record_slack_and_holds():
     assert BoundRecord(1.0 + 1e-12, 1.0).holds
 
 
-def test_gap_diagnostics_orderings(kernel):
+def test_gap_diagnostics_orderings(kernel, random_dataset):
     data = random_dataset(25, 0)
     ind = random_inducing(kernel, 4, 1)
     prob = SparseProblem(kernel, data, ind, 0.3)
@@ -61,13 +48,13 @@ def test_gap_diagnostics_orderings(kernel):
     assert prob.nystrom.trace_gap == pytest.approx(t, rel=1e-10)
 
 
-def test_kl_zero_when_inducing_covers_data(kernel):
+def test_kl_zero_when_inducing_covers_data(kernel, random_dataset):
     data = random_dataset(12, 2)
     ind = make_inducing(kernel, data.inputs)
     assert SparseProblem(kernel, data, ind, 0.3).kl == pytest.approx(0.0, abs=1e-8)
 
 
-def test_kl_nonnegative_and_matches_explicit_formula(kernel):
+def test_kl_nonnegative_and_matches_explicit_formula(kernel, random_dataset):
     data = random_dataset(20, 3)
     ind = random_inducing(kernel, 4, 4)
     s2 = 0.3
@@ -82,7 +69,7 @@ def test_kl_nonnegative_and_matches_explicit_formula(kernel):
     assert kl == pytest.approx(explicit, rel=1e-8, abs=1e-10)
 
 
-def test_burt_bound_holds_and_intermediate_is_tighter(kernel):
+def test_burt_bound_holds_and_intermediate_is_tighter(kernel, random_dataset):
     data = random_dataset(30, 5)
     ind = random_inducing(kernel, 5, 6)
     loose, tight = burt_upper_bound(SparseProblem(kernel, data, ind, 0.3))
@@ -93,7 +80,7 @@ def test_burt_bound_holds_and_intermediate_is_tighter(kernel):
         2 * SparseProblem(kernel, data, ind, 0.3).kl, rel=1e-10)
 
 
-def test_quadratic_form_gap_bound(kernel):
+def test_quadratic_form_gap_bound(kernel, random_dataset):
     data = random_dataset(25, 7)
     ind = random_inducing(kernel, 4, 8)
     s2 = 0.4
@@ -107,7 +94,7 @@ def test_quadratic_form_gap_bound(kernel):
     assert rec.lhs == pytest.approx(direct, rel=1e-8)
 
 
-def test_excess_risk_nonnegative_and_zero_at_full_cover(kernel):
+def test_excess_risk_nonnegative_and_zero_at_full_cover(kernel, random_dataset):
     data = random_dataset(15, 9)
     lam = 0.02
     assert SparseProblem(kernel, data, make_inducing(kernel, data.inputs),
@@ -116,7 +103,7 @@ def test_excess_risk_nonnegative_and_zero_at_full_cover(kernel):
     assert SparseProblem(kernel, data, ind, data.n * lam).excess_risk >= -1e-10
 
 
-def test_excess_risk_quadratic_form_identity(kernel):
+def test_excess_risk_quadratic_form_identity(kernel, random_dataset):
     # n * (risk gap) = s2 * (quadratic-form gap) with s2 = n * ridge
     data = random_dataset(20, 11)
     lam = 0.02
@@ -130,19 +117,19 @@ def test_excess_risk_quadratic_form_identity(kernel):
         s2 * quad_diff, rel=1e-8, abs=1e-12)
 
 
-def test_excess_risk_upper_bounds_hold(kernel):
+def test_excess_risk_upper_bounds_hold(kernel, random_dataset):
     data = random_dataset(30, 13)
     ind = random_inducing(kernel, 5, 14)
     assert excess_risk_upper_bound(SparseProblem(kernel, data, ind, data.n * 0.01)).holds
 
 
-def test_rkhs_distance_sq_zero_at_full_cover(kernel):
+def test_rkhs_distance_sq_zero_at_full_cover(kernel, random_dataset):
     data = random_dataset(12, 15)
     ind = make_inducing(kernel, data.inputs)
     assert rkhs_distance_sq(SparseProblem(kernel, data, ind, data.n * 0.05)) == pytest.approx(0.0, abs=1e-8)
 
 
-def test_rkhs_distance_controls_pointwise_gap(kernel):
+def test_rkhs_distance_controls_pointwise_gap(kernel, random_dataset):
     # |f_exact(x) - f_sparse(x)|^2 <= ||f_exact - f_sparse||^2 k(x, x)
     data = random_dataset(20, 16)
     lam = 0.05
@@ -156,20 +143,20 @@ def test_rkhs_distance_controls_pointwise_gap(kernel):
     assert np.all(gap**2 <= dist_sq * kernel.diag(xs) + 1e-10)
 
 
-def test_rkhs_distance_bound_holds(kernel):
+def test_rkhs_distance_bound_holds(kernel, random_dataset):
     data = random_dataset(30, 18)
     ind = random_inducing(kernel, 5, 19)
     assert rkhs_distance_bound(SparseProblem(kernel, data, ind, data.n * 0.02)).holds
 
 
-def test_derivative_gap_bound_holds(kernel):
+def test_derivative_gap_bound_holds(kernel, random_dataset):
     data = random_dataset(25, 20)
     ind = random_inducing(kernel, 5, 21)
     [lhs], [rhs] = derivative_gap_bounds(SparseProblem(kernel, data, ind, 0.3), [0.7], [0])
     assert lhs <= rhs + 1e-4 * max(1.0, abs(rhs))
 
 
-def test_derivative_gap_bound_rejects_polynomial():
+def test_derivative_gap_bound_rejects_polynomial(random_dataset):
     data = random_dataset(10, 22)
     poly = PolynomialKernel(degree=2, offset=1.0)
     ind = make_inducing(poly, data.inputs[:3])
@@ -177,7 +164,7 @@ def test_derivative_gap_bound_rejects_polynomial():
         derivative_gap_bounds(SparseProblem(poly, data, ind, 0.3), [0.0], [0])
 
 
-def test_worst_case_decomposition_residual(kernel):
+def test_worst_case_decomposition_residual(kernel, random_dataset):
     data = random_dataset(20, 23)
     ind = random_inducing(kernel, 4, 24)
     prob = SparseProblem(kernel, data, ind, 0.3)

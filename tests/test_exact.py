@@ -5,20 +5,7 @@ import scipy.stats
 from sparsegp.data import Dataset
 from sparsegp.errors import InvalidParameter
 from sparsegp.exact import fit_gpr, fit_krr, regularized_risk
-from sparsegp.kernels import GaussianKernel, KernelExpansion
-
-
-@pytest.fixture
-def kernel():
-    return GaussianKernel(lengthscale=1.0)
-
-
-def random_dataset(n, seed, d=1, kernel=None):
-    rng = np.random.default_rng(seed)
-    X = rng.uniform(-3, 3, size=(n, d))
-    y = rng.standard_normal(n)
-    y *= min(1.0, 10.0 / np.linalg.norm(y))
-    return Dataset(X, y)
+from sparsegp.kernels import KernelExpansion
 
 
 def span_rkhs_norm_sq(kernel, X, coef):
@@ -32,7 +19,7 @@ def test_krr_scalar_case(kernel):
     assert model.predict_many([0.0]) == pytest.approx([1.0])
 
 
-def test_krr_zero_targets(kernel):
+def test_krr_zero_targets(kernel, random_dataset):
     data = random_dataset(6, 0)
     data = Dataset(data.inputs, np.zeros(6))
     model = fit_krr(kernel, data, ridge=0.3)
@@ -40,7 +27,7 @@ def test_krr_zero_targets(kernel):
     assert np.array_equal(model.predict_many([1.234]), [0.0])
 
 
-def test_krr_coefficients_solve_system(kernel):
+def test_krr_coefficients_solve_system(kernel, random_dataset):
     data = random_dataset(9, 1)
     lam = 0.05
     model = fit_krr(kernel, data, lam)
@@ -49,7 +36,7 @@ def test_krr_coefficients_solve_system(kernel):
     assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(data.targets)
 
 
-def test_krr_minimality_random_probes(kernel):
+def test_krr_minimality_random_probes(kernel, random_dataset):
     data = random_dataset(5, 2)
     lam = 0.1
     model = fit_krr(kernel, data, lam)
@@ -65,7 +52,7 @@ def test_krr_minimality_random_probes(kernel):
         assert best <= objective(rng.standard_normal(5)) + 1e-12
 
 
-def test_krr_far_prediction_decays(kernel):
+def test_krr_far_prediction_decays(kernel, random_dataset):
     data = random_dataset(5, 4)
     model = fit_krr(kernel, data, 0.1)
     assert abs(model.predict_many([50.0])[0]) <= 1e-6
@@ -78,7 +65,7 @@ def test_krr_near_interpolation(kernel):
     assert model.predict_many(X) == pytest.approx(y, abs=1e-4)
 
 
-def test_fit_krr_is_the_gp_mean_at_n_ridge(kernel):
+def test_fit_krr_is_the_gp_mean_at_n_ridge(kernel, random_dataset):
     # one factor-and-solve: n * ridge is the same float as the old
     # n * ridge * I shift, so the fit is bit for bit the GP mean
     data = random_dataset(11, 17)
@@ -99,14 +86,14 @@ def test_gpr_scalar_case(kernel):
     assert post.cov([0.0])[0, 0] == pytest.approx(0.5)
 
 
-def test_gpr_prior_recovery_large_noise(kernel):
+def test_gpr_prior_recovery_large_noise(kernel, random_dataset):
     data = random_dataset(6, 5)
     post = fit_gpr(kernel, data, noise_var=1e12)
     assert abs(post.mean.predict_many([0.7])[0]) <= 1e-9
     assert post.cov([0.7])[0, 0] == pytest.approx(1.0, abs=1e-9)
 
 
-def test_gpr_mean_equals_krr(kernel):
+def test_gpr_mean_equals_krr(kernel, random_dataset):
     # GP posterior mean == KRR prediction when noise_var = n * ridge
     data = random_dataset(12, 6)
     s2 = 0.4
@@ -116,7 +103,7 @@ def test_gpr_mean_equals_krr(kernel):
     assert post.mean.predict_many(grid) == pytest.approx(model.predict_many(grid), abs=1e-8)
 
 
-def test_posterior_cov_far_and_symmetry(kernel):
+def test_posterior_cov_far_and_symmetry(kernel, random_dataset):
     data = random_dataset(6, 7)
     post = fit_gpr(kernel, data, 0.2)
     assert post.cov([60.0])[0, 0] == pytest.approx(1.0, abs=1e-6)
@@ -124,7 +111,7 @@ def test_posterior_cov_far_and_symmetry(kernel):
     assert post.cov(a, b)[0, 0] == pytest.approx(post.cov(b, a)[0, 0], rel=1e-12)
 
 
-def test_posterior_cov_psd(kernel):
+def test_posterior_cov_psd(kernel, random_dataset):
     data = random_dataset(10, 8)
     post = fit_gpr(kernel, data, 0.2)
     pts = np.random.default_rng(9).uniform(-3, 3, size=8)
@@ -133,7 +120,7 @@ def test_posterior_cov_psd(kernel):
     assert np.linalg.eigvalsh(C).min() >= -1e-8
 
 
-def test_batched_cov_matches_dense_formula(kernel):
+def test_batched_cov_matches_dense_formula(kernel, random_dataset):
     # k_AB - k_AX (k_XX + s2 I)^{-1} k_XB by a dense solve, for A x B blocks
     # and for B = A, whose diagonal lies in [0, k(x, x)]
     data = random_dataset(12, 18)
@@ -155,7 +142,7 @@ def test_batched_cov_matches_dense_formula(kernel):
     assert np.all(np.diag(C) >= -1e-12) and np.all(np.diag(C) <= kernel.diag(A) + 1e-12)
 
 
-def test_posterior_variance_bounded_by_prior(kernel):
+def test_posterior_variance_bounded_by_prior(kernel, random_dataset):
     data = random_dataset(10, 10)
     post = fit_gpr(kernel, data, 0.1)
     v = np.diag(post.cov(np.linspace(-4, 4, 30)))
@@ -180,7 +167,7 @@ def test_lml_scalar_cases(kernel):
     assert fit_gpr(kernel, two, 1.0).log_evidence() == pytest.approx(base - 1.0)
 
 
-def test_lml_matches_mvn_logpdf(kernel):
+def test_lml_matches_mvn_logpdf(kernel, random_dataset):
     data = random_dataset(10, 12)
     s2 = 0.3
     cov = kernel.gram(data.inputs) + s2 * np.eye(10)
@@ -190,20 +177,20 @@ def test_lml_matches_mvn_logpdf(kernel):
         == pytest.approx(expected, abs=1e-8)
 
 
-def test_regularized_risk_zero_function(kernel):
+def test_regularized_risk_zero_function(kernel, random_dataset):
     data = random_dataset(7, 13)
     risk = regularized_risk(np.zeros(7), 0.0, data, 0.1)
     assert risk == pytest.approx(np.mean(data.targets**2))
 
 
-def test_regularized_risk_rejects_negative_norm(kernel):
+def test_regularized_risk_rejects_negative_norm(kernel, random_dataset):
     # InvalidParameter, so a verify check that trips it reports an error
     data = random_dataset(7, 13)
     with pytest.raises(InvalidParameter, match="nonnegative"):
         regularized_risk(np.zeros(7), -1e-3, data, 0.1)
 
 
-def test_regularized_risk_quadratic_form_identity(kernel):
+def test_regularized_risk_quadratic_form_identity(kernel, random_dataset):
     # n * R_n(krr; y) with ridge = s2/n equals s2 * y^T (K + s2 I)^{-1} y
     data = random_dataset(15, 14)
     s2 = 0.5
@@ -215,7 +202,7 @@ def test_regularized_risk_quadratic_form_identity(kernel):
     assert data.n * risk == pytest.approx(s2 * quad, rel=1e-8)
 
 
-def test_regularized_risk_minimality(kernel):
+def test_regularized_risk_minimality(kernel, random_dataset):
     data = random_dataset(8, 15)
     lam = 0.2
     model = fit_krr(kernel, data, lam)

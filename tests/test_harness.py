@@ -11,7 +11,7 @@ from sparsegp import bounds
 from sparsegp.cli import build_parser, main
 from sparsegp.errors import InvalidParameter
 from sparsegp.harness import (CHECKS, CheckResult, ExperimentConfig, VerificationReport,
-                              emit_report, make_problem, run_verification)
+                              emit_report, make_problem, run_verification, verify_problem)
 from sparsegp.svgp import SvgpState
 
 
@@ -158,29 +158,41 @@ def test_expected_kl_check_fails_on_inverted_band(monkeypatch):
 
 def check_off_the_optimum(name, config, broken):
     """Check `name` on the instance of `config`, with the optimum (u*, R*)
-    its checks read replaced by broken(u*, R*): the (ok, detail) pair."""
+    its checks read replaced by broken(u*, R*): its CheckResult."""
     prob, ridge_prob, grid = make_problem(config)
     star = prob.optimal_state
     vars(prob)["optimal_state"] = SvgpState(prob.ind, *broken(star.u, star.R))
-    return dict(CHECKS)[name](prob, ridge_prob, grid, config)
+    (check,) = verify_problem(prob, ridge_prob, grid, config.seed, [name])
+    return check
 
 
 @pytest.mark.parametrize("broken", [
     lambda u, R: (0 * u, R), lambda u, R: (0.9 * u, R), lambda u, R: (u, 1.5 * R),
 ], ids=["zero-mean", "shrunk-mean", "inflated-R"])
 def test_fixed_point_check_fails_off_the_optimum(broken):
-    ok, detail = check_off_the_optimum("fixed_point_solver", small_config(), broken)
-    assert not ok, detail
+    check = check_off_the_optimum("fixed_point_solver", small_config(), broken)
+    assert check.status == "fail", check.detail
 
 
 def test_optimality_probes_fail_at_the_prior_mean():
     # at n=400, m=24 k_ZZ is ill-conditioned: probes of raw (mu, Sigma),
     # whitened through L_Z^{-1}, land far below any state, and passed even
     # at u = 0; probes of (u, R) themselves find a better state
-    ok, detail = check_off_the_optimum("elbo_optimality_probes",
-                                       ExperimentConfig(n=400, m=24),
-                                       lambda u, R: (0 * u, R))
-    assert not ok, detail
+    check = check_off_the_optimum("elbo_optimality_probes", ExperimentConfig(n=400, m=24),
+                                  lambda u, R: (0 * u, R))
+    assert check.status == "fail", check.detail
+
+
+@pytest.mark.parametrize("over, names", [
+    ({}, None), ({"ridge": 0.01}, None),
+    ({"ridge": 0.01}, ("kl_two_path", "excess_risk_bound", "derivative_bound")),
+], ids=["linked", "unlinked", "subset"])
+def test_run_verification_is_verify_problem_on_the_seeded_instance(over, names):
+    config = small_config(**over)
+    checks = verify_problem(*make_problem(config), config.seed, names)
+    assert [c.to_dict() for c in checks] == run_verification(config, names).to_dict()["checks"]
+    assert [c.name for c in checks] == [name for name, _ in CHECKS
+                                        if names is None or name in names]
 
 
 def test_empty_report_fails():
@@ -380,13 +392,21 @@ def test_zero_input_dimension_exits_2_naming_d(command, tmp_path, capsys):
                      (("fit", "svgp"), "0"), (("synth",), "-1"),
                      (("verify",), "inf"), (("bounds", "burt"), "inf"),
                      (("fit", "svgp"), "inf"), (("synth",), "inf"))),
+    *(((*cmd, "--gamma", v),
+       f"argument --gamma: length-scale gamma needs gamma^2 finite and > 0, got {v}")
+      for cmd, v in ((("verify",), "1e+200"), (("fit", "svgp"), "1e+200"),
+                     (("synth",), "1e+200"), (("verify",), "1e-200"),
+                     (("bounds", "burt"), "1e-200"))),
 ], ids=["synth-n", "synth-n0", "synth-seed", "fit-seed", "verify-n", "verify-seed",
         "bounds-seed", "verify-gamma", "bounds-gamma", "fit-gamma", "synth-gamma",
-        "verify-gamma-inf", "bounds-gamma-inf", "fit-gamma-inf", "synth-gamma-inf"])
+        "verify-gamma-inf", "bounds-gamma-inf", "fit-gamma-inf", "synth-gamma-inf",
+        "verify-gamma-sq-inf", "fit-gamma-sq-inf", "synth-gamma-sq-inf",
+        "verify-gamma-sq-0", "bounds-gamma-sq-0"])
 def test_negative_count_or_seed_is_a_usage_error(argv, message, tmp_path, capsys):
     # a usage error naming the flag (exit 2), not numpy's ValueError or, for
     # a length-scale --gamma <= 0 or infinite, a set-up error of the run (an
-    # infinite length-scale gives the rank-1 all-ones Gram)
+    # infinite length-scale gives the rank-1 all-ones Gram); a length-scale
+    # whose square overflows (a traceback) or underflows (a NaN Gram) too
     out = tmp_path / "f.csv"
     if argv[0] == "synth":
         argv = (*argv, "--out", str(out))
@@ -399,6 +419,20 @@ def test_negative_count_or_seed_is_a_usage_error(argv, message, tmp_path, capsys
     assert err.startswith(f"usage: sparsegp {argv[0]} ")
     assert err.rstrip().endswith(f"sparsegp {argv[0]}: error: {message}")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, code", [(("verify",), 1), (("bounds", "rkhs_distance"), 2)],
+                         ids=["verify", "bounds"])
+def test_underflowing_ridge_is_an_error_of_the_rkhs_check(command, code, capsys):
+    # (n ridge)^2 underflows to 0: the bound's division is a typed error of
+    # its check, not a ZeroDivisionError traceback or a non-JSON Infinity
+    argv = [*command, "--n", "5", "--m", "3", "--ridge", "1e-170", "--format", "json"]
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    check = next(c for c in json.loads(out)["checks"] if c["name"] == "rkhs_distance_bound")
+    detail = "InvalidParameter: ridge 1e-170 is too small: (n ridge)^2 underflows to 0"
+    assert check == {"name": "rkhs_distance_bound", "status": "error", "detail": detail}
+    assert err == ("" if code == 1 else f"error: {detail}\n")
 
 
 @pytest.mark.parametrize("ridge", ["-1", "0"])

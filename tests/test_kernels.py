@@ -173,6 +173,8 @@ def test_gaussian_gram_matches_sum_norms_to_rounding_for_d_above_2(d):
     lambda: PolynomialKernel(input_dim=0),
     lambda: GaussianKernel(lengthscale=np.inf),  # the rank-1 all-ones kernel
     lambda: GaussianKernel(lengthscale=np.nan),
+    lambda: GaussianKernel(lengthscale=1e200),  # gamma^2 overflows
+    lambda: GaussianKernel(lengthscale=np.float64(1e-200)),  # gamma^2 underflows, no warning
 ])
 def test_kernel_parameters_raise_typed_error(make):
     with pytest.raises(InvalidParameter):

@@ -14,19 +14,6 @@ from sparsegp.nystrom import (PIVOT_RTOL, fit_nystrom, make_inducing, nystrom_fa
 from sparsegp.svgp import psi_forward
 
 
-@pytest.fixture
-def kernel():
-    return GaussianKernel(lengthscale=1.0)
-
-
-def random_dataset(n, seed, d=1):
-    rng = np.random.default_rng(seed)
-    X = rng.uniform(-3, 3, size=(n, d))
-    y = rng.standard_normal(n)
-    y *= min(1.0, 10.0 / np.linalg.norm(y))
-    return Dataset(X, y)
-
-
 def test_make_inducing_rejects_duplicates(kernel):
     with pytest.raises(InvalidCount):
         make_inducing(kernel, np.array([[0.0], [0.0]]))
@@ -85,7 +72,7 @@ def test_projection_evaluates_via_q(kernel):
     assert val == pytest.approx(q_gram(ind, x[None, :], x2)[0, 0], abs=1e-10)
 
 
-def test_fit_nystrom_routes_agree(kernel):
+def test_fit_nystrom_routes_agree(kernel, random_dataset):
     # direct m x m system vs kernel-ridge regression under q
     data = random_dataset(30, 2)
     ind = make_inducing(kernel, np.array([[-2.0], [-0.5], [1.0], [2.5]]))
@@ -97,7 +84,7 @@ def test_fit_nystrom_routes_agree(kernel):
     assert direct.predict_many(xs) == pytest.approx(via_q.predict_many(xs), abs=1e-8)
 
 
-def test_fit_nystrom_exact_when_inducing_covers_data(kernel):
+def test_fit_nystrom_exact_when_inducing_covers_data(kernel, random_dataset):
     data = random_dataset(10, 3)
     ind = make_inducing(kernel, data.inputs)
     lam = 0.05
@@ -107,7 +94,7 @@ def test_fit_nystrom_exact_when_inducing_covers_data(kernel):
     assert sparse.predict_many(xs) == pytest.approx(full.predict_many(xs), abs=1e-8)
 
 
-def test_dtc_matches_exact_when_inducing_covers_data(kernel):
+def test_dtc_matches_exact_when_inducing_covers_data(kernel, random_dataset):
     # with Z = X the mean matches the exact posterior everywhere, and the
     # covariance matches once the k - q residual is added back
     data = random_dataset(10, 4)
@@ -124,7 +111,7 @@ def test_dtc_matches_exact_when_inducing_covers_data(kernel):
     assert fac.dtc_var(z)[0] == pytest.approx(exact.cov(z)[0, 0], abs=1e-8)
 
 
-def test_dtc_mean_matches_nystrom_regression(kernel):
+def test_dtc_mean_matches_nystrom_regression(kernel, random_dataset):
     # posterior mean of the sparse GP equals the sparse ridge fit at ridge = s2/n
     data = random_dataset(25, 5)
     ind = make_inducing(kernel, np.array([[-2.0], [0.0], [2.0]]))
@@ -149,7 +136,7 @@ def test_trace_gap_matches_direct_sum(kernel):
     assert trace_gap(ind, X) == pytest.approx(direct, rel=1e-10)
 
 
-def test_trace_gap_decreases_with_more_inducing(kernel):
+def test_trace_gap_decreases_with_more_inducing(kernel, random_dataset):
     data = random_dataset(40, 7)
     gaps = [trace_gap(select_inducing(kernel, data, m), data.inputs)
             for m in (1, 3, 6, 10)]
@@ -212,7 +199,7 @@ def selected_indices(data, ind):
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_select_inducing_greedy_matches_full_gram_reference(kernel, seed):
+def test_select_inducing_greedy_matches_full_gram_reference(kernel, random_dataset, seed):
     data = random_dataset(80, 30 + seed)
     ref, padded = full_gram_greedy(kernel, data.inputs, 12)
     assert not padded
@@ -220,7 +207,7 @@ def test_select_inducing_greedy_matches_full_gram_reference(kernel, seed):
     assert np.array_equal(ind.points, data.inputs[ref])
 
 
-def test_select_inducing_greedy_pads_past_rank_like_reference():
+def test_select_inducing_greedy_pads_past_rank_like_reference(random_dataset):
     # (x x' + 1)^2 in d=1 has rank 3, so asking for 5 points exhausts the
     # residual and pads with the lowest unchosen indices
     kernel = PolynomialKernel(degree=2, offset=1.0)
@@ -246,7 +233,8 @@ def test_select_inducing_takes_no_pivot_past_the_numerical_rank(seed):
 
 
 @pytest.mark.parametrize("update", [column_major_update, einsum_update])
-def test_select_inducing_pivots_do_not_depend_on_the_order_of_a_sum(kernel, update):
+def test_select_inducing_pivots_do_not_depend_on_the_order_of_a_sum(kernel, random_dataset,
+                                                                    update):
     # At n=800 the Gaussian kernel reaches its numerical rank well before
     # m=40; past it, residuals summed in another order would pick other
     # pivots unless selection stops at the relative floor and pads
@@ -257,7 +245,7 @@ def test_select_inducing_pivots_do_not_depend_on_the_order_of_a_sum(kernel, upda
     assert np.array_equal(ind.points, data.inputs[ref])
 
 
-def test_select_inducing_uniform_is_seeded_subset(kernel):
+def test_select_inducing_uniform_is_seeded_subset(kernel, random_dataset):
     data = random_dataset(20, 8)
     a = select_inducing(kernel, data, 5, strategy="uniform", seed=3)
     b = select_inducing(kernel, data, 5, strategy="uniform", seed=3)
@@ -266,7 +254,7 @@ def test_select_inducing_uniform_is_seeded_subset(kernel):
     assert all(tuple(p) in rows for p in a.points)
 
 
-def test_select_inducing_greedy_pads_past_a_repeated_input(kernel):
+def test_select_inducing_greedy_pads_past_a_repeated_input(kernel, random_dataset):
     # Row 1 repeats row 0's input. The Gaussian kernel at n=800 reaches its
     # numerical rank before m=40, and the padding takes each input once, at
     # its first row.
@@ -280,7 +268,7 @@ def test_select_inducing_greedy_pads_past_a_repeated_input(kernel):
     assert np.array_equal(padding, rest[:13])
 
 
-def test_select_inducing_uniform_draws_each_input_once(kernel):
+def test_select_inducing_uniform_draws_each_input_once(kernel, random_dataset):
     # Ten inputs, each on three rows: the draw is over the first rows, and
     # with no input repeated it is the draw over all rows.
     X = np.repeat(np.linspace(-3, 3, 10), 3)[:, None]
@@ -300,7 +288,7 @@ def test_select_inducing_needs_m_distinct_inputs(kernel, strategy):
         select_inducing(kernel, data, 11, strategy=strategy)
 
 
-def test_select_inducing_invalid_count(kernel):
+def test_select_inducing_invalid_count(kernel, random_dataset):
     data = random_dataset(5, 9)
     with pytest.raises(InvalidCount):
         select_inducing(kernel, data, 0)
@@ -308,13 +296,13 @@ def test_select_inducing_invalid_count(kernel):
         select_inducing(kernel, data, 6)
 
 
-def test_select_inducing_unknown_strategy(kernel):
+def test_select_inducing_unknown_strategy(kernel, random_dataset):
     with pytest.raises(InvalidParameter, match="^unknown selection strategy 'rpcholesky'$"):
         select_inducing(kernel, random_dataset(5, 9), 2, strategy="rpcholesky")
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0])
-def test_bad_noise_and_ridge_raise_typed_error(kernel, bad):
+def test_bad_noise_and_ridge_raise_typed_error(kernel, random_dataset, bad):
     data = random_dataset(20, seed=3)
     ind = select_inducing(kernel, data, 4)
     for call in (lambda: nystrom_factor(kernel, data, ind, bad),
@@ -331,7 +319,7 @@ def test_bad_noise_and_ridge_raise_typed_error(kernel, bad):
 
 @pytest.mark.parametrize("entry", [nystrom_factor, fit_nystrom, SparseProblem],
                          ids=["nystrom_factor", "fit_nystrom", "SparseProblem"])
-def test_kernel_other_than_the_inducing_sets_raises(kernel, entry):
+def test_kernel_other_than_the_inducing_sets_raises(kernel, random_dataset, entry):
     data = random_dataset(20, seed=3)
     ind = select_inducing(kernel, data, 4)
     with pytest.raises(InvalidParameter, match="build the inducing set with this kernel"):
@@ -349,7 +337,7 @@ SELECTIONS = ([(d, 300, 12, d, s) for d in (1, 2, 3, 5) for s in ("greedy_trace"
               + [(1, 800, 40, 7, "greedy_trace")])
 
 
-def selection_case(family, d, n, m, seed, strategy, monkeypatch):
+def selection_case(family, d, n, m, seed, strategy, monkeypatch, random_dataset):
     """The kernel, data and selected set of a SELECTIONS case, and whether
     greedy selection padded."""
     padded = []
@@ -363,10 +351,12 @@ def selection_case(family, d, n, m, seed, strategy, monkeypatch):
 @pytest.mark.parametrize("family", sorted(KERNELS))
 @pytest.mark.parametrize("d, n, m, seed, strategy", SELECTIONS)
 def test_factor_v_of_a_selected_set_is_the_v_built_over_its_points(family, d, n, m, seed,
-                                                                   strategy, monkeypatch):
+                                                                   strategy, monkeypatch,
+                                                                   random_dataset):
     # a greedy set's V is solved from the rows selection kept, a uniform
     # set's from rows built over Z; both are the V of a set made from Z
-    kernel, data, ind, padded = selection_case(family, d, n, m, seed, strategy, monkeypatch)
+    kernel, data, ind, padded = selection_case(family, d, n, m, seed, strategy, monkeypatch,
+                                                random_dataset)
     assert (ind.selection is None) == (strategy == "uniform")
     assert padded or n < 800
     V = nystrom_factor(kernel, data, ind, 0.1).features
@@ -379,9 +369,10 @@ def test_factor_v_of_a_selected_set_is_the_v_built_over_its_points(family, d, n,
 @pytest.mark.parametrize("d, n, m, seed, strategy",
                          [case for case in SELECTIONS if case[-1] == "greedy_trace"])
 def test_selection_rows_are_the_one_row_grams_at_the_points(family, d, n, m, seed, strategy,
-                                                           monkeypatch):
+                                                           monkeypatch, random_dataset):
     # every row of the kept K_ZX, a padded point's included
-    kernel, data, ind, _ = selection_case(family, d, n, m, seed, strategy, monkeypatch)
+    kernel, data, ind, _ = selection_case(family, d, n, m, seed, strategy, monkeypatch,
+                                          random_dataset)
     X, kzx = ind.selection
     Z = ind.points
     assert np.array_equal(X, data.inputs)
@@ -391,7 +382,7 @@ def test_selection_rows_are_the_one_row_grams_at_the_points(family, d, n, m, see
 
 
 @pytest.mark.parametrize("strategy", ["greedy_trace", "uniform"])
-def test_training_residual_is_the_woodbury_residual(kernel, strategy):
+def test_training_residual_is_the_woodbury_residual(kernel, random_dataset, strategy):
     # fitted is V^T u, so y - fitted is the residual behind the ELBO's
     # y^T (q_XX + s2 I)^{-1} y
     data = random_dataset(300, 2)
@@ -402,7 +393,7 @@ def test_training_residual_is_the_woodbury_residual(kernel, strategy):
     assert np.array_equal((y - fac.fitted).view(np.int64), (y - V.T @ e).view(np.int64))
 
 
-def test_factor_solves_the_selection_v_once_per_set(kernel):
+def test_factor_solves_the_selection_v_once_per_set(kernel, random_dataset):
     data = random_dataset(300, 5)
     ind = select_inducing(kernel, data, 12)
     a, b = nystrom_factor(kernel, data, ind, 0.1), nystrom_factor(kernel, data, ind, 0.5)

@@ -12,7 +12,7 @@ import pytest
 from sparsegp import bounds, harness, nystrom, svgp
 from sparsegp.data import Dataset
 from sparsegp.errors import FactorizationFailed
-from sparsegp.harness import ExperimentConfig, run_verification
+from sparsegp.harness import ExperimentConfig, make_problem, run_verification, verify_problem
 from sparsegp.kernels import GaussianKernel
 from sparsegp.nystrom import NystromFactor, select_inducing
 
@@ -119,22 +119,20 @@ def kept_arrays(obj, seen):
 @pytest.mark.parametrize("link", [True, False])
 def test_verify_run_builds_q_once_per_problem_and_keeps_two_n_by_n_arrays(monkeypatch, link):
     n = 400
-    q_shapes, problems = [], []
+    q_shapes = []
     q_gram = bounds.q_gram
     monkeypatch.setattr(bounds, "q_gram",
                         lambda ind, X: q_shapes.append(len(X)) or q_gram(ind, X))
-    make_problem = harness.make_problem
-    monkeypatch.setattr(harness, "make_problem",
-                        lambda config: problems.append(make_problem(config)) or problems[-1])
-    report = run_verification(ExperimentConfig(n=n, m=24, ridge=None if link else 0.01))
-    assert [c.name for c in report.checks] == CHECK_NAMES
+    config = ExperimentConfig(n=n, m=24, ridge=None if link else 0.01)
+    instance = make_problem(config)
+    checks = verify_problem(*instance, config.seed)
+    assert [c.name for c in checks] == CHECK_NAMES
     # One explicit q pass per problem: one problem when the ridge is linked,
     # two when it is not.
     assert q_shapes == [n] * (1 if link else 2)
     # Once every check has run, each problem keeps k_XX and the factor of
     # k_XX + s2 I and no other n x n array: not q_XX, the gap or the factor
     # of q_XX + s2 I.
-    (instance,) = problems
     for prob in instance[:2]:
         square = [A for A in kept_arrays(prob, set()) if A.shape == (n, n)]
         assert len(square) == 2
@@ -245,18 +243,12 @@ def assert_factor_failures(monkeypatch, link):
     # Refuse only the n x n factors built after set-up: the q side, and the
     # k side of an unlinked ridge problem, in each check that reads them.
     refuse.clear()
-    make_problem = harness.make_problem
-
-    def make_problem_then_refuse(config):
-        instance = make_problem(config)
-        refuse.append(True)
-        return instance
-
-    monkeypatch.setattr(harness, "make_problem", make_problem_then_refuse)
-    report = run_verification(config)
-    assert [c.name for c in report.checks] == CHECK_NAMES
+    instance = make_problem(config)
+    refuse.append(True)
+    checks = verify_problem(*instance, config.seed)
+    assert [c.name for c in checks] == CHECK_NAMES
     needs = Q_CHECKS if link else Q_CHECKS | RIDGE_K_CHECKS
-    for check in report.checks:
+    for check in checks:
         expected = "error" if check.name in needs else healthy[check.name]
         assert check.status == expected, (link, check.name, check.detail)
         if expected == "error":
@@ -340,7 +332,7 @@ def test_verify_run_builds_the_training_features_once_per_q_pass(monkeypatch, ri
     # independent side, builds V again: once per problem, and an unlinked
     # ridge adds a problem.
     config = ExperimentConfig(n=400, m=24, ridge=ridge)
-    X = harness.make_problem(config)[0].data.inputs
+    X = make_problem(config)[0].data.inputs
     on_training_inputs = []
     for mod in (nystrom, svgp):
         monkeypatch.setattr(mod, "_features", lambda ind, A, f=mod._features: (

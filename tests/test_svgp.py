@@ -4,27 +4,12 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from sparsegp.data import Dataset
 from sparsegp.errors import InvalidParameter
 from sparsegp.exact import fit_gpr
-from sparsegp.kernels import GaussianKernel
 from sparsegp.nystrom import fit_nystrom, make_inducing, nystrom_factor, q_diag, q_gram
 from sparsegp.svgp import (SvgpState, elbo, elbo_breakdown, elbos, feature_map_phi,
                            make_state, optimal_parameters, psi_forward, psi_inverse,
                            stationarity_residual)
-
-
-@pytest.fixture
-def kernel():
-    return GaussianKernel(lengthscale=1.0)
-
-
-def random_dataset(n, seed, d=1):
-    rng = np.random.default_rng(seed)
-    X = rng.uniform(-3, 3, size=(n, d))
-    y = rng.standard_normal(n)
-    y *= min(1.0, 10.0 / np.linalg.norm(y))
-    return Dataset(X, y)
 
 
 def random_state(kernel, m, seed):
@@ -117,7 +102,7 @@ def test_feature_map_inner_products(kernel):
     assert inner == pytest.approx(a.T @ state.sigma @ b, rel=1e-10, abs=1e-8)
 
 
-def test_elbo_at_most_evidence(kernel):
+def test_elbo_at_most_evidence(kernel, random_dataset):
     data = random_dataset(20, 7)
     s2 = 0.3
     evidence = fit_gpr(kernel, data, s2).log_evidence()
@@ -126,7 +111,7 @@ def test_elbo_at_most_evidence(kernel):
         assert elbo(factor_of(state, data, s2), state) <= evidence + 1e-10
 
 
-def test_elbo_equals_evidence_when_inducing_covers_data(kernel):
+def test_elbo_equals_evidence_when_inducing_covers_data(kernel, random_dataset):
     data = random_dataset(10, 8)
     s2 = 0.4
     ind = make_inducing(kernel, data.inputs)
@@ -135,7 +120,7 @@ def test_elbo_equals_evidence_when_inducing_covers_data(kernel):
         fit_gpr(kernel, data, s2).log_evidence(), abs=1e-8)
 
 
-def test_elbo_breakdown_terms_sum(kernel, dense_elbo):
+def test_elbo_breakdown_terms_sum(kernel, random_dataset, dense_elbo):
     # the terms sum to -2 s2 times the dense raw-coordinate ELBO
     data = random_dataset(15, 9)
     s2 = 0.25
@@ -147,7 +132,7 @@ def test_elbo_breakdown_terms_sum(kernel, dense_elbo):
         assert -2 * s2 * elbo(fac, state) == pytest.approx(ref, rel=1e-10)
 
 
-def test_elbo_breakdown_signs(kernel):
+def test_elbo_breakdown_signs(kernel, random_dataset):
     data = random_dataset(15, 10)
     s2 = 0.25
     state = random_state(kernel, 4, 11)
@@ -158,7 +143,7 @@ def test_elbo_breakdown_signs(kernel):
     assert br.residual_trace >= -1e-10
 
 
-def test_elbo_breakdown_kl_matches_gaussian_formula(kernel):
+def test_elbo_breakdown_kl_matches_gaussian_formula(kernel, random_dataset):
     state = random_state(kernel, 4, 12)
     data = random_dataset(10, 13)
     s2 = 0.3
@@ -171,7 +156,7 @@ def test_elbo_breakdown_kl_matches_gaussian_formula(kernel):
     assert br.kl_regularizer == pytest.approx(2 * s2 * kl, rel=1e-8)
 
 
-def test_optimal_parameters_maximize_elbo(kernel):
+def test_optimal_parameters_maximize_elbo(kernel, random_dataset):
     data = random_dataset(20, 14)
     s2 = 0.3
     rng = np.random.default_rng(15)
@@ -188,7 +173,7 @@ def test_optimal_parameters_maximize_elbo(kernel):
         assert elbo(fac, make_state(ind, mu, sigma)) <= best + 1e-10
 
 
-def test_optimal_elbo_closed_form(kernel):
+def test_optimal_elbo_closed_form(kernel, random_dataset):
     # L* is the q-model evidence minus the trace penalty
     data = random_dataset(25, 16)
     s2 = 0.35
@@ -203,7 +188,7 @@ def test_optimal_elbo_closed_form(kernel):
         ev_q - t / (2 * s2), rel=1e-8)
 
 
-def test_optimal_posterior_matches_dtc(kernel):
+def test_optimal_posterior_matches_dtc(kernel, random_dataset):
     data = random_dataset(20, 18)
     s2 = 0.3
     rng = np.random.default_rng(19)
@@ -217,7 +202,7 @@ def test_optimal_posterior_matches_dtc(kernel):
         assert v_opt == pytest.approx(v_dtc + gap, abs=1e-8)
 
 
-def test_optimal_mean_matches_sparse_ridge(kernel):
+def test_optimal_mean_matches_sparse_ridge(kernel, random_dataset):
     data = random_dataset(20, 20)
     s2 = 0.4
     rng = np.random.default_rng(21)
@@ -227,15 +212,15 @@ def test_optimal_mean_matches_sparse_ridge(kernel):
     assert np.allclose(psi_forward(ind, star.mu), model.coef, atol=1e-8)
 
 
-def stationarity_instance(kernel):
+def stationarity_instance(kernel, random_dataset):
     data = random_dataset(20, 22)
     rng = np.random.default_rng(23)
     ind = make_inducing(kernel, rng.uniform(-3, 3, size=(4, 1)))
     return data, ind
 
 
-def test_stationarity_residual_vanishes_at_optimum(kernel):
-    data, ind = stationarity_instance(kernel)
+def test_stationarity_residual_vanishes_at_optimum(kernel, random_dataset):
+    data, ind = stationarity_instance(kernel, random_dataset)
     fac = nystrom_factor(kernel, data, ind, 0.3)
     assert stationarity_residual(fac, optimal_parameters(fac)) <= 1e-12
 
@@ -245,18 +230,18 @@ def test_stationarity_residual_vanishes_at_optimum(kernel):
     (0.1, lambda s: SvgpState(s.inducing, s.u, (1 + 1e-4) * s.R)),
     (0.11, lambda s: s),
 ], ids=["mean", "covariance", "other-noise"])
-def test_stationarity_residual_flags_a_non_optimum(kernel, s2_star, broken):
+def test_stationarity_residual_flags_a_non_optimum(kernel, random_dataset, s2_star, broken):
     # a perturbed optimum at s2 = 0.1, or the optimum at s2 = 0.11, read at 0.1
-    data, ind = stationarity_instance(kernel)
+    data, ind = stationarity_instance(kernel, random_dataset)
     star = optimal_parameters(nystrom_factor(kernel, data, ind, s2_star))
     assert stationarity_residual(nystrom_factor(kernel, data, ind, 0.1), broken(star)) > 1e-6
 
 
-def test_state_functions_read_only_the_factors_v_trace_gap_data_and_noise(kernel):
+def test_state_functions_read_only_the_factors_v_trace_gap_data_and_noise(kernel, random_dataset):
     # With L_B, u*, the mean, m*(X) and the optimal ELBO taken away, every
     # SVGP function of a problem returns the same bits: none of them reads
     # the arithmetic that produced the optimum.
-    data, ind = stationarity_instance(kernel)
+    data, ind = stationarity_instance(kernel, random_dataset)
     fac = nystrom_factor(kernel, data, ind, 0.3)
     bare = dataclasses.replace(fac, b_factor=None, u=None, mean=None, fitted=None,
                                elbo=float("nan"))
@@ -272,9 +257,9 @@ def test_state_functions_read_only_the_factors_v_trace_gap_data_and_noise(kernel
 
 
 @pytest.mark.parametrize("call", [elbo, elbo_breakdown, stationarity_residual])
-def test_state_functions_reject_a_state_on_another_inducing_set(kernel, call):
+def test_state_functions_reject_a_state_on_another_inducing_set(kernel, random_dataset, call):
     # elbos is covered by test_batched_probes
-    data, ind = stationarity_instance(kernel)
+    data, ind = stationarity_instance(kernel, random_dataset)
     fac = nystrom_factor(kernel, data, ind, 0.3)
     state = optimal_parameters(nystrom_factor(kernel, data, make_inducing(kernel, ind.points),
                                               0.3))
