@@ -73,7 +73,10 @@ class SparseProblem:
     (explicit_q), whose ExplicitQ record keeps (q_XX + s2 I)^{-1} y,
     log det(q_XX + s2 I), tr(G) and ||G||_2 of the gap G = k_XX - q_XX and
     drops the factor of q_XX + s2 I and G; every explicit-q read goes
-    through that record. The log-det gap is taken once for the KL and both
+    through that record. K_XZ is built once, for the excess risk, the RKHS
+    distance and the q route; k_ZZ is never built here: the ridge fit, its
+    RKHS norm ||L_Z^T beta||^2 and the q route read the inducing set's
+    factor L_Z. The log-det gap is taken once for the KL and both
     expected-value bounds, which also read one Monte-Carlo sample of
     mc_samples targets, seeded with mc_seed. The sample is drawn and
     reduced in blocks of draws, so it takes O(n _MC_BLOCK) memory at any
@@ -186,24 +189,28 @@ class SparseProblem:
         return fit_nystrom(self.kernel, self.data, self.ind, self.ridge)
 
     @cached_property
+    def kxz(self) -> np.ndarray:
+        """K_XZ over the ridge fit's centers Z, read by the excess risk (the
+        fit's values at X), the RKHS distance and the q route."""
+        return self.kernel.gram(self.data.inputs, self.ind.points)
+
+    @cached_property
+    def ridge_fit_norm_sq(self) -> float:
+        """||f||^2 = beta^T k_ZZ beta = ||L_Z^T beta||^2 of the ridge fit,
+        on the set's factor of k_ZZ."""
+        return float(np.sum(np.square(self.ind.kzz_factor.lower.T @ self.ridge_fit.coef)))
+
+    @cached_property
     def excess_risk(self) -> float:
         """R_n(nystrom; y) - R_n(exact KRR; y) at ridge s2 / n, both by
         `regularized_risk`: the excess risk of `ridge_fit`. The exact side
         reads its values and norm off the kept k_XX, the sparse side off
-        `ridge_fit_grams`."""
+        K_XZ and the set's factor of k_ZZ."""
         alpha, beta = self.exact.mean.coef, self.ridge_fit.coef
         exact_at_X = self.kxx @ alpha
-        kxz, kzz = self.ridge_fit_grams
         r_exact = regularized_risk(exact_at_X, float(alpha @ exact_at_X), self.data, self.ridge)
-        r_sparse = regularized_risk(kxz @ beta, float(beta @ kzz @ beta), self.data, self.ridge)
+        r_sparse = regularized_risk(self.kxz @ beta, self.ridge_fit_norm_sq, self.data, self.ridge)
         return r_sparse - r_exact
-
-    @cached_property
-    def ridge_fit_grams(self) -> tuple[np.ndarray, np.ndarray]:
-        """K_XZ and k_ZZ over the ridge fit's centers Z, read by the excess
-        risk (its values at X and its RKHS norm) and the RKHS distance."""
-        return (self.kernel.gram(self.data.inputs, self.ind.points),
-                self.kernel.gram(self.ind.points))
 
     @cached_property
     def ridge_fit_via_q(self) -> KernelExpansion:
@@ -211,10 +218,9 @@ class SparseProblem:
         KRR with the kernel q, f(x) = q_X(x)^T (q_XX + s2 I)^{-1} y, mapped
         back to M. With q_X(x) = k_XZ k_ZZ^{-1} k_Z(x), f = k_Z(.)^T beta for
         beta = k_ZZ^{-1} k_ZX (q_XX + s2 I)^{-1} y. It reads the explicit
-        n x n q side, never `fit_nystrom`'s normal equations."""
-        Kzx = self.kernel.gram(self.ind.points, self.data.inputs)
+        n x n q side, never `fit_nystrom`'s least-squares solve."""
         return KernelExpansion(self.kernel, self.ind.points,
-                               solve(self.ind.kzz_factor, Kzx @ self.explicit_q.solve))
+                               solve(self.ind.kzz_factor, self.kxz.T @ self.explicit_q.solve))
 
     @cached_property
     def quadratic_form_gap(self) -> float:
@@ -295,16 +301,19 @@ def rkhs_distance_sq(prob: SparseProblem) -> float:
     """||f_exact - f_nystrom||^2 in the RKHS at ridge s2 / n, by Gram
     quadratic forms."""
     alpha = prob.exact.mean.coef
-    beta = prob.ridge_fit.coef
-    Kxz, Kzz = prob.ridge_fit_grams
-    return float(alpha @ prob.kxx @ alpha - 2.0 * alpha @ Kxz @ beta + beta @ Kzz @ beta)
+    cross = alpha @ prob.kxz @ prob.ridge_fit.coef
+    return float(alpha @ prob.kxx @ alpha - 2.0 * cross + prob.ridge_fit_norm_sq)
 
 
 def rkhs_distance_bound(prob: SparseProblem) -> BoundRecord:
     """||f_exact - f_nystrom||^2 <= 2 tr(k_XX - q_XX) ||y||^2 / (n ridge)^2."""
-    scale = (prob.n * prob.ridge) ** 2
-    if scale == 0.0:  # a +inf rhs would not serialize as JSON
-        raise InvalidParameter(f"ridge {prob.ridge:g} is too small: (n ridge)^2 underflows to 0")
+    n_ridge = float(prob.n * prob.ridge)
+    scale = n_ridge * n_ridge
+    # (n ridge)^2 = 0 makes the rhs +inf, which would not serialize as JSON;
+    # (n ridge)^2 = +inf makes it 0, an artefact of the overflow.
+    if not 0.0 < scale < np.inf:
+        size, fate = ("small", "underflows to 0") if scale == 0.0 else ("large", "overflows")
+        raise InvalidParameter(f"ridge {prob.ridge:g} is too {size}: (n ridge)^2 {fate}")
     return BoundRecord(rkhs_distance_sq(prob), 2.0 * prob.nystrom.trace_gap * prob.y_sq / scale)
 
 
@@ -338,7 +347,10 @@ def derivative_gap_bounds(prob: SparseProblem, X, js) -> tuple[np.ndarray, np.nd
         return (values[:p] - values[p:]) / (2.0 * FD_STEP)
 
     lhs = (partial(prob.nystrom.mean) - partial(prob.exact.mean)) ** 2
-    rhs = 2.0 * prob.nystrom.trace_gap * prob.y_sq * dd / prob.noise_var**2
+    # A bound past the largest float (2 / gamma^2 near it, say) is +inf: true,
+    # and certifying nothing.
+    with np.errstate(over="ignore"):
+        rhs = 2.0 * prob.nystrom.trace_gap * prob.y_sq * dd / prob.noise_var**2
     return lhs, rhs
 
 

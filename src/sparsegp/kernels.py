@@ -53,12 +53,15 @@ def _check_input_dim(input_dim: int) -> None:
 
 
 def _check_lengthscale(gamma: float) -> None:
-    """InvalidParameter unless gamma > 0 and 0 < gamma^2 < inf: every Gram
-    entry and derivative divides by gamma^2."""
+    """InvalidParameter unless gamma > 0, 0 < gamma^2 < inf and 2 / gamma^2 <
+    inf: every Gram entry divides by gamma^2, and the mixed second
+    derivative is 2 / gamma^2."""
     if not 0 < gamma < np.inf:
         raise InvalidParameter(f"length-scale gamma must be finite and > 0, got {gamma:g}")
     if not 0 < float(gamma) * float(gamma) < np.inf:
         raise InvalidParameter(f"length-scale gamma needs gamma^2 finite and > 0, got {gamma:g}")
+    if 2.0 / (float(gamma) * float(gamma)) == np.inf:
+        raise InvalidParameter(f"length-scale gamma needs 2/gamma^2 finite, got {gamma:g}")
 
 
 @dataclass(frozen=True)
@@ -106,7 +109,10 @@ class GaussianKernel:
             np.subtract(a2[start:start + rows, None] + b2, block, out=block)
             np.maximum(block, 0.0, out=block)
             np.negative(block, out=block)
-            block /= self.lengthscale**2
+            # A quotient past the largest float is -inf, whose exp is the 0.0
+            # that the kernel value underflows to anyway.
+            with np.errstate(over="ignore"):
+                block /= self.lengthscale**2
             np.exp(block, out=block)
         return K
 

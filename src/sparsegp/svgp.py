@@ -82,10 +82,10 @@ def psi_forward(ind: InducingSet, mu) -> np.ndarray:
 
 
 def psi_inverse(ind: InducingSet, alpha) -> np.ndarray:
-    """Recover mu = f_Z from span coefficients (f = k_Z(.)^T alpha)."""
-    alpha = np.asarray(alpha, dtype=float).ravel()
-    Kzz = ind.kernel.gram(ind.points)
-    return Kzz @ alpha
+    """Recover mu = f_Z = k_ZZ alpha = L_Z L_Z^T alpha from span
+    coefficients (f = k_Z(.)^T alpha), on the set's factor of k_ZZ."""
+    L = ind.kzz_factor.lower
+    return L @ (L.T @ np.asarray(alpha, dtype=float).ravel())
 
 
 def feature_map_phi(state: SvgpState, X) -> np.ndarray:

@@ -175,6 +175,7 @@ def test_gaussian_gram_matches_sum_norms_to_rounding_for_d_above_2(d):
     lambda: GaussianKernel(lengthscale=np.nan),
     lambda: GaussianKernel(lengthscale=1e200),  # gamma^2 overflows
     lambda: GaussianKernel(lengthscale=np.float64(1e-200)),  # gamma^2 underflows, no warning
+    lambda: GaussianKernel(lengthscale=np.float64(1e-160)),  # 2/gamma^2 overflows, no warning
 ])
 def test_kernel_parameters_raise_typed_error(make):
     with pytest.raises(InvalidParameter):

@@ -55,6 +55,8 @@ CLI_CASES = [
     (("fit", "svgp", "--noise-var", "inf"), "noise_var must be finite, got inf"),
     (("fit", "nystrom", "--ridge", "nan"), "ridge must be positive"),
     (("fit", "nystrom", "--ridge", "inf"), "ridge must be finite, got inf"),
+    # a finite ridge whose n * ridge overflows, not a fit of NaN rows
+    (("fit", "nystrom", "--ridge", "1e308"), "n * ridge must be finite, got inf"),
     (("fit", "exact", "--ridge", "nan"), "ridge must be positive"),
     (("bounds", "burt", "--ridge", "inf"), "ridge must be finite, got inf"),
     (("bounds", "burt", "--noise-var", "inf"), "noise_var must be finite, got inf"),

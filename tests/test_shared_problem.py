@@ -90,10 +90,14 @@ def test_verify_run_builds_each_n_by_n_matrix_once(monkeypatch):
     # whose eigensolves are j x j for a few dozen steps j.
     assert factor_dims.count(n) <= 2
     assert gram_shapes.count((n, n)) <= 1
-    # K_XZ by fit_nystrom, the q route's k_ZX, the explicit q pass, and once
-    # for the excess risk and the RKHS distance, which read the same ridge
-    # fit at X; nystrom_factor reads the rows greedy selection evaluated.
-    assert gram_shapes.count((n, 24)) + gram_shapes.count((24, n)) == 4
+    # K_XZ by fit_nystrom, by the explicit q pass, and once for the excess
+    # risk, the RKHS distance and the q route; nystrom_factor reads the rows
+    # greedy selection evaluated.
+    assert gram_shapes.count((n, 24)) + gram_shapes.count((24, n)) == 3
+    # k_ZZ is built and factored once, by make_inducing; every other read
+    # goes through that factor L_Z. The only other m x m factor is L_B.
+    assert gram_shapes.count((24, 24)) == 1
+    assert factor_dims.count(24) == 2
     # The evidence reads log det(k_XX + s2 I); the KL and both expected-value
     # bounds read the one kept log-det gap, which reads both factors once.
     assert 0 < logdet_dims.count(n) <= 3
@@ -119,10 +123,12 @@ def kept_arrays(obj, seen):
 @pytest.mark.parametrize("link", [True, False])
 def test_verify_run_builds_q_once_per_problem_and_keeps_two_n_by_n_arrays(monkeypatch, link):
     n = 400
-    q_shapes = []
+    q_shapes, factor_dims = [], []
     q_gram = bounds.q_gram
     monkeypatch.setattr(bounds, "q_gram",
                         lambda ind, X: q_shapes.append(len(X)) or q_gram(ind, X))
+    patch_factors(monkeypatch, lambda factor_spd: lambda A, *args, **kwargs: (
+        factor_dims.append(np.shape(A)[0]) or factor_spd(A, *args, **kwargs)))
     config = ExperimentConfig(n=n, m=24, ridge=None if link else 0.01)
     instance = make_problem(config)
     checks = verify_problem(*instance, config.seed)
@@ -130,6 +136,9 @@ def test_verify_run_builds_q_once_per_problem_and_keeps_two_n_by_n_arrays(monkey
     # One explicit q pass per problem: one problem when the ridge is linked,
     # two when it is not.
     assert q_shapes == [n] * (1 if link else 2)
+    # k_ZZ is factored once per inducing set, by make_inducing, and
+    # I + V V^T / s2 once per problem; no ridge fit factors an m x m matrix.
+    assert factor_dims.count(24) == (2 if link else 3)
     # Once every check has run, each problem keeps k_XX and the factor of
     # k_XX + s2 I and no other n x n array: not q_XX, the gap or the factor
     # of q_XX + s2 I.
