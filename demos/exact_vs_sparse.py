@@ -8,7 +8,7 @@ Run with: python3 demos/exact_vs_sparse.py
 import numpy as np
 
 from sparsegp import (Dataset, GaussianKernel, SparseProblem, fit_krr,
-                      fit_nystrom, rkhs_distance_sq, select_inducing,
+                      fit_nystrom, noise_of_ridge, rkhs_distance_sq, select_inducing,
                       synth_prior_dataset, trace_gap)
 
 
@@ -30,7 +30,7 @@ def main():
         ind = select_inducing(kernel, data, m, strategy="greedy_trace")
         sparse = fit_nystrom(kernel, data, ind, ridge)
         sup = float(np.max(np.abs(exact.predict_many(grid) - sparse.predict_many(grid))))
-        dist = rkhs_distance_sq(SparseProblem(kernel, data, ind, data.n * ridge))
+        dist = rkhs_distance_sq(SparseProblem(kernel, data, ind, noise_of_ridge(data.n, ridge)))
         t = trace_gap(ind, data.inputs)
         print(f"{m:>4} {t:>12.4e} {dist:>12.4e} {sup:>12.4e}")
 

@@ -14,7 +14,7 @@ from .bounds import (BoundRecord, SparseProblem, burt_upper_bound,
                      rkhs_distance_sq, worst_case_decompositions)
 from .data import (Dataset, load_csv, synth_fixed_function_dataset,
                    synth_prior_dataset, write_csv)
-from .exact import GpPosterior, fit_gpr, fit_krr, regularized_risk
+from .exact import GpPosterior, fit_gpr, fit_krr, noise_of_ridge, regularized_risk
 from .harness import (ExperimentConfig, VerificationReport, emit_report,
                       run_verification, verify_problem)
 from .kernels import (GaussianKernel, Kernel, KernelExpansion, PolynomialKernel,

@@ -4,9 +4,13 @@ Every bound reads one SparseProblem, which builds each matrix of a
 (kernel, data, Z, s2) instance once. Each bound is returned as a
 BoundRecord pairing the measured quantity with its certified upper (or
 lower) bound; `holds` uses the relative slack tolerance TOLERANCE.
-Ridge-side bounds use lambda = s2 / n. The explicit n x n q side that the
-closed forms are checked against is one ExplicitQ record per problem,
-`SparseProblem.explicit_q`.
+Ridge-side bounds read the problem at the ridge, `SparseProblem.at_ridge`,
+and are written in its own s2 = n lambda, so no bound converts a ridge.
+A certified bound that over- or underflow made vacuous (+inf, or 0 though
+every factor of it is positive) is an InvalidParameter naming the flag
+to change (`_certified`), never a check that passes. The explicit n x n q
+side that the closed forms are checked against is one ExplicitQ record
+per problem, `SparseProblem.explicit_q`.
 """
 
 from __future__ import annotations
@@ -18,11 +22,10 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DimensionMismatch, InternalInconsistency, InvalidCount, InvalidParameter
-from .exact import GpPosterior, regularized_risk
+from .exact import GpPosterior, noise_of_ridge, regularized_risk
 from .kernels import Kernel, KernelExpansion, as_points
-from .linalg import (SpdFactor, _check_positive, logdet, lower_solve, noise_factor,
-                     operator_norm, solve, upper_solve)
-from .nystrom import (InducingSet, NystromFactor, _check_kernel, fit_nystrom,
+from .linalg import SpdFactor, _check_positive, logdet, noise_factor, operator_norm, solve
+from .nystrom import (InducingSet, NystromFactor, _check_kernel, _woodbury, fit_nystrom,
                       nystrom_factor, q_diag, q_gram)
 from .svgp import SvgpState, optimal_parameters
 
@@ -83,8 +86,8 @@ class SparseProblem:
     mc_samples, and only its two quadratic forms per draw are kept. A
     caller that drew the targets through the factor of k_XX + s2 I passes
     it and k_XX as prior_kxx and prior_k_factor, and they are kept as they
-    are. A build that raises is not kept: every reader gets the same typed
-    error.
+    are; `at_ridge` passes its problem's k_XX on the same way. A build that
+    raises is not kept: every reader gets the same typed error.
     """
 
     kernel: Kernel
@@ -115,13 +118,15 @@ class SparseProblem:
 
     def at_ridge(self, ridge: float) -> SparseProblem:
         """The problem whose ridge is `ridge`: self when it already is, else
-        a new problem at s2 = n * ridge with the same Monte-Carlo settings
-        and prior_kxx; the factor of k_XX + s2 I is not the new problem's.
-        InvalidParameter unless ridge is positive and finite."""
-        _check_positive(ridge, "ridge")
+        a new problem at s2 = `noise_of_ridge`(n, ridge) with the same
+        Monte-Carlo settings that shares this problem's k_XX, so k_XX is
+        built once for both; the factor of k_XX + s2 I is not the new
+        problem's. InvalidParameter unless ridge is positive and finite and
+        n * ridge is finite."""
         if ridge == self.ridge:
             return self
-        return replace(self, noise_var=self.n * ridge, prior_k_factor=None)
+        return replace(self, noise_var=noise_of_ridge(self.n, ridge), prior_kxx=self.kxx,
+                       prior_k_factor=None)
 
     @cached_property
     def kxx(self) -> np.ndarray:
@@ -231,9 +236,7 @@ class SparseProblem:
     @cached_property
     def exact(self) -> GpPosterior:
         """Exact GP posterior; its mean is also the KRR fit at ridge s2 / n."""
-        alpha = solve(self.k_factor, self.data.targets)
-        return GpPosterior(mean=KernelExpansion(self.kernel, self.data.inputs, alpha),
-                           targets=self.data.targets, factor=self.k_factor)
+        return GpPosterior.from_factor(self.kernel, self.data, self.k_factor)
 
     @cached_property
     def y_sq(self) -> float:
@@ -247,21 +250,17 @@ class SparseProblem:
         the rows of rng.standard_normal((mc_samples, n)), drawn _MC_BLOCK
         rows at a time, so the sample does not depend on the block width,
         and each block is reduced before the next is drawn. The k side is
-        ||z||^2. The q side is Woodbury on the whitened factor in O(n m S):
-        U = L_B^{-T} L_B^{-1} V / s2 is solved for once, then each block
-        Y = L_k z^T costs three matrix products, e = U Y and r = Y - V^T e,
-        and is reduced to ||r||^2 / s2 + ||e||^2 (see `nystrom._woodbury`)."""
+        ||z||^2. The q side is the whitened factor's Woodbury solve
+        `nystrom._woodbury` on each block Y = L_k z^T, in O(n m S): e and
+        r = Y - V^T e, reduced to ||r||^2 / s2 + ||e||^2."""
         rng = np.random.default_rng(self.mc_seed)
         fac, s2 = self.nystrom, self.noise_var
-        V = fac.features
-        U = upper_solve(fac.b_factor, lower_solve(fac.b_factor, V) / s2)
         quad_k, quad_q = [], []
         for start in range(0, self.mc_samples, _MC_BLOCK):
             z = rng.standard_normal((min(_MC_BLOCK, self.mc_samples - start), self.n))
             quad_k.append(np.einsum("ij,ij->i", z, z))
             Y = self.k_factor.lower @ z.T
-            e = U @ Y
-            r = V.T @ e
+            e, r = _woodbury(fac.b_factor, fac.features, Y, s2)
             np.subtract(Y, r, out=r)
             quad_q.append(np.einsum("ij,ij->j", r, r) / s2 + np.einsum("ij,ij->j", e, e))
         return np.concatenate(quad_k), np.concatenate(quad_q)
@@ -271,8 +270,7 @@ def burt_upper_bound(prob: SparseProblem) -> tuple[BoundRecord, BoundRecord]:
     """Bounds on 2*KL: the loose (t/s2)(||y||^2/s2 + 1) and the tighter
     intermediate with ||y||^2/(t + s2)."""
     kl2 = 2.0 * prob.kl
-    s2 = prob.noise_var
-    t = prob.nystrom.trace_gap
+    t, s2 = prob.nystrom.trace_gap, prob.noise_var
     loose = (t / s2) * (prob.y_sq / s2 + 1.0)
     tight = (t / s2) * (prob.y_sq / (t + s2) + 1.0)
     return (
@@ -289,12 +287,34 @@ def quadratic_form_gap_bound(prob: SparseProblem) -> BoundRecord:
     return BoundRecord(prob.quadratic_form_gap, rhs)
 
 
+def _certified(rhs, factors, flag: str, value: float):
+    """rhs, a certified bound (a float or an array), unless over- or
+    underflow made it vacuous. rhs is the nonnegative `factors` (floats or
+    arrays, broadcast against each other) times a term that falls as the
+    parameter set by `flag`, here `value`, grows. An infinite rhs, where
+    that parameter is too small, or a rhs of 0 although every factor is
+    positive, where it is too large, certifies nothing: InvalidParameter
+    naming the flag."""
+    if np.any(np.isinf(rhs)):
+        raise InvalidParameter(f"{flag} {value:g} is too small: the bound overflows to inf")
+    if np.any((rhs == 0.0) & (np.min(np.broadcast_arrays(*factors), axis=0) > 0.0)):
+        raise InvalidParameter(f"{flag} {value:g} is too large: the bound underflows to 0")
+    return rhs
+
+
+def _rkhs_rhs(prob: SparseProblem, flag: str, value: float) -> float:
+    """The RKHS-distance bound 2 (t / s2)(||y||^2 / s2), t = tr(k_XX - q_XX),
+    at the problem's s2, certified in the parameter of `flag` (`_certified`)."""
+    t, s2 = prob.nystrom.trace_gap, prob.noise_var
+    return _certified(2.0 * (t / s2) * (prob.y_sq / s2), (t, prob.y_sq), flag, value)
+
+
 def excess_risk_upper_bound(prob: SparseProblem) -> BoundRecord:
-    """Excess risk vs its trace upper bound
-    ||y||^2 t / (n^2 ridge (t + n ridge))."""
-    n, ridge = prob.n, prob.ridge
-    t = prob.nystrom.trace_gap
-    return BoundRecord(prob.excess_risk, prob.y_sq * t / (n**2 * ridge * (t + n * ridge)))
+    """Excess risk at ridge s2 / n vs its trace upper bound
+    ||y||^2 / (n s2) * t / (t + s2), certified in --ridge."""
+    t, s2 = prob.nystrom.trace_gap, prob.noise_var
+    rhs = prob.y_sq / (prob.n * s2) * (t / (t + s2))
+    return BoundRecord(prob.excess_risk, _certified(rhs, (t, prob.y_sq), "--ridge", prob.ridge))
 
 
 def rkhs_distance_sq(prob: SparseProblem) -> float:
@@ -306,27 +326,24 @@ def rkhs_distance_sq(prob: SparseProblem) -> float:
 
 
 def rkhs_distance_bound(prob: SparseProblem) -> BoundRecord:
-    """||f_exact - f_nystrom||^2 <= 2 tr(k_XX - q_XX) ||y||^2 / (n ridge)^2."""
-    n_ridge = float(prob.n * prob.ridge)
-    scale = n_ridge * n_ridge
-    # (n ridge)^2 = 0 makes the rhs +inf, which would not serialize as JSON;
-    # (n ridge)^2 = +inf makes it 0, an artefact of the overflow.
-    if not 0.0 < scale < np.inf:
-        size, fate = ("small", "underflows to 0") if scale == 0.0 else ("large", "overflows")
-        raise InvalidParameter(f"ridge {prob.ridge:g} is too {size}: (n ridge)^2 {fate}")
-    return BoundRecord(rkhs_distance_sq(prob), 2.0 * prob.nystrom.trace_gap * prob.y_sq / scale)
+    """||f_exact - f_nystrom||^2 at ridge s2 / n vs 2 (t / s2)(||y||^2 / s2),
+    certified in --ridge."""
+    return BoundRecord(rkhs_distance_sq(prob), _rkhs_rhs(prob, "--ridge", prob.ridge))
 
 
 def derivative_gap_bounds(prob: SparseProblem, X, js) -> tuple[np.ndarray, np.ndarray]:
     """Squared gap of the js[i]-th partial derivatives of the sparse and
     exact posterior means at each row X[i] (lhs), against
-    2 t ||y||^2 d_j d'_j k(x,x) / s2^2 (rhs).
+    2 (t / s2)(||y||^2 / s2) d_j d'_j k(x,x) (rhs): the RKHS-distance bound
+    at this problem's s2 times d_j d'_j k(x,x).
 
     The derivatives are central finite differences with step FD_STEP, so
     callers compare lhs and rhs at a looser 1e-4 tolerance. The sparse mean
     (an expansion over Z) and the exact mean (over X) are evaluated on all
     2 P shifted points at once. A kernel without d_j d'_j k(x,x) raises
-    UnsupportedKernel."""
+    UnsupportedKernel. A rhs that overflows to +inf (or underflows to 0) is
+    an InvalidParameter naming --noise-var where the RKHS-distance bound
+    does, else --gamma."""
     kernel = prob.kernel
     X = as_points(X, kernel.input_dim)
     js = np.asarray(js, dtype=int).reshape(-1)
@@ -347,11 +364,9 @@ def derivative_gap_bounds(prob: SparseProblem, X, js) -> tuple[np.ndarray, np.nd
         return (values[:p] - values[p:]) / (2.0 * FD_STEP)
 
     lhs = (partial(prob.nystrom.mean) - partial(prob.exact.mean)) ** 2
-    # A bound past the largest float (2 / gamma^2 near it, say) is +inf: true,
-    # and certifying nothing.
-    with np.errstate(over="ignore"):
-        rhs = 2.0 * prob.nystrom.trace_gap * prob.y_sq * dd / prob.noise_var**2
-    return lhs, rhs
+    rkhs = _rkhs_rhs(prob, "--noise-var", prob.noise_var)
+    with np.errstate(over="ignore"):  # an overflow to inf is _certified's error
+        return lhs, _certified(rkhs * dd, (rkhs, dd), "--gamma", kernel.lengthscale)
 
 
 def training_collisions(prob: SparseProblem, X) -> np.ndarray:

@@ -4,7 +4,9 @@ These are the ground truths the sparse approximations are later measured
 against. Throughout, the GP prior mean is zero. The GP posterior mean is
 a KernelExpansion over the training inputs X with coefficients
 alpha = (k_XX + s2 I)^{-1} y; the KRR fit at ridge lambda is that mean at
-s2 = n * lambda.
+s2 = n * lambda. `noise_of_ridge` is the one place a ridge is turned into
+that noise variance: the Nystrom ridge fit and `SparseProblem.at_ridge`
+convert through it too.
 """
 
 from __future__ import annotations
@@ -25,6 +27,11 @@ class GpPosterior:
     targets: np.ndarray  # the y the posterior was fit to
     factor: SpdFactor  # Cholesky factor of k_XX + s2 I
 
+    @classmethod
+    def from_factor(cls, kernel: Kernel, data: Dataset, F: SpdFactor) -> GpPosterior:
+        """The posterior of `data` given F, the Cholesky factor of k_XX + s2 I."""
+        return cls(KernelExpansion(kernel, data.inputs, solve(F, data.targets)), data.targets, F)
+
     def cov(self, A, B=None) -> np.ndarray:
         """Posterior covariance k_AB - k_AX (k_XX + s2 I)^{-1} k_XB, |A| x |B|;
         B=None gives the exactly symmetric |A| x |A| matrix."""
@@ -40,19 +47,25 @@ class GpPosterior:
                      - 0.5 * n * np.log(2.0 * np.pi))
 
 
+def noise_of_ridge(n: int, ridge: float) -> float:
+    """The noise variance s2 = n * ridge linked to the ridge `ridge` over n
+    points. InvalidParameter unless ridge is positive and finite, or when
+    n * ridge overflows to inf."""
+    _check_positive(ridge, "ridge")
+    _check_positive(n * float(ridge), "n * ridge")
+    return n * float(ridge)
+
+
 def fit_krr(kernel: Kernel, data: Dataset, ridge: float) -> KernelExpansion:
     """Solve the regularized least-squares problem over the full RKHS: the
     GP posterior mean at noise_var = n * ridge, whose coefficients solve
     (k_XX + n*ridge*I) alpha = y."""
-    _check_positive(ridge, "ridge")
-    return fit_gpr(kernel, data, data.n * ridge).mean
+    return fit_gpr(kernel, data, noise_of_ridge(data.n, ridge)).mean
 
 
 def fit_gpr(kernel: Kernel, data: Dataset, noise_var: float) -> GpPosterior:
     """Exact GP posterior with zero prior mean."""
-    F = noise_factor(kernel.gram(data.inputs), noise_var)
-    return GpPosterior(mean=KernelExpansion(kernel, data.inputs, solve(F, data.targets)),
-                       targets=data.targets, factor=F)
+    return GpPosterior.from_factor(kernel, data, noise_factor(kernel.gram(data.inputs), noise_var))
 
 
 def regularized_risk(f_values_at_X: np.ndarray, rkhs_norm_sq: float,

@@ -206,7 +206,7 @@ def _fixed_point(prob, ridge_prob, grid, seed):
 
 
 def _excess_risk_identity(prob, ridge_prob, grid, seed):
-    # n * excess = s2 * (quad_q - quad_k) with s2 = n * ridge
+    # n * excess = s2 * (quad_q - quad_k), s2 the ridge problem's noise
     direct = ridge_prob.noise_var * ridge_prob.quadratic_form_gap
     resid = abs(prob.n * ridge_prob.excess_risk - direct)
     return resid <= bnd.TOLERANCE * max(1.0, abs(direct)), f"identity residual = {resid:.3g}"

@@ -12,7 +12,8 @@ L_Z = chol(k_ZZ). k_ZZ is built and factored once per inducing set, in
 `make_inducing`, and every reader of k_ZZ reads that factor L_Z.
 `fit_nystrom` stays in raw beta coordinates as a reference: it solves the
 stacked least-squares problem [K_XZ; sqrt(n ridge) L_Z^T] beta ~ [y; 0]
-by one R-only QR, never forming V or a whitened factor. The second route
+by one R-only QR, never forming V or a whitened factor; n ridge is
+`exact.noise_of_ridge`, the one ridge -> noise conversion. The second route
 to the same fit, KRR with the kernel q, is
 `SparseProblem.ridge_fit_via_q`, which reads (q_XX + s2 I)^{-1} y from
 its problem's explicit q pass.
@@ -23,6 +24,10 @@ them; `nystrom_factor` solves its V from them, or from the same rows
 built over Z. The independent sides of the cross-checks (`q_gram` and
 `_features`, `fit_nystrom`, and the problem's K_XZ in bounds) build
 their cross Grams with `gram` and never read these rows or V.
+
+`_woodbury` is the one solve against q_XX + s2 I on the whitened factor:
+`nystrom_factor` solves the targets by it, and
+`SparseProblem.mc_quadratic_forms` each block of Monte-Carlo draws.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import InvalidCount, InvalidParameter
+from .exact import noise_of_ridge
 from .kernels import Kernel, KernelExpansion, as_points
 from .linalg import (SpdFactor, _check_positive, _substitute, factor_spd, logdet, lower_solve,
                      upper_solve)
@@ -180,7 +186,8 @@ def _trace_gap(diag_k: np.ndarray, V: np.ndarray) -> float:
 
 
 def _woodbury(b_factor: SpdFactor, V: np.ndarray, Y: np.ndarray, noise_var: float):
-    """e = L_B^{-T} c for c = L_B^{-1} V Y / s2, and V^T e.
+    """e = L_B^{-T} c for c = L_B^{-1} V Y / s2, and V^T e, for a vector or
+    a block of columns Y.
 
     With the residual r = Y - V^T e, (q_XX + s2 I)^{-1} Y = r / s2, so
     y^T (q_XX + s2 I)^{-1} y is ||r||^2 / s2 + ||e||^2, not
@@ -222,17 +229,16 @@ def fit_nystrom(kernel: Kernel, data: Dataset, ind: InducingSet,
     and, in its last column, Q^T [0; y]; beta is one triangular solve.
     This keeps cond(k_ZZ) from being squared, as the normal equations
     (n ridge k_ZZ + k_ZX k_XZ) beta = k_ZX y would; O(n m^2). It never
-    reads V or a whitened factor. InvalidParameter if n ridge overflows.
+    reads V or a whitened factor. n ridge is `exact.noise_of_ridge`, so an
+    n ridge that overflows is its InvalidParameter.
 
     The L_Z block goes on top because that order measured closer to a
     50-digit solve: at verify --n 300 --m 20, 3.6e-9 against 9.4e-9 with
     K_XZ on top, where psi_maps_mu_star_to_beta then read 9.97e-9 on one
     OpenBLAS thread and 1.04e-8 on two (2-vCPU x86-64 VM).
     """
-    _check_positive(ridge, "ridge")
-    _check_positive(data.n * float(ridge), "n * ridge")  # it may overflow to inf
+    m, scale = ind.m, np.sqrt(noise_of_ridge(data.n, ridge))
     _check_kernel(kernel, ind)
-    m, scale = ind.m, np.sqrt(data.n * float(ridge))
     stacked = np.block([[scale * ind.kzz_factor.lower.T, np.zeros((m, 1))],
                         [kernel.gram(data.inputs, ind.points), data.targets[:, None]]])
     R = np.linalg.qr(stacked, mode="r")

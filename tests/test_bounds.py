@@ -149,6 +149,20 @@ def test_rkhs_distance_bound_holds(kernel, random_dataset):
     assert rkhs_distance_bound(SparseProblem(kernel, data, ind, data.n * 0.02)).holds
 
 
+@pytest.mark.parametrize("ridge", [0.02, 1e-170])
+@pytest.mark.parametrize("bound", [excess_risk_upper_bound, rkhs_distance_bound])
+def test_ridge_side_bounds_are_zero_and_hold_for_zero_targets(kernel, bound, ridge):
+    # rhs = 0 with t > 0 is the true bound when y = 0, also at a ridge so
+    # small that (n ridge)^2 underflows: only a zero with every factor
+    # positive, or an infinity, is an artefact of over- or underflow
+    rng = np.random.default_rng(23)
+    data = Dataset(rng.uniform(-3, 3, size=(5, 1)), np.zeros(5))
+    prob = SparseProblem(kernel, data, random_inducing(kernel, 3, 24), 1.0).at_ridge(ridge)
+    assert prob.nystrom.trace_gap > 0
+    record = bound(prob)
+    assert record.rhs == 0.0 and record.holds
+
+
 def test_derivative_gap_bound_holds(kernel, random_dataset):
     data = random_dataset(25, 20)
     ind = random_inducing(kernel, 5, 21)

@@ -426,28 +426,49 @@ def test_negative_count_or_seed_is_a_usage_error(argv, message, tmp_path, capsys
 def test_tiny_lengthscale_gives_a_report_without_warnings(capsys):
     # 1/gamma^2 is finite but |x - x'|^2 / gamma^2 overflows to +inf, whose
     # exp is the kernel value 0.0 it underflows to anyway: no RuntimeWarning
-    # (an error under this suite's filter), and every check passes
-    assert main(["verify", "--n", "30", "--m", "5", "--gamma", "1.5e-154"]) == 0
-    assert "overall: PASS" in capsys.readouterr().out
+    # (an error under this suite's filter). The derivative bound's
+    # 2/gamma^2 factor overflows it to +inf, which certifies nothing: that
+    # check is an error naming --gamma, and every other check passes
+    assert main(["verify", "--n", "30", "--m", "5", "--gamma", "1.5e-154",
+                 "--format", "json"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c for c in checks if c["status"] != "pass"] == [
+        {"name": "derivative_bound", "status": "error",
+         "detail": "InvalidParameter: --gamma 1.5e-154 is too small: the bound overflows to inf"}]
 
 
 @pytest.mark.parametrize("flags, detail", [
     (("--n", "5", "--m", "3", "--ridge", "1e-170"),
-     "ridge 1e-170 is too small: (n ridge)^2 underflows to 0"),
+     "--ridge 1e-170 is too small: the bound overflows to inf"),
     (("--n", "50", "--m", "5", "--ridge", "1e200"),
-     "ridge 1e+200 is too large: (n ridge)^2 overflows"),
+     "--ridge 1e+200 is too large: the bound underflows to 0"),
 ], ids=["underflow", "overflow"])
 @pytest.mark.parametrize("command, code", [(("verify",), 1), (("bounds", "rkhs_distance"), 2)],
                          ids=["verify", "bounds"])
 def test_underflowing_ridge_is_an_error_of_the_rkhs_check(command, code, flags, detail, capsys):
-    # (n ridge)^2 underflows to 0 or overflows to inf: the bound's division
-    # is a typed error of its check, not a ZeroDivisionError or
-    # OverflowError traceback, a non-JSON Infinity or a rhs of 0
+    # s2 = n ridge so small or so large that the bound overflows to inf or
+    # underflows to 0: a typed error of its check naming --ridge, not a
+    # ZeroDivisionError or OverflowError traceback, a non-JSON Infinity or
+    # a rhs of 0
     assert main([*command, *flags, "--format", "json"]) == code
     out, err = capsys.readouterr()
     check = next(c for c in json.loads(out)["checks"] if c["name"] == "rkhs_distance_bound")
     detail = f"InvalidParameter: {detail}"
     assert check == {"name": "rkhs_distance_bound", "status": "error", "detail": detail}
+    assert err == ("" if code == 1 else f"error: {detail}\n")
+
+
+@pytest.mark.parametrize("command, code", [(("verify",), 1), (("bounds", "excess_risk"), 2)],
+                         ids=["verify", "bounds"])
+def test_huge_ridge_is_an_error_of_the_excess_risk_check(command, code, capsys):
+    # ||y||^2 / (n s2) * t / (t + s2) underflows to 0 while t and ||y||^2
+    # are positive: the bound certifies nothing, so its check is an error,
+    # not a pass with lhs = rhs = 0
+    assert main([*command, "--n", "50", "--m", "5", "--ridge", "1e200", "--format", "json"]) == code
+    out, err = capsys.readouterr()
+    check = next(c for c in json.loads(out)["checks"] if c["name"] == "excess_risk_bound")
+    detail = "InvalidParameter: --ridge 1e+200 is too large: the bound underflows to 0"
+    assert check == {"name": "excess_risk_bound", "status": "error", "detail": detail}
     assert err == ("" if code == 1 else f"error: {detail}\n")
 
 

@@ -11,7 +11,7 @@ from sparsegp.bounds import SparseProblem
 from sparsegp.cli import main
 from sparsegp.data import Dataset, synth_fixed_function_dataset, write_csv
 from sparsegp.errors import InvalidParameter
-from sparsegp.exact import fit_krr
+from sparsegp.exact import fit_krr, noise_of_ridge
 from sparsegp.kernels import GaussianKernel
 from sparsegp.linalg import noise_factor
 from sparsegp.nystrom import fit_nystrom, nystrom_factor, select_inducing
@@ -29,6 +29,7 @@ ENTRY_POINTS = {
     "nystrom_factor": ("noise_var", "positive", lambda v: nystrom_factor(KERNEL, DATA, IND, v)),
     "fit_nystrom": ("ridge", "positive", lambda v: fit_nystrom(KERNEL, DATA, IND, v)),
     "fit_krr": ("ridge", "positive", lambda v: fit_krr(KERNEL, DATA, v)),
+    "noise_of_ridge": ("ridge", "positive", lambda v: noise_of_ridge(DATA.n, v)),
     "SparseProblem": ("noise_var", "positive", lambda v: SparseProblem(KERNEL, DATA, IND, v)),
     "at_ridge": ("ridge", "positive", PROB.at_ridge),
     "synth_fixed_function_dataset": ("noise_var", "nonnegative",
@@ -58,7 +59,11 @@ CLI_CASES = [
     # a finite ridge whose n * ridge overflows, not a fit of NaN rows
     (("fit", "nystrom", "--ridge", "1e308"), "n * ridge must be finite, got inf"),
     (("fit", "exact", "--ridge", "nan"), "ridge must be positive"),
+    # every ridge becomes the noise variance n * ridge by one conversion,
+    # which names the product, not the noise variance the user did not set
+    (("fit", "exact", "--ridge", "1e308"), "n * ridge must be finite, got inf"),
     (("bounds", "burt", "--ridge", "inf"), "ridge must be finite, got inf"),
+    (("bounds", "burt", "--ridge", "1e308"), "n * ridge must be finite, got inf"),
     (("bounds", "burt", "--noise-var", "inf"), "noise_var must be finite, got inf"),
     (("bounds", "burt", "--kernel", "polynomial", "--offset", "nan"),
      "offset must be finite and nonnegative, got nan"),
@@ -103,6 +108,7 @@ def test_fit_names_noise_var_when_the_ridge_is_linked(model, value, message, tmp
 @pytest.mark.parametrize("flags, message", [
     (("--ridge", "inf"), "ridge must be finite, got inf"),
     (("--noise-var", "inf"), "noise_var must be finite, got inf"),
+    (("--ridge", "1e308"), "n * ridge must be finite, got inf"),
 ])
 def test_verify_reports_a_non_finite_parameter_as_its_setup_error(flags, message, capsys):
     assert main(["verify", "--n", "30", "--m", "5", "--mc-samples", "500", *flags,

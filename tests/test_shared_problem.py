@@ -282,6 +282,25 @@ def test_ridge_side_shares_the_problem_only_when_linked(link):
     assert ridge_prob.ridge == pytest.approx(ridge, rel=1e-15)
 
 
+def test_hand_built_ridge_problem_shares_k_xx(monkeypatch):
+    # at_ridge hands the problem's k_XX to the ridge problem, so certifying
+    # a hand-built pair builds one n x n Gram for both
+    n, shapes = 30, []
+    gram = GaussianKernel.gram
+    monkeypatch.setattr(GaussianKernel, "gram", lambda self, A, B=None:
+                        shapes.append(gram(self, A, B).shape) or gram(self, A, B))
+    rng = np.random.default_rng(5)
+    kernel = GaussianKernel(lengthscale=1.0)
+    data = Dataset(rng.uniform(-3, 3, size=(n, 1)), rng.standard_normal(n))
+    prob = bounds.SparseProblem(kernel, data, select_inducing(kernel, data, 6), 0.2,
+                                mc_samples=500)
+    ridge_prob = prob.at_ridge(0.01)
+    checks = verify_problem(prob, ridge_prob, rng.uniform(-3, 3, size=(50, 1)), 7)
+    assert [c.name for c in checks] == CHECK_NAMES
+    assert ridge_prob.kxx is prob.kxx
+    assert shapes.count((n, n)) == 1
+
+
 @pytest.mark.parametrize("link", [True, False])
 def test_verify_run_fits_the_sparse_ridge_once_per_problem(monkeypatch, link):
     fits, risks = [], []
