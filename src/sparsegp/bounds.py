@@ -24,22 +24,27 @@ from .data import Dataset
 from .errors import DimensionMismatch, InternalInconsistency, InvalidCount, InvalidParameter
 from .exact import GpPosterior, noise_of_ridge, regularized_risk
 from .kernels import Kernel, KernelExpansion, as_points
-from .linalg import SpdFactor, _check_positive, logdet, noise_factor, operator_norm, solve
-from .nystrom import (InducingSet, NystromFactor, _check_kernel, _woodbury, fit_nystrom,
-                      nystrom_factor, q_diag, q_gram)
+from .linalg import (SpdFactor, _check_positive, logdet, lower_solve, noise_factor,
+                     operator_norm, solve, upper_solve)
+from .nystrom import (InducingSet, NystromFactor, _check_kernel, fit_nystrom, nystrom_factor,
+                      q_diag, q_gram)
 from .svgp import SvgpState, optimal_parameters
 
 TOLERANCE = 1e-8  # the certified identities' tolerance; 1e-4 for finite differences
 FD_STEP = 1e-5  # the central-difference step of derivative_gap_bounds
 MIN_MC_SAMPLES = 100
 # SparseProblem.mc_quadratic_forms draws and reduces its sample this many
-# draws at a time, holding a few n x _MC_BLOCK arrays instead of n x S ones.
+# draws at a time, in a few n x _MC_BLOCK buffers instead of n x S arrays.
 # On a 2-vCPU x86-64 VM at n = 400, m = 24, S = 2000 the sample's traced
-# peak is 1.0 / 1.9 / 3.5 / 6.8 MB at widths 64 / 128 / 256 / 512, a verify
-# run's peak RSS 52.2 / 54.7 / 58.0 MB at 128 / 256 / 512, and the sample
-# takes 28-32 ms at each width; drawn whole, as n x S arrays, it peaked at
-# 13.3 MB traced and 64.6 MB RSS, in 30-34 ms.
+# peak is 1.1 / 1.7 / 2.7 / 4.6 MB at widths 64 / 128 / 256 / 512, the
+# peak RSS of a bare verify run 45.2 / 45.5 / 47.6 MB at 128 / 256 / 512,
+# and the sample takes 27-29 ms at each width, 12 ms of it in the draws.
 _MC_BLOCK = 256
+# It forms L_k z^T this many rows of L_k at a time, reading only the lower
+# triangle. On the same VM, at n = 2000 a block of 256 draws took 26.0 ms
+# as one product with the full L_k and 22.9 / 17.8 / 17.6 ms in blocks of
+# 64 / 128 / 256 rows; at n = 400 each way took 1.2 ms.
+_MC_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -82,9 +87,9 @@ class SparseProblem:
     factor L_Z. The log-det gap is taken once for the KL and both
     expected-value bounds, which also read one Monte-Carlo sample of
     mc_samples targets, seeded with mc_seed. The sample is drawn and
-    reduced in blocks of draws, so it takes O(n _MC_BLOCK) memory at any
-    mc_samples, and only its two quadratic forms per draw are kept. A
-    caller that drew the targets through the factor of k_XX + s2 I passes
+    reduced in blocks of draws through buffers allocated once, so it takes
+    O(n _MC_BLOCK) memory and one pair of L_B solves at any mc_samples, and
+    only its two quadratic forms per draw are kept. A caller that drew the targets through the factor of k_XX + s2 I passes
     it and k_XX as prior_kxx and prior_k_factor, and they are kept as they
     are; `at_ridge` passes its problem's k_XX on the same way. A build that
     raises is not kept: every reader gets the same typed error.
@@ -248,22 +253,44 @@ class SparseProblem:
         """y^T (k+s2 I)^{-1} y and y^T (q+s2 I)^{-1} y for the mc_samples
         draws y = L_k z ~ N(0, k_XX + s2 I) seeded with mc_seed. The z are
         the rows of rng.standard_normal((mc_samples, n)), drawn _MC_BLOCK
-        rows at a time, so the sample does not depend on the block width,
-        and each block is reduced before the next is drawn. The k side is
-        ||z||^2. The q side is the whitened factor's Woodbury solve
-        `nystrom._woodbury` on each block Y = L_k z^T, in O(n m S): e and
-        r = Y - V^T e, reduced to ||r||^2 / s2 + ||e||^2."""
+        rows at a time into one buffer, so the sample does not depend on
+        the block width, and each block is reduced before the next is
+        drawn. The k side is ||z||^2. The q side is the whitened factor's
+        Woodbury solve with its two L_B solves taken once per sample, as
+        U = L_B^{-T} L_B^{-1} V / s2: each block Y = L_k z^T, formed
+        _MC_ROWS rows at a time from the lower triangle of L_k alone, gives
+        e = U Y and r = Y - V^T e, reduced to ||r||^2 / s2 + ||e||^2, in
+        O(n m S). Y, r and e reuse buffers allocated once per sample."""
         rng = np.random.default_rng(self.mc_seed)
-        fac, s2 = self.nystrom, self.noise_var
-        quad_k, quad_q = [], []
-        for start in range(0, self.mc_samples, _MC_BLOCK):
-            z = rng.standard_normal((min(_MC_BLOCK, self.mc_samples - start), self.n))
-            quad_k.append(np.einsum("ij,ij->i", z, z))
-            Y = self.k_factor.lower @ z.T
-            e, r = _woodbury(fac.b_factor, fac.features, Y, s2)
+        fac, s2, n, S = self.nystrom, self.noise_var, self.n, self.mc_samples
+        L, V = self.k_factor.lower, fac.features
+        U = upper_solve(fac.b_factor, lower_solve(fac.b_factor, V) / s2)
+        starts = range(0, n, _MC_ROWS)
+        diag = [np.tril(L[lo:lo + _MC_ROWS, lo:lo + _MC_ROWS]) for lo in starts]
+        width = min(_MC_BLOCK, S)
+        # One buffer holds a block's draws z (w x n), then its residuals r (n x w).
+        shared, Y_buf = np.empty(width * n), np.empty((n, width))
+        part_buf, e_buf = np.empty((_MC_ROWS, width)), np.empty((V.shape[0], width))
+        quad_k, quad_q = np.empty(S), np.empty(S)
+        for start in range(0, S, width):
+            block = slice(start, min(start + width, S))
+            w = block.stop - start
+            z, Y, e = shared[:w * n].reshape(w, n), Y_buf[:, :w], e_buf[:, :w]
+            rng.standard_normal(out=z)
+            np.einsum("ij,ij->i", z, z, out=quad_k[block])
+            for lo, tri in zip(starts, diag):
+                hi = lo + tri.shape[0]
+                np.matmul(tri, z[:, lo:hi].T, out=Y[lo:hi])
+                if lo:
+                    Y[lo:hi] += np.matmul(L[lo:hi, :lo], z[:, :lo].T, out=part_buf[:hi - lo, :w])
+            np.matmul(U, Y, out=e)
+            r = np.matmul(V.T, e, out=shared[:w * n].reshape(n, w))
             np.subtract(Y, r, out=r)
-            quad_q.append(np.einsum("ij,ij->j", r, r) / s2 + np.einsum("ij,ij->j", e, e))
-        return np.concatenate(quad_k), np.concatenate(quad_q)
+            q = quad_q[block]
+            np.einsum("ij,ij->j", r, r, out=q)
+            q /= s2
+            q += np.einsum("ij,ij->j", e, e)
+        return quad_k, quad_q
 
 
 def burt_upper_bound(prob: SparseProblem) -> tuple[BoundRecord, BoundRecord]:

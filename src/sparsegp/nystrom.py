@@ -25,9 +25,10 @@ built over Z. The independent sides of the cross-checks (`q_gram` and
 `_features`, `fit_nystrom`, and the problem's K_XZ in bounds) build
 their cross Grams with `gram` and never read these rows or V.
 
-`_woodbury` is the one solve against q_XX + s2 I on the whitened factor:
-`nystrom_factor` solves the targets by it, and
-`SparseProblem.mc_quadratic_forms` each block of Monte-Carlo draws.
+`_woodbury` solves the targets against q_XX + s2 I on the whitened factor
+for `nystrom_factor`. `SparseProblem.mc_quadratic_forms` takes the same
+two L_B solves once per Monte-Carlo sample, on V itself, and applies
+them to each block of draws by matrix products.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,12 +10,13 @@ from sparsegp.bounds import (BoundRecord, SparseProblem, burt_upper_bound,
                              quadratic_form_gap_bound, rkhs_distance_bound,
                              rkhs_distance_sq, worst_case_decompositions)
 from sparsegp.data import Dataset
-from sparsegp import bounds
+from sparsegp import bounds, linalg
 from sparsegp.errors import InternalInconsistency, UnsupportedKernel
 from sparsegp.exact import fit_krr
 from sparsegp.kernels import PolynomialKernel
-from sparsegp.linalg import logdet, noise_factor, solve
-from sparsegp.nystrom import fit_nystrom, make_inducing, q_gram, select_inducing, trace_gap
+from sparsegp.linalg import SpdFactor, logdet, noise_factor, solve
+from sparsegp.nystrom import (_features, fit_nystrom, make_inducing, q_gram, select_inducing,
+                              trace_gap)
 
 
 def random_inducing(kernel, m, seed):
@@ -257,23 +259,36 @@ def test_both_expected_value_bounds_read_one_sample(kernel):
     assert abs(gap) <= 1e-12 * max(1.0, abs(mc_kl))
 
 
-def _sample_problem(kernel, n, mc_samples, seed=32):
+def _sample_problem(kernel, n, mc_samples, seed=32, noise_var=0.1):
     rng = np.random.default_rng(seed)
     data = Dataset(rng.uniform(-3, 3, size=(n, 1)), np.zeros(n))
-    return SparseProblem(kernel, data, select_inducing(kernel, data, 8), 0.1,
+    return SparseProblem(kernel, data, select_inducing(kernel, data, 8), noise_var,
                          mc_samples=mc_samples, mc_seed=seed + 1)
 
 
-def test_monte_carlo_sample_matches_the_whole_sample_reference(kernel):
-    # The draws are the rows of one (S, n) standard-normal array; the q side
-    # agrees with the explicit n x n factor of q_XX + s2 I.
-    prob = _sample_problem(kernel, 30, 700)
+# 300 rows span three row blocks of L_k, the last one partial.
+SAMPLE_N = 300
+
+
+@pytest.mark.parametrize("noise_var", [0.1, 1e-4])
+def test_monte_carlo_sample_matches_the_whole_sample_reference(kernel, noise_var):
+    # The draws are the rows of one (S, n) standard-normal array. The q side
+    # agrees with y^T (q_XX + s2 I)^{-1} y taken on the whole sample through
+    # the thin SVD V = P diag(sig) W^T of q's features, as
+    # sum_i (w_i^T y)^2 / (sig_i^2 + s2) + ||y - W W^T y||^2 / s2, which is
+    # accurate to about 1e-14. A Cholesky solve on the explicit n x n q_XX + s2 I is
+    # off by 6e-12 to 9e-12 at s2 = 1e-4 here, so it cannot be the reference.
+    assert SAMPLE_N % bounds._MC_ROWS and SAMPLE_N > 2 * bounds._MC_ROWS
+    prob = _sample_problem(kernel, SAMPLE_N, 700, noise_var=noise_var)
     quad_k, quad_q = prob.mc_quadratic_forms
-    z = np.random.default_rng(prob.mc_seed).standard_normal((700, 30))
+    z = np.random.default_rng(prob.mc_seed).standard_normal((700, SAMPLE_N))
     assert np.array_equal(quad_k, np.einsum("ij,ij->i", z, z))
     Y = prob.k_factor.lower @ z.T
-    q_factor = noise_factor(q_gram(prob.ind, prob.data.inputs), prob.noise_var)
-    reference = np.einsum("ij,ij->j", Y, solve(q_factor, Y))
+    _, sig, Wt = np.linalg.svd(_features(prob.ind, prob.data.inputs), full_matrices=False)
+    c = Wt @ Y
+    resid = Y - Wt.T @ c
+    reference = (np.einsum("ij,ij->j", c / (sig[:, None] ** 2 + noise_var), c)
+                 + np.einsum("ij,ij->j", resid, resid) / noise_var)
     assert np.max(np.abs(quad_q - reference) / reference) <= 1e-12
 
 
@@ -281,13 +296,46 @@ def test_monte_carlo_sample_does_not_depend_on_the_block_width(kernel, monkeypat
     forms = []
     for width in (7, 300):
         monkeypatch.setattr(bounds, "_MC_BLOCK", width)
-        forms.append(_sample_problem(kernel, 30, 701).mc_quadratic_forms)
+        forms.append(_sample_problem(kernel, SAMPLE_N, 701).mc_quadratic_forms)
     (k7, q7), (k300, q300) = forms
     assert np.array_equal(k7, k300)
     assert np.max(np.abs(q7 - q300) / q300) <= 1e-12
 
 
-@pytest.mark.parametrize("n, mc_samples, buffers", [(400, 2000, 1.0), (100, 20000, 0.25)])
+def test_monte_carlo_sample_solves_against_l_b_once(kernel, monkeypatch):
+    # The q side's two triangular solves against L_B are taken once per
+    # sample, not once per block of draws: ten times the draws take as many.
+    monkeypatch.setattr(bounds, "_MC_BLOCK", 16)
+    substitute, counts = linalg._substitute, []
+    for mc_samples in (300, 3000):
+        prob = _sample_problem(kernel, 40, mc_samples)
+        b_lower = prob.nystrom.b_factor.lower
+        solves = []
+
+        def counting(T, B, lower):
+            solves.append(np.shares_memory(T, b_lower))
+            return substitute(T, B, lower)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "_substitute", counting)
+            prob.mc_quadratic_forms
+        counts.append(sum(solves))
+    assert counts[0] == counts[1] > 0
+
+
+def test_monte_carlo_sample_reads_only_the_lower_triangle_of_l_k(kernel):
+    # A factor whose strict upper triangle is NaN gives the clean factor's
+    # sample bit for bit, so the product L_k z^T never reads that triangle.
+    prob = _sample_problem(kernel, SAMPLE_N, 500)
+    lower = prob.k_factor.lower.copy()
+    lower[np.triu_indices(prob.n, 1)] = np.nan
+    poisoned = replace(prob, prior_kxx=prob.kxx,
+                       prior_k_factor=SpdFactor(lower, prob.k_factor.jitter_used))
+    for clean, dirty in zip(prob.mc_quadratic_forms, poisoned.mc_quadratic_forms):
+        assert np.array_equal(clean, dirty)
+
+
+@pytest.mark.parametrize("n, mc_samples, buffers", [(400, 2000, 0.5), (100, 20000, 0.1)])
 def test_monte_carlo_sample_is_reduced_in_bounded_memory(kernel, n, mc_samples, buffers):
     # Only a few n x _MC_BLOCK arrays are alive at once, not n x S ones; the
     # factors the sample reads are built before tracing starts.
